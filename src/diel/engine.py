@@ -2,8 +2,11 @@
 
 Every engine starts empty; setup executes the planned DDL and base data is
 copied in afterwards, so re-running setup on a used engine fails on the DDL
-collision (by design there is no IF NOT EXISTS). RANDOM() is overridden with
-a seeded generator so ORDER BY RANDOM() replays deterministically.
+collision (by design there is no IF NOT EXISTS). Tables of a SQLite source
+file are copied inside SQLite from the file, attached read-only for the copy;
+rows given as Python values are inserted one batch per transaction. RANDOM()
+is overridden with a seeded generator so ORDER BY RANDOM() replays
+deterministically.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ def sql_type(type_: str | None) -> str:
 class SqlEngine:
     def __init__(self, db_id: str, seed: int | None = None, udfs: dict[str, UdfDef] | None = None):
         self.db_id = db_id
-        self.conn = sqlite3.connect(":memory:")
+        self.conn = sqlite3.connect(":memory:", uri=True)  # uri: ATTACH of read-only files
         self.conn.isolation_level = None  # autocommit; the runtime owns atomicity
         self._rng = random.Random(f"{seed}/engine/{db_id}")
         self.conn.create_function("random", 0, lambda: self._rng.getrandbits(63))
@@ -55,13 +58,42 @@ class SqlEngine:
             raise EngineError(f"{context} on instance {self.db_id}", str(exc)) from exc
 
     def insert_rows(self, table: str, rows: list[tuple], context: str = "insert") -> None:
+        """Insert a batch atomically: all rows land, or none do."""
         if not rows:
             return
         placeholders = ", ".join("?" * len(rows[0]))
+        sql = f'INSERT INTO "{table}" VALUES ({placeholders})'
         try:
-            self.conn.executemany(f'INSERT INTO "{table}" VALUES ({placeholders})', rows)
+            if len(rows) == 1:  # one statement is its own transaction
+                self.conn.execute(sql, rows[0])
+                return
+            self.conn.execute("BEGIN")
+            self.conn.executemany(sql, rows)
+            self.conn.execute("COMMIT")
         except sqlite3.Error as exc:
+            if self.conn.in_transaction:
+                self.conn.execute("ROLLBACK")
             raise EngineError(f"{context} into {table} on {self.db_id}", str(exc)) from exc
+
+    def copy_tables(
+        self, path: str | Path, tables: dict[str, list[str]], context: str = "copy"
+    ) -> None:
+        """Copy `tables` (name -> columns) from the SQLite file at path into the
+        same-named tables here; the file is attached read-only for the copy."""
+        try:
+            self.conn.execute("ATTACH DATABASE ? AS source", (_readonly_uri(path),))
+        except sqlite3.Error as exc:
+            raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
+        try:
+            for table, columns in tables.items():
+                cols = ", ".join(f'"{c}"' for c in columns)
+                self.conn.execute(
+                    f'INSERT INTO main."{table}" ({cols}) SELECT {cols} FROM source."{table}"'
+                )
+        except sqlite3.Error as exc:
+            raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
+        finally:
+            self.conn.execute("DETACH DATABASE source")
 
     def table_rows(self, table: str) -> list[tuple]:
         return self.run_query(f'SELECT * FROM "{table}"')[1]
@@ -76,11 +108,17 @@ class SqlEngine:
 # --- data sources ---------------------------------------------------------------
 
 
+def _readonly_uri(path: str | Path) -> str:
+    return Path(path).absolute().as_uri() + "?mode=ro"
+
+
 def introspect_sqlite(path: str | Path) -> dict[str, tuple[list[ColumnDef], int]]:
     """Schemas and row counts of the user tables in a SQLite file."""
-    uri = f"file:{Path(path)}?mode=ro"
     try:
-        conn = sqlite3.connect(uri, uri=True)
+        conn = sqlite3.connect(_readonly_uri(path), uri=True)
+    except sqlite3.Error as exc:
+        raise ConfigError(f"cannot read database file {path}: {exc}") from exc
+    try:
         names = [
             r[0]
             for r in conn.execute(
@@ -102,17 +140,9 @@ def introspect_sqlite(path: str | Path) -> dict[str, tuple[list[ColumnDef], int]
                 cols.append(ColumnDef(col_name, type_))
             count = conn.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
             result[name] = (cols, count)
-        conn.close()
         return result
     except sqlite3.Error as exc:
         raise ConfigError(f"cannot read database file {path}: {exc}") from exc
-
-
-def read_sqlite_rows(path: str | Path, table: str) -> list[tuple]:
-    uri = f"file:{Path(path)}?mode=ro"
-    conn = sqlite3.connect(uri, uri=True)
-    try:
-        return [tuple(r) for r in conn.execute(f'SELECT * FROM "{table}"')]
     finally:
         conn.close()
 

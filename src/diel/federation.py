@@ -8,8 +8,7 @@ arrival order.
 
 Wire format (socket mode and trace logging): a 4-byte big-endian length
 prefix, then a JSON object with fields {kind, view?, relation?, rows?,
-request_timestep, send_ms, deliver_ms}; SetupProgram messages additionally
-carry `sql`.
+request_timestep, send_ms, deliver_ms}.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .errors import (
     ScriptExhaustedError,
 )
 
-SETUP_PROGRAM = "SetupProgram"
 SHIP_DATA = "ShipData"
 EVAL_REQUEST = "EvalRequest"
 RESULT_ROWS = "ResultRows"
@@ -47,7 +45,6 @@ class Message:
     relation: str | None = None
     rows: list[tuple] | None = None
     request_timestep: int | None = None
-    sql: str | None = None
     seq: int = 0  # global send order; breaks simultaneous-delivery ties
     link_seq: int = 0  # per-link channel position; 0 bypasses channel ordering
 
@@ -63,8 +60,6 @@ def encode_message(msg: Message) -> bytes:
     payload["request_timestep"] = msg.request_timestep
     payload["send_ms"] = msg.send_ms
     payload["deliver_ms"] = msg.deliver_ms
-    if msg.sql is not None:
-        payload["sql"] = msg.sql
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     return struct.pack(">I", len(body)) + body
 
@@ -90,7 +85,6 @@ def decode_messages(buffer: bytes) -> tuple[list[Message], bytes]:
                 relation=payload.get("relation"),
                 rows=None if rows is None else [tuple(r) for r in rows],
                 request_timestep=payload.get("request_timestep"),
-                sql=payload.get("sql"),
             )
         )
         offset += 4 + length
@@ -237,8 +231,8 @@ class SimInstance:
     Work for request timestep t is gated on t's shipment: the runtime pairs
     every EvalRequest(t) with a ShipData(t) on the same link, so applying
     shipments lazily keeps LATEST evaluating against exactly the state as of
-    t even when deliveries reorder. Setup snapshots arrive as request 0 and
-    apply immediately.
+    t even when deliveries reorder. Setup snapshots are written by `setup`
+    before any message is sent.
     """
 
     def __init__(self, db_id: str, engine: SqlEngine):
@@ -254,9 +248,6 @@ class SimInstance:
         self._channel_buffer: dict[int, Message] = {}
         self._next_link_seq = 1
 
-    def execute_setup(self, sql: str) -> None:
-        self.engine.execute_script(sql)
-
     def receive(self, msg: Message, now_ms: int) -> list[Message]:
         released: list[Message] = []
         if msg.link_seq == 0:
@@ -267,9 +258,7 @@ class SimInstance:
                 released.append(self._channel_buffer.pop(self._next_link_seq))
                 self._next_link_seq += 1
         for item in released:
-            if item.kind == SETUP_PROGRAM:
-                self.execute_setup(item.sql or "")
-            elif item.kind == SHIP_DATA:
+            if item.kind == SHIP_DATA:
                 self.pending_ships.setdefault(item.request_timestep, []).append(item)
             elif item.kind == EVAL_REQUEST:
                 self.pending_evals.setdefault(item.request_timestep, []).append(item)

@@ -76,11 +76,6 @@ class FederationPlan:
     programs: dict[str, str] = field(default_factory=dict)
     unchecked_constraints: list[ViewConstraint] = field(default_factory=list)
 
-    def ship_destinations(self, relation: str) -> list[str]:
-        return sorted(
-            s.destination for s in self.shipments if s.relation == relation and not s.snapshot
-        )
-
 
 def base_schemas_of(dbs: list[DbDescriptor]) -> dict[str, list[ColumnDef]]:
     schemas: dict[str, list[ColumnDef]] = {}

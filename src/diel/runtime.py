@@ -16,6 +16,7 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 from .ast_nodes import ColumnDef, InsertStatement
 from .compiler import (
@@ -110,6 +111,7 @@ class Runtime:
             self.bind_output(output, callback)
 
         self.clock = 0
+        self.now_ms = 0
         self.events: list[EventRecord] = []
         self.frames: list[OutputFrame] = []
         self.diagnostics: list[str] = []
@@ -137,6 +139,22 @@ class Runtime:
             and c not in plan.unchecked_constraints
             and self.catalog.relations[c.view].kind in (RelationKind.VIEW, RelationKind.OUTPUT)
         ]
+        self._result_widths = {
+            name: len(infer_output_columns(self.catalog.relations[name].query, self.catalog))
+            for name in self._async_views
+        }
+        # event table -> (column, SQL of its CHECK over the bound payload values)
+        self._check_sql: dict[str, list[tuple[str, str]]] = {}
+        for rel in self.catalog.by_kind(RelationKind.EVENT_TABLE):
+            inner = ", ".join(f"? AS {quote_ident(c.name)}" for c in rel.columns)
+            checks = [
+                (c.name, f"SELECT ({expr_sql(c.check)}) FROM (SELECT {inner}) "
+                 f"AS {quote_ident(rel.name)}")
+                for c in rel.columns
+                if c.check is not None
+            ]
+            if checks:
+                self._check_sql[rel.name] = checks
 
     # -- API ------------------------------------------------------------------
 
@@ -160,7 +178,7 @@ class Runtime:
         if rel is None or rel.kind is not RelationKind.EVENT_TABLE:
             raise UnknownEventError(f"{name!r} is not an event table")
         values = self._validate_payload(rel.name, rel.columns, payload)
-        if not self._checks_pass(rel.name, rel.columns, values):
+        if not self._checks_pass(rel.name, values):
             self.ignored_events += 1
             return None
         self.clock += 1
@@ -179,7 +197,7 @@ class Runtime:
         rel = self.catalog.relations.get(view)
         if rel is None or rel.kind is not RelationKind.ASYNC_VIEW:
             raise UnknownAsyncViewError(f"{view!r} is not an async view")
-        width = len(infer_output_columns(rel.query, self.catalog))
+        width = self._result_widths[view]
         for row in rows:
             if len(row) != width:
                 raise SchemaMismatchError(
@@ -283,25 +301,17 @@ class Runtime:
             values.append(value)
         return tuple(values)
 
-    def _checks_pass(self, name: str, columns: list[ColumnDef], values: tuple) -> bool:
-        checked = [c for c in columns if c.check is not None]
-        if not checked:
-            return True
-        inner = ", ".join(f"? AS {quote_ident(c.name)}" for c in columns)
-        for col in checked:
-            sql = (
-                f"SELECT ({expr_sql(col.check)}) FROM (SELECT {inner}) "
-                f"AS {quote_ident(name)}"
-            )
+    def _checks_pass(self, name: str, values: tuple) -> bool:
+        for column, sql in self._check_sql.get(name, ()):
             try:
                 cursor = self.engine.conn.execute(sql, values)
             except Exception as exc:  # engine-level failure counts as a violation
-                self.diagnostics.append(f"check on {name}.{col.name} failed to run: {exc}")
+                self.diagnostics.append(f"check on {name}.{column} failed to run: {exc}")
                 return False
             result = cursor.fetchone()[0]
             if result == 0:  # NULL passes, matching SQL CHECK semantics
                 self.diagnostics.append(
-                    f"event on {name!r} ignored: CHECK on column {col.name} failed"
+                    f"event on {name!r} ignored: CHECK on column {column} failed"
                 )
                 return False
         return True
@@ -337,14 +347,14 @@ class Runtime:
             self.federation.request_eval(leader, view, t)
 
     def _advance_clock_ms(self, at_ms: int) -> None:
-        self.now_ms = max(getattr(self, "now_ms", 0), at_ms)
+        self.now_ms = max(self.now_ms, at_ms)
         if self.federation is not None:
             self.federation.transport.advance_to(at_ms)
 
     def _now_ms(self) -> int:
         if self.federation is not None:
             return self.federation.transport.now
-        return getattr(self, "now_ms", 0)
+        return self.now_ms
 
     def _ship_backlog(self, relation: str, db_id: str, t: int) -> None:
         cursor = self._ship_cursor.get((relation, db_id), 0)
@@ -482,9 +492,13 @@ def setup(
     options: RunOptions | None = None,
     ready_cb=None,
     udfs: dict | None = None,
+    base_files: dict[str, Path] | None = None,
 ) -> Runtime:
     """Execute per-instance programs, load base data, apply setup snapshots,
-    open shipping channels, and return the runtime at clock 0."""
+    open shipping channels, and return the runtime at clock 0.
+
+    `base_rows` maps a base table to its rows as Python values; `base_files`
+    maps a base table to the SQLite file it is copied from."""
     from .federation import SimInstance
 
     options = options or RunOptions()
@@ -508,19 +522,34 @@ def setup(
             raise SetupError(db_id, str(exc)) from exc
         instances[db_id] = SimInstance(db_id, inst_engine)
 
-    for relation, rows in base_rows.items():
-        owner = plan.placement[relation]
-        target = engine if owner == plan.coordinator else instances[owner].engine
-        target.insert_rows(relation, rows, context=f"load {relation}")
+    def engine_of(db_id: str) -> SqlEngine:
+        return engine if db_id == plan.coordinator else instances[db_id].engine
 
-    # one-time snapshots of cross-instance base tables, applied before any event
+    for relation, rows in base_rows.items():
+        engine_of(plan.placement[relation]).insert_rows(relation, rows, context=f"load {relation}")
+
+    # file-backed tables go to their owner, and to every instance that takes a
+    # one-time snapshot of them, straight from the file
+    base_files = base_files or {}
+    copies: dict[tuple[str, Path], list[str]] = {}
+    for relation, path in base_files.items():
+        copies.setdefault((plan.placement[relation], path), []).append(relation)
     for spec in plan.shipments:
-        if not spec.snapshot:
-            continue
-        owner = plan.placement[spec.relation]
-        source = engine if owner == plan.coordinator else instances[owner].engine
-        rows = source.table_rows(spec.relation)
-        instances[spec.destination].engine.insert_rows(spec.relation, rows)
+        if spec.snapshot and spec.relation in base_files:
+            key = (spec.destination, base_files[spec.relation])
+            copies.setdefault(key, []).append(spec.relation)
+    for (db_id, path), relations in copies.items():
+        engine_of(db_id).copy_tables(
+            path,
+            {r: [c.name for c in plan.catalog.relations[r].columns] for r in relations},
+            context="load",
+        )
+
+    # one-time snapshots of other cross-instance base tables, applied before any event
+    for spec in plan.shipments:
+        if spec.snapshot and spec.relation not in base_files:
+            rows = engine_of(plan.placement[spec.relation]).table_rows(spec.relation)
+            instances[spec.destination].engine.insert_rows(spec.relation, rows)
 
     federation = Federation(plan.coordinator, instances, links or {}) if instances else None
 

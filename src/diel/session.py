@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .ast_nodes import ColumnDef
 from .compiler import Catalog, compile_program
-from .engine import introspect_sqlite, read_csv_table, read_sqlite_rows
+from .engine import introspect_sqlite, read_csv_table
 from .errors import ConfigError, TraceParseError
 from .federation import Link, LatencySpec, parse_latency_spec, run_until_quiescent
 from .optimizer import MaterializationPlan, materialize_shared_views
@@ -40,6 +40,9 @@ class DbConfig:
     path: str | None = None  # .db/.sqlite or .csv file
     latency: str | None = None
     tables: dict[str, tuple[list[ColumnDef], list[tuple]]] = field(default_factory=dict)
+    # schema and row count of each table in the SQLite file at `path`, set by
+    # load(); setup copies their rows from the file itself
+    file_tables: dict[str, tuple[list[ColumnDef], int]] = field(default_factory=dict)
 
     def load(self) -> None:
         if self.path is None or self.path in ("", "mem"):
@@ -51,8 +54,12 @@ class DbConfig:
             columns, rows = read_csv_table(path)
             self.tables[path.stem] = (columns, rows)
         else:
-            for table, (columns, _count) in introspect_sqlite(path).items():
-                self.tables[table] = (columns, read_sqlite_rows(path, table))
+            self.file_tables = introspect_sqlite(path)
+
+    def schemas(self) -> dict[str, tuple[list[ColumnDef], int]]:
+        """Columns and row count of every table this instance provides."""
+        given = {t: (cols, len(rows)) for t, (cols, rows) in self.tables.items()}
+        return {**given, **self.file_tables}
 
 
 def parse_db_flag(text: str) -> DbConfig:
@@ -133,15 +140,17 @@ class Session:
             raise ConfigError(f"duplicate database names in config: {names}")
         for db in config.databases:
             db.load()
-        descriptors = [
-            DbDescriptor(
-                db_id=db.name,
-                kind=db.kind,
-                tables={t: cols for t, (cols, _rows) in db.tables.items()},
-                row_estimates={t: len(rows) for t, (_cols, rows) in db.tables.items()},
+        descriptors = []
+        for db in config.databases:
+            schemas = db.schemas()
+            descriptors.append(
+                DbDescriptor(
+                    db_id=db.name,
+                    kind=db.kind,
+                    tables={t: cols for t, (cols, _count) in schemas.items()},
+                    row_estimates={t: count for t, (_cols, count) in schemas.items()},
+                )
             )
-            for db in config.databases
-        ]
         source = "\n".join(config.diel_sources)
         catalog = compile_program(parse_diel(source), base_schemas_of(descriptors), config.udfs)
         plan = plan_federation(catalog, descriptors)
@@ -162,9 +171,13 @@ class Session:
         emit_per_db_sql(plan, mat_plan.tables)
 
         base_rows = {}
+        base_files = {}
         for db in config.databases:
             for table, (_cols, rows) in db.tables.items():
-                base_rows[table] = rows
+                if table not in db.file_tables:
+                    base_rows[table] = rows
+            for table in db.file_tables:
+                base_files[table] = Path(db.path)
 
         links = {}
         for db in config.databases:
@@ -192,6 +205,7 @@ class Session:
             options=options,
             ready_cb=ready_cb,
             udfs=config.udfs,
+            base_files=base_files,
         )
         return cls(config, catalog, plan, mat_plan, runtime)
 

@@ -79,3 +79,34 @@ def test_import_csv_then_introspect(tmp_path):
     assert count == 3
     raw = sqlite3.connect(db_file).execute("SELECT COUNT(*) FROM flights").fetchone()
     assert raw == (3,)
+
+
+def test_failed_batch_insert_leaves_nothing_behind():
+    engine = SqlEngine("main")
+    engine.execute_script("CREATE TABLE t(a INTEGER, b TEXT);")
+    with pytest.raises(EngineError):
+        engine.insert_rows("t", [(1, "a"), (2, "b"), (3,)])
+    assert engine.table_rows("t") == []
+    engine.insert_rows("t", [(4, "d"), (5, "e")])
+    assert engine.table_rows("t") == [(4, "d"), (5, "e")]
+
+
+def test_copy_tables_from_file_is_read_only_and_detaches(tmp_path):
+    db_file = tmp_path / "src.db"
+    raw = sqlite3.connect(db_file)
+    raw.execute("CREATE TABLE t(a INTEGER, b TEXT)")
+    raw.executemany("INSERT INTO t VALUES (?, ?)", [(1, "x"), (2, None)])
+    raw.commit()
+    raw.close()
+    before = db_file.read_bytes()
+
+    engine = SqlEngine("main")
+    engine.execute_script("CREATE TABLE t(a INTEGER, b TEXT);")
+    engine.copy_tables(db_file, {"t": ["a", "b"]})
+    assert engine.table_rows("t") == [(1, "x"), (2, None)]
+    assert engine.run_query("PRAGMA database_list")[1] == [(0, "main", "")]
+    assert db_file.read_bytes() == before
+
+    with pytest.raises(EngineError):
+        engine.copy_tables(db_file, {"missing": ["a"]})
+    assert [r[1] for r in engine.run_query("PRAGMA database_list")[1]] == ["main"]

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
+import sqlite3
+
 import pytest
 
+from diel.ast_nodes import ColumnDef
 from diel.errors import ConfigError, TraceParseError
 from diel.session import (
     DbConfig,
@@ -184,3 +188,102 @@ def test_csv_backed_database_loads_table(tmp_path):
     session = Session.build(config)
     session.run_replay([TraceEntry(0, "slideItx", {"flight_year": 1998})])
     assert session.runtime.frames[-1].rows == (("LAX", 1),)
+
+
+# --- the three base-data load paths --------------------------------------------------
+
+ITEMS_PROGRAM = """
+CREATE EVENT TABLE pick (n INT);
+CREATE OUTPUT picked AS
+  SELECT i.code, i.price, i.qty, i.label, a.n
+  FROM items i JOIN anchor a JOIN LATEST pick p ON a.n = p.n;
+"""
+# REAL holding integers, numeric-looking TEXT, and NULL / empty cells
+ITEM_COLUMNS = [
+    ColumnDef("code", "TEXT"),
+    ColumnDef("price", "REAL"),
+    ColumnDef("qty", "INT"),
+    ColumnDef("label", "TEXT"),
+]
+ITEM_ROWS = [("007", 5, 3, "a"), ("42", 7.5, None, "b"), ("0.50", None, 12, None)]
+ITEMS_CSV = "code:TEXT,price:REAL,qty:INT,label:TEXT\n007,5,3,a\n42,7.5,,b\n0.50,,12,\n"
+ANCHOR = {"anchor": ([ColumnDef("n", "INT")], [(n,) for n in range(1, 11)])}
+ITEMS_TRACE = [TraceEntry(10 * n, "pick", {"n": n}) for n in (1, 2, 3)]
+
+
+def _items_source(kind: str, directory) -> dict:
+    """DbConfig keyword arguments that provide `items` from the given source."""
+    if kind == "rows":
+        return {"tables": {"items": (ITEM_COLUMNS, ITEM_ROWS)}}
+    if kind == "csv":
+        path = directory / "items.csv"
+        path.write_text(ITEMS_CSV, encoding="utf-8")
+        return {"path": str(path)}
+    path = directory / "items.db"
+    conn = sqlite3.connect(path)
+    conn.execute("CREATE TABLE items (code VARCHAR(8), price DOUBLE, qty BIGINT, label TEXT)")
+    conn.executemany("INSERT INTO items VALUES (?, ?, ?, ?)", ITEM_ROWS)
+    conn.commit()
+    conn.close()
+    return {"path": str(path)}
+
+
+def _items_config(kind: str, placement: str, directory) -> RunConfig:
+    source = _items_source(kind, directory)
+    if placement == "coordinator":
+        main = DbConfig("main", "quick", **source)
+        main.tables.update(ANCHOR)
+        databases = [main]
+    else:  # items on r2; anchor is larger, so r1 leads and takes a snapshot of items
+        databases = [
+            DbConfig("main", "quick"),
+            DbConfig("r1", "remote", latency="fixed(3)", tables=dict(ANCHOR)),
+            DbConfig("r2", "remote", latency="fixed(5)", **source),
+        ]
+    return RunConfig([ITEMS_PROGRAM], databases, seed=4)
+
+
+def _run(config: RunConfig, before_replay=None) -> str:
+    session = Session.build(config)
+    if before_replay is not None:
+        before_replay(session)
+    session.run_replay(ITEMS_TRACE)
+    return session.output_log_text()
+
+
+@pytest.mark.parametrize("placement", ["coordinator", "remote"])
+def test_db_csv_and_python_rows_load_identically(tmp_path, placement):
+    logs = {}
+    for kind in ("db", "csv", "rows"):
+        (tmp_path / kind).mkdir()
+        logs[kind] = _run(_items_config(kind, placement, tmp_path / kind))
+    assert logs["db"] == logs["csv"] == logs["rows"]
+    final = json.loads(logs["db"].splitlines()[-1])
+    assert final["rows"] == [
+        ["0.50", None, 12, None, 3],
+        ["007", 5.0, 3, "a", 3],
+        ["42", 7.5, None, "b", 3],
+    ]
+
+
+def test_remote_items_are_snapshotted_to_the_leader(tmp_path):
+    session = Session.build(_items_config("db", "remote", tmp_path))
+    assert [(s.relation, s.destination) for s in session.plan.shipments if s.snapshot] == [
+        ("items", "r1")
+    ]
+
+
+def test_db_source_is_read_only_and_released_at_build(tmp_path):
+    config = _items_config("db", "remote", tmp_path)
+    db_file = tmp_path / "items.db"
+    before = db_file.read_bytes()
+    expected = _run(config)
+    assert db_file.read_bytes() == before
+
+    def no_attachment_then_delete(session):
+        instances = session.runtime.federation.instances.values()
+        for engine in [session.runtime.engine] + [inst.engine for inst in instances]:
+            assert [row[1] for row in engine.run_query("PRAGMA database_list")[1]] == ["main"]
+        db_file.unlink()
+
+    assert _run(config, no_attachment_then_delete) == expected
