@@ -4,7 +4,8 @@ Pipeline: template expansion -> schema copy -> catalog construction ->
 system-column augmentation -> name resolution and shorthand rewriting ->
 dependency graph -> well-formedness diagnostics. The catalog keeps queries in
 their sugared form (LATEST flags intact); `desugar_latest` produces the plain
-SQL form and is applied when per-instance programs are emitted.
+SQL form as a new AST. Per-instance programs do not call it: the printer
+lowers LATEST while printing (`query_sql(q, lower=True)`), to the same text.
 """
 
 from __future__ import annotations

@@ -43,9 +43,11 @@ class SqlEngine:
         except sqlite3.Error as exc:
             raise EngineError(f"instance {self.db_id}", str(exc)) from exc
 
-    def run_query(self, sql: str, context: str = "query") -> tuple[list[str], list[tuple]]:
+    def run_query(
+        self, sql: str, params: tuple = (), context: str = "query"
+    ) -> tuple[list[str], list[tuple]]:
         try:
-            cursor = self.conn.execute(sql)
+            cursor = self.conn.execute(sql, params)
         except sqlite3.Error as exc:
             raise EngineError(f"{context} on instance {self.db_id}", str(exc)) from exc
         columns = [d[0] for d in cursor.description or []]

@@ -275,7 +275,7 @@ class SimInstance:
             if not pending:
                 break
             t = pending[0]
-            if t in self.pending_ships and (t == 0 or t in self.pending_evals):
+            if t in self.pending_ships and t in self.pending_evals:
                 for msg in self.pending_ships.pop(t):
                     self.engine.insert_rows(
                         msg.relation, msg.rows or [], context=f"shipment t={t}"

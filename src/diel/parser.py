@@ -20,6 +20,7 @@ identifiers never collide with keywords.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ast_nodes import (
@@ -77,108 +78,72 @@ class Token:
     col: int
 
 
+# every token, comments included; whitespace is what lies between matches,
+# and a character that starts no token is matched alone by the last branch
+_TOKEN = re.compile(
+    r"""
+      [^\W\d]\w*                          # word
+    | \d+(?:\.\d+)?|\.\d+                 # number; a bare trailing dot is not part of it
+    | --[^\n]*                           # line comment
+    | <=|>=|!=|<>|==|[(),;.*=<>+\-/%]     # operator
+    | '(?:[^']|'')*'(?!')                # string; '' inside is an escaped quote
+    | "[^"]*"                            # quoted identifier
+    | \{\w+\}                            # template placeholder
+    | \S
+    """,
+    re.VERBOSE,
+)
+_OPERATORS = {"<=", ">=", "!=", "<>", "==", *"(),;.*=<>+-/%"}
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+    "{": "malformed template placeholder",
+}
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
     line_start = 0
-    n = len(source)
-
-    def err(msg: str) -> ParseError:
-        return ParseError(msg, line, i - line_start + 1)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and source.startswith("--", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        col = i - line_start + 1
-        if ch == "'":
-            # single-quoted string literal; '' is an escaped quote
-            j = i + 1
-            parts: list[str] = []
-            while True:
-                if j >= n:
-                    raise err("unterminated string literal")
-                if source[j] == "'":
-                    if j + 1 < n and source[j + 1] == "'":
-                        parts.append("'")
-                        j += 2
-                        continue
-                    break
-                parts.append(source[j])
-                j += 1
-            text = "".join(parts)
-            tokens.append(Token("string", text, source[i : j + 1], i, line, col))
-            i = j + 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                j += 1
-            if j >= n:
-                raise err("unterminated quoted identifier")
-            tokens.append(Token("ident", source[i + 1 : j], source[i : j + 1], i, line, col))
-            i = j + 1
-            continue
-        if ch == "{":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            if j >= n or source[j] != "}" or j == i + 1:
-                raise err("malformed template placeholder")
-            tokens.append(Token("tvar", source[i + 1 : j], source[i : j + 1], i, line, col))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    # a bare trailing dot belongs to a qualified name, not a number
-                    if j + 1 >= n or not source[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            text = source[i:j]
-            value: object = float(text) if "." in text else int(text)
-            tokens.append(Token("number", value, text, i, line, col))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+    end = 0
+    for match in _TOKEN.finditer(source):
+        pos, stop = match.span()
+        if pos != end:  # whitespace since the last token
+            newlines = source.count("\n", end, pos)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", end, pos) + 1
+        end = stop
+        text = match.group()
+        first = text[0]
+        col = pos - line_start + 1
+        if first.isalpha() or first == "_":
             upper = text.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("keyword", upper, text, i, line, col))
+                append(Token("keyword", upper, text, pos, line, col))
             else:
-                tokens.append(Token("ident", text, text, i, line, col))
-            i = j
-            continue
-        for op in ("<=", ">=", "!=", "<>", "=="):
-            if source.startswith(op, i):
-                tokens.append(Token(op, op, op, i, line, col))
-                i += 2
-                break
-        else:
-            if ch in "(),;.*=<>+-/%":
-                tokens.append(Token(ch, ch, ch, i, line, col))
-                i += 1
-            else:
-                raise err(f"unexpected character {ch!r}")
-            continue
-    tokens.append(Token("eof", None, "", n, line, n - line_start + 1))
+                append(Token("ident", text, text, pos, line, col))
+        elif text in _OPERATORS:
+            append(Token(text, text, text, pos, line, col))
+        elif first.isdecimal() or first == ".":
+            append(Token("number", float(text) if "." in text else int(text), text, pos, line, col))
+        elif first == "-":
+            continue  # comment
+        elif len(text) > 1 and first == "'":
+            append(Token("string", text[1:-1].replace("''", "'"), text, pos, line, col))
+        elif len(text) > 1 and first == '"':
+            append(Token("ident", text[1:-1], text, pos, line, col))
+        elif len(text) > 1 and first == "{":
+            append(Token("tvar", text[1:-1], text, pos, line, col))
+        else:  # a lone quote or brace, or a character no token starts with
+            raise ParseError(_UNTERMINATED.get(first, f"unexpected character {first!r}"), line, col)
+    n = len(source)
+    newlines = source.count("\n", end, n)
+    if newlines:
+        line += newlines
+        line_start = source.rindex("\n", end, n) + 1
+    append(Token("eof", None, "", n, line, n - line_start + 1))
     return tokens
 
 
@@ -204,11 +169,12 @@ class _Parser:
         return ParseError(f"{message}, found {shown!r}", tok.line, tok.col, frozenset(expected))
 
     def at_keyword(self, *names: str) -> bool:
-        return self.cur.kind == "keyword" and self.cur.value in names
+        tok = self.tokens[self.pos]
+        return tok.kind == "keyword" and tok.value in names
 
     def accept_keyword(self, *names: str) -> Token | None:
-        if self.at_keyword(*names):
-            tok = self.cur
+        tok = self.tokens[self.pos]
+        if tok.kind == "keyword" and tok.value in names:
             self.pos += 1
             return tok
         return None
@@ -220,8 +186,8 @@ class _Parser:
         return tok
 
     def accept(self, kind: str) -> Token | None:
-        if self.cur.kind == kind:
-            tok = self.cur
+        tok = self.tokens[self.pos]
+        if tok.kind == kind:
             self.pos += 1
             return tok
         return None

@@ -10,13 +10,14 @@ exactly as written.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .ast_nodes import (
     BinaryOp,
     ColumnDef,
     ColumnRef,
+    CreateProgram,
+    InsertStatement,
     Join,
     SelectItem,
     SelectQuery,
@@ -28,7 +29,6 @@ from .compiler import (
     RelationKind,
     ViewConstraint,
     build_dependency_graph,
-    desugar_latest,
     infer_output_columns,
     resolve_query,
 )
@@ -40,7 +40,7 @@ from .errors import (
     UnknownRelationError,
     UnsupportedSpanError,
 )
-from .printer import query_sql, quote_ident, statement_sql
+from .printer import expr_sql, query_sql, quote_ident, statement_sql
 
 KIND_QUICK = "quick"
 KIND_BACKGROUND = "background"
@@ -74,6 +74,10 @@ class FederationPlan:
     shipments: list[ShipmentSpec]
     rewritten_outputs: dict[str, str] = field(default_factory=dict)  # output -> async view
     programs: dict[str, str] = field(default_factory=dict)
+    # lowered SELECT of every query relation, and the statements each state
+    # program command runs (one per VALUES row); set by emit_per_db_sql
+    relation_sql: dict[str, str] = field(default_factory=dict)
+    program_sql: dict[str, list[list[str]]] = field(default_factory=dict)
     unchecked_constraints: list[ViewConstraint] = field(default_factory=list)
 
 
@@ -286,7 +290,11 @@ def rewrite_remote_output(
 
 
 def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan:
-    catalog = copy.deepcopy(catalog)
+    # planning adds relations, swaps rewritten outputs and rebuilds the graph;
+    # those containers are copied, the compiled queries are shared
+    catalog = replace(
+        catalog, relations=dict(catalog.relations), constraints=list(catalog.constraints)
+    )
     coordinator = coordinator_of(dbs)
     estimates = _estimates(catalog, dbs)
     placement = locate_relations(catalog, dbs)
@@ -387,13 +395,34 @@ def _create_table_sql(name: str, columns: list[ColumnDef], system: tuple[str, ..
     return f"CREATE TABLE {quote_ident(name)} ({', '.join(decls)});"
 
 
+def _command_sql(command) -> list[str]:
+    """What a state-program command runs: its SELECT, or one SELECT per VALUES row."""
+    if not isinstance(command, InsertStatement):
+        return [query_sql(command, lower=True)]
+    if command.select is not None:
+        return [query_sql(command.select, lower=True)]
+    return ["SELECT " + ", ".join(expr_sql(v) for v in row) for row in command.values or []]
+
+
 def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None = None) -> dict[str, str]:
     """DDL + named queries per instance; executing them on fresh engines
-    reconstructs the federation (and re-executing them collides, by design)."""
+    reconstructs the federation (and re-executing them collides, by design).
+
+    Every query is lowered to SQL once, here, and kept on the plan for the
+    runtime (`relation_sql`, `program_sql`)."""
     catalog = plan.catalog
     mat_views = mat_views or {}
     order = catalog.graph.topological_order()
     programs: dict[str, str] = {}
+    plan.relation_sql = lowered = {
+        rel.name: query_sql(rel.query, lower=True)
+        for rel in catalog.relations.values()
+        if rel.query is not None
+    }
+    plan.program_sql = {
+        program.name: [_command_sql(command) for command in program.commands]
+        for program in catalog.programs.values()
+    }
 
     def topo_sorted(names: set[str]) -> list[str]:
         return [n for n in order if n in names]
@@ -415,21 +444,17 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     view_names = {r.name for r in catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)}
     for name in topo_sorted(view_names):
         rel = catalog.relations[name]
-        desugared = query_sql(desugar_latest(rel.query, catalog))
         if name in mat_views:
             cols = [ColumnDef(c.name, None) for c in infer_output_columns(rel.query, catalog)]
             lines.append(_create_table_sql(name, cols, ()))
         else:
-            lines.append(f"CREATE VIEW {quote_ident(name)} AS {desugared};")
+            lines.append(f"CREATE VIEW {quote_ident(name)} AS {lowered[name]};")
     for view, leader in sorted(plan.leaders.items()):
         if leader == plan.coordinator:
             # async view led by the coordinator: the result table keeps the view's
             # name, so its evaluation query lives under a reserved name
-            desugared = query_sql(desugar_latest(catalog.relations[view].query, catalog))
-            lines.append(f"CREATE VIEW {quote_ident(local_eval_name(view))} AS {desugared};")
+            lines.append(f"CREATE VIEW {quote_ident(local_eval_name(view))} AS {lowered[view]};")
     for program in catalog.programs.values():
-        from .ast_nodes import CreateProgram
-
         stmt = CreateProgram(name=program.name, triggers=program.triggers, commands=program.commands)
         lines.append("-- state program (runtime-executed): " + statement_sql(stmt))
     programs[plan.coordinator] = "\n".join(lines)
@@ -466,11 +491,9 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
                 if rel is not None and rel.kind is RelationKind.VIEW:
                     local_views.add(name)
         for name in topo_sorted(local_views):
-            desugared = query_sql(desugar_latest(catalog.relations[name].query, catalog))
-            lines.append(f"CREATE VIEW {quote_ident(name)} AS {desugared};")
+            lines.append(f"CREATE VIEW {quote_ident(name)} AS {lowered[name]};")
         for view in sorted(v for v, leader in plan.leaders.items() if leader == db_id):
-            desugared = query_sql(desugar_latest(catalog.relations[view].query, catalog))
-            lines.append(f"CREATE VIEW {quote_ident(view)} AS {desugared};")
+            lines.append(f"CREATE VIEW {quote_ident(view)} AS {lowered[view]};")
         programs[db_id] = "\n".join(lines)
 
     plan.programs = programs

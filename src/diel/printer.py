@@ -1,8 +1,11 @@
 """Render AST nodes back to dialect text.
 
 The printed form is canonical: printing a parsed program and re-parsing it
-yields a structurally equal AST. Desugared queries print to plain SQL that the
-embedded SQLite engines accept directly.
+yields a structurally equal AST. With `lower=True` a query prints as plain SQL
+that the embedded SQLite engines accept directly: each LATEST / LATEST_REQUEST
+reference prints bare and its MAX-subquery conjunct is appended to the WHERE
+of the query that holds it, byte for byte what printing the result of
+`compiler.desugar_latest` gives, without copying the AST.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def quote_string(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
-def expr_sql(expr: Expr) -> str:
+def expr_sql(expr: Expr, lower: bool = False) -> str:
     if isinstance(expr, Literal):
         if expr.value is None:
             return "NULL"
@@ -67,35 +70,35 @@ def expr_sql(expr: Expr) -> str:
     if isinstance(expr, FuncCall):
         if expr.star:
             return f"{expr.name}(*)"
-        return f"{expr.name}({', '.join(expr_sql(a) for a in expr.args)})"
+        return f"{expr.name}({', '.join(expr_sql(a, lower) for a in expr.args)})"
     if isinstance(expr, BinaryOp):
-        return f"({expr_sql(expr.left)} {expr.op} {expr_sql(expr.right)})"
+        return f"({expr_sql(expr.left, lower)} {expr.op} {expr_sql(expr.right, lower)})"
     if isinstance(expr, UnaryOp):
         if expr.op == "NOT":
-            return f"(NOT {expr_sql(expr.operand)})"
-        return f"({expr.op}{expr_sql(expr.operand)})"
+            return f"(NOT {expr_sql(expr.operand, lower)})"
+        return f"({expr.op}{expr_sql(expr.operand, lower)})"
     if isinstance(expr, IsNull):
-        return f"({expr_sql(expr.operand)} IS {'NOT ' if expr.negated else ''}NULL)"
+        return f"({expr_sql(expr.operand, lower)} IS {'NOT ' if expr.negated else ''}NULL)"
     if isinstance(expr, CaseExpr):
         parts = ["CASE"]
         if expr.operand is not None:
-            parts.append(expr_sql(expr.operand))
+            parts.append(expr_sql(expr.operand, lower))
         for cond, result in expr.whens:
-            parts.append(f"WHEN {expr_sql(cond)} THEN {expr_sql(result)}")
+            parts.append(f"WHEN {expr_sql(cond, lower)} THEN {expr_sql(result, lower)}")
         if expr.else_result is not None:
-            parts.append(f"ELSE {expr_sql(expr.else_result)}")
+            parts.append(f"ELSE {expr_sql(expr.else_result, lower)}")
         parts.append("END")
         return " ".join(parts)
     if isinstance(expr, ScalarSubquery):
-        return f"({query_sql(expr.query)})"
+        return f"({query_sql(expr.query, lower)})"
     raise TypeError(f"cannot print expression {expr!r}")
 
 
-def _table_ref_sql(ref: TableRef) -> str:
+def _table_ref_sql(ref: TableRef, lower: bool) -> str:
     parts = []
-    if ref.latest:
+    if ref.latest and not lower:
         parts.append("LATEST")
-    if ref.latest_request:
+    if ref.latest_request and not lower:
         parts.append("LATEST_REQUEST")
     parts.append(quote_ident(ref.name))
     if ref.alias:
@@ -103,39 +106,56 @@ def _table_ref_sql(ref: TableRef) -> str:
     return " ".join(parts)
 
 
-def _join_sql(join: Join) -> str:
+def _join_sql(join: Join, lower: bool) -> str:
     if join.kind == "cross":
-        return f", {_table_ref_sql(join.table)}"
+        return f", {_table_ref_sql(join.table, lower)}"
     head = "LEFT OUTER JOIN" if join.kind == "left" else "JOIN"
-    text = f" {head} {_table_ref_sql(join.table)}"
+    text = f" {head} {_table_ref_sql(join.table, lower)}"
     if join.on is not None:
-        text += f" ON {expr_sql(join.on)}"
+        text += f" ON {expr_sql(join.on, lower)}"
     return text
 
 
-def query_sql(query: SelectQuery) -> str:
+def _where_sql(query: SelectQuery, lower: bool) -> str | None:
+    """Lowered, the written predicate is ANDed with one conjunct per LATEST /
+    LATEST_REQUEST reference, in FROM order: `binding.col = (SELECT MAX(col) FROM name)`."""
+    where = None if query.where is None else expr_sql(query.where, lower)
+    for ref in query.table_refs() if lower else ():
+        if not (ref.latest or ref.latest_request):
+            continue
+        column = "timestep" if ref.latest else "request_timestep"
+        conjunct = (
+            f"({quote_ident(ref.binding)}.{column} = "
+            f"(SELECT MAX({column}) FROM {quote_ident(ref.name)}))"
+        )
+        where = conjunct if where is None else f"({where} AND {conjunct})"
+    return where
+
+
+def query_sql(query: SelectQuery, lower: bool = False) -> str:
     items = []
     for item in query.items:
-        text = expr_sql(item.expr)
+        text = expr_sql(item.expr, lower)
         if item.alias:
             text += f" AS {quote_ident(item.alias)}"
         items.append(text)
     sql = "SELECT " + ", ".join(items)
     if query.table is not None:
-        sql += " FROM " + _table_ref_sql(query.table)
+        sql += " FROM " + _table_ref_sql(query.table, lower)
         for join in query.joins:
-            sql += _join_sql(join)
-    if query.where is not None:
-        sql += " WHERE " + expr_sql(query.where)
+            sql += _join_sql(join, lower)
+    where = _where_sql(query, lower)
+    if where is not None:
+        sql += " WHERE " + where
     if query.group_by:
-        sql += " GROUP BY " + ", ".join(expr_sql(e) for e in query.group_by)
+        sql += " GROUP BY " + ", ".join(expr_sql(e, lower) for e in query.group_by)
     if query.having is not None:
-        sql += " HAVING " + expr_sql(query.having)
+        sql += " HAVING " + expr_sql(query.having, lower)
     if query.order_by:
-        parts = [expr_sql(o.expr) + (" DESC" if o.descending else "") for o in query.order_by]
+        parts = [expr_sql(o.expr, lower) + (" DESC" if o.descending else "") for o in query.order_by]
         sql += " ORDER BY " + ", ".join(parts)
     if query.limit is not None:
-        sql += " LIMIT " + expr_sql(query.limit)
+        sql += " LIMIT " + expr_sql(query.limit, lower)
     return sql
 
 

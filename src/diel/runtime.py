@@ -23,7 +23,6 @@ from .compiler import (
     Catalog,
     RelationKind,
     dependency_closure,
-    desugar_latest,
     infer_output_columns,
 )
 from .engine import SqlEngine
@@ -39,7 +38,7 @@ from .errors import (
 from .federation import Federation, Message, RESULT_ROWS
 from .optimizer import MaterializationPlan, RequestCache
 from .planner import FederationPlan, local_eval_name
-from .printer import expr_sql, query_sql, quote_ident
+from .printer import expr_sql, query_sql, quote_ident  # noqa: F401 (bench/tracing.py wraps query_sql here)
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,6 @@ class Runtime:
         self._processing = False
 
         self._outputs = [r.name for r in self.catalog.by_kind(RelationKind.OUTPUT)]
-        self._desugared_sql: dict[str, str] = {}
         self._async_views = [r.name for r in self.catalog.by_kind(RelationKind.ASYNC_VIEW)]
         self._closures = {
             name: dependency_closure(name, self.catalog)
@@ -359,21 +357,14 @@ class Runtime:
     def _ship_backlog(self, relation: str, db_id: str, t: int) -> None:
         cursor = self._ship_cursor.get((relation, db_id), 0)
         _, rows = self.engine.run_query(
-            f'SELECT * FROM {quote_ident(relation)} WHERE timestep > {cursor} '
-            f"AND timestep <= {t}",
+            f"SELECT * FROM {quote_ident(relation)} WHERE timestep > ? AND timestep <= ?",
+            (cursor, t),
             context=f"backlog of {relation}",
         )
         self._ship_cursor[(relation, db_id)] = t
         self.federation.ship(db_id, relation, rows, t)
 
     # -- the processing pass ----------------------------------------------------------
-
-    def _program_sql(self, key: str, query) -> str:
-        sql = self._desugared_sql.get(key)
-        if sql is None:
-            sql = query_sql(desugar_latest(query, self.catalog))
-            self._desugared_sql[key] = sql
-        return sql
 
     def _evaluate_relation(self, name: str) -> tuple[list[str], list[tuple]]:
         columns, rows = self.engine.run_query(
@@ -395,34 +386,23 @@ class Runtime:
             for program in self.catalog.programs.values():
                 if triggering not in program.triggers:
                     continue
-                for command in program.commands:
+                for command, sqls in zip(program.commands, self.plan.program_sql[program.name]):
+                    rows = [
+                        row
+                        for sql in sqls
+                        for row in self.engine.run_query(sql, context=f"program {program.name}")[1]
+                    ]
                     if isinstance(command, InsertStatement):
-                        if command.select is not None:
-                            sql = self._program_sql(
-                                f"program/{program.name}/{id(command)}", command.select
-                            )
-                            _, rows = self.engine.run_query(sql, context=f"program {program.name}")
-                        else:
-                            rows = [
-                                self.engine.run_query(
-                                    "SELECT " + ", ".join(expr_sql(v) for v in row),
-                                    context=f"program {program.name}",
-                                )[1][0]
-                                for row in command.values or []
-                            ]
                         staged.append((command.table, command.columns, rows))
-                    else:
-                        sql = self._program_sql(f"program/{program.name}/{id(command)}", command)
-                        self.engine.run_query(sql, context=f"program {program.name}")
 
             # (2) refresh materialized shared views whose dependencies changed
             for view in self.mat_plan.order:
                 if not (self.mat_plan.tables[view] & changed):
                     continue
-                sql = self._program_sql(f"mat/{view}", self.catalog.relations[view].query)
                 self.engine.execute(f"DELETE FROM {quote_ident(view)}", context=f"refresh {view}")
                 self.engine.execute(
-                    f"INSERT INTO {quote_ident(view)} {sql}", context=f"refresh {view}"
+                    f"INSERT INTO {quote_ident(view)} {self.plan.relation_sql[view]}",
+                    context=f"refresh {view}",
                 )
                 changed.add(view)
 
@@ -555,7 +535,7 @@ def setup(
 
     runtime = Runtime(plan, engine, federation, mat_plan, bindings, options)
     for view in mat_plan.order:
-        sql = query_sql(desugar_latest(plan.catalog.relations[view].query, plan.catalog))
+        sql = plan.relation_sql[view]
         engine.execute(f"INSERT INTO {quote_ident(view)} {sql}", context=f"init {view}")
     if ready_cb is not None:
         ready_cb(runtime)

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from diel.compiler import compile_program
+from diel.ast_nodes import InsertStatement
+from diel.compiler import compile_program, desugar_latest
 from diel.corpus import Example, load_examples, run_example
 from diel.errors import MissingExampleError
-from diel.parser import parse_diel
+from diel.parser import parse_diel, tokenize
 from diel.planner import base_schemas_of
+from diel.printer import query_sql
+from diel.session import Session
 
 EXAMPLES = load_examples()
 
@@ -29,6 +32,70 @@ def test_example_parses_and_compiles(name):
         )
     catalog = compile_program(statements, base_schemas_of(descriptors))
     assert any(r.kind.value == "Output" for r in catalog.relations.values())
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_lowered_sql_equals_printed_desugared_ast(name):
+    """Lowering while printing gives exactly what printing `desugar_latest`'s
+    AST gives, for every query relation and every program command."""
+    session = Session.build(EXAMPLES[name].config())
+    plan, catalog = session.plan, session.plan.catalog
+    queries = {rel.name: rel.query for rel in catalog.relations.values() if rel.query is not None}
+    assert set(plan.relation_sql) == set(queries)
+    assert set(session.mat_plan.order) <= set(queries)
+    for relation, query in queries.items():
+        assert plan.relation_sql[relation] == query_sql(desugar_latest(query, catalog)), relation
+    assert set(plan.program_sql) == set(catalog.programs)
+    for program in catalog.programs.values():
+        for command, sqls in zip(program.commands, plan.program_sql[program.name], strict=True):
+            query = command.select if isinstance(command, InsertStatement) else command
+            assert sqls == [query_sql(desugar_latest(query, catalog))]
+
+
+LOWERED = {
+    # LATEST inside a scalar subquery: the conjunct goes to that subquery's WHERE
+    ("undo", "curUndoSel"): (
+        "SELECT id FROM allSels AS s WHERE (rowid = ((SELECT MAX(rowid) FROM allSels) - "
+        "(SELECT ((COUNT(*) * 2) - 1) FROM undoItx AS u JOIN clickItx AS c "
+        "ON (u.timestep > c.timestep) WHERE (c.timestep = (SELECT MAX(timestep) FROM clickItx)))))"
+    ),
+    ("latest_request", "distData"): (
+        "SELECT * FROM distDataEvent WHERE (distDataEvent.request_timestep = "
+        "(SELECT MAX(request_timestep) FROM distDataEvent))"
+    ),
+    # an aliased reference is constrained through its alias
+    ("connect_templates", "distAll"): (
+        "SELECT (ROUND((delay / ((z.maxD - z.minD) / 10))) * ((z.maxD - z.minD) / 10)) AS delayBin, "
+        "COUNT(*) AS count FROM flights JOIN zoomItx AS z "
+        "WHERE (z.timestep = (SELECT MAX(timestep) FROM zoomItx)) "
+        "GROUP BY delayBin HAVING ((delayBin < z.maxD) AND (delayBin > z.minD))"
+    ),
+    # a written WHERE comes first, the conjunct is ANDed after it
+    ("reaction_time", "skipUnintendedClick"): (
+        "SELECT item FROM clickItx WHERE ((timestamp > ((SELECT max(timestamp) FROM menuDataItx) + 200)) "
+        "AND (clickItx.timestep = (SELECT MAX(timestep) FROM clickItx)))"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, relation", sorted(LOWERED))
+def test_lowered_sql_of_nested_aliased_and_filtered_latest(name, relation):
+    session = Session.build(EXAMPLES[name].config())
+    assert session.plan.relation_sql[relation] == LOWERED[name, relation]
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_tokens_match_their_source_positions(name):
+    for source in EXAMPLES[name].diel_sources():
+        lines = source.split("\n")
+        tokens = tokenize(source)
+        assert tokens[-1].kind == "eof" and tokens[-1].pos == len(source)
+        for tok in tokens[:-1]:
+            assert tok.lexeme and source[tok.pos : tok.pos + len(tok.lexeme)] == tok.lexeme
+            line_start = source.rfind("\n", 0, tok.pos) + 1
+            assert tok.line == source.count("\n", 0, tok.pos) + 1
+            assert tok.col == tok.pos - line_start + 1
+            assert lines[tok.line - 1][tok.col - 1 :].startswith(tok.lexeme)
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))

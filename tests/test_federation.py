@@ -140,11 +140,16 @@ def test_reordered_shipments_evaluate_in_ascending_order():
     assert out[1].rows == [(30,)]
 
 
-def test_snapshot_timestep_zero_applies_without_eval():
+def test_shipment_at_any_timestep_waits_for_its_eval():
+    """Setup snapshots are written directly, so even timestep 0 is an ordinary
+    shipment: it is applied only when its eval arrives."""
     instance = make_instance()
     assert instance.receive(ship(0, [(5, 0, 0)]), 0) == []
+    assert instance.queue_depth() == 1
+    assert instance.engine.table_rows("ev") == []
+    out = instance.receive(evalreq(0), 0)
+    assert [(m.request_timestep, m.rows) for m in out] == [(0, [(5,)])]
     assert instance.queue_depth() == 0
-    assert instance.engine.table_rows("ev") == [(5, 0, 0)]
 
 
 def test_queue_reordering_within_known_timesteps():

@@ -15,7 +15,7 @@ from diel.ast_nodes import (
     UseTemplate,
 )
 from diel.errors import ParseError, UnknownKeywordError
-from diel.parser import parse_diel, parse_query
+from diel.parser import parse_diel, parse_query, tokenize
 from diel.printer import program_sql, query_sql
 
 from listing_texts import ALL_LISTINGS, MULTI_SELECT, UNDO
@@ -173,6 +173,22 @@ def test_error_positions_lie_within_input():
     err = exc_info.value
     assert 1 <= err.line <= len(lines)
     assert 1 <= err.col <= len(lines[err.line - 1]) + 1
+
+
+@pytest.mark.parametrize(
+    "source, message, line, col",
+    [
+        ("CREATE VIEW v AS\n  SELECT 'abc FROM t;", "unterminated string literal", 2, 10),
+        ("SELECT a FROM t\nWHERE \"unfinished = 1;", "unterminated quoted identifier", 2, 7),
+        ("CREATE TEMPLATE t(x) AS\n  SELECT a FROM {x WHERE a > 1;", "malformed template placeholder", 2, 17),
+        ("CREATE VIEW v AS\n  SELECT a FROM t\n    WHERE a @ 1;", "unexpected character '@'", 3, 13),
+    ],
+)
+def test_tokenizer_error_positions(source, message, line, col):
+    with pytest.raises(ParseError) as exc_info:
+        tokenize(source)
+    err = exc_info.value
+    assert (str(err), err.line, err.col) == (f"{message} at line {line}, column {col}", line, col)
 
 
 def test_every_statement_carries_a_name_and_full_span():

@@ -6,6 +6,7 @@ import pytest
 
 from diel.ast_nodes import ColumnDef
 from diel.compiler import RelationKind, compile_program
+from diel.corpus import load_examples
 from diel.errors import DuplicateRelationError, EngineError, UnknownRelationError
 from diel.parser import parse_diel
 from diel.planner import (
@@ -19,6 +20,7 @@ from diel.planner import (
 )
 from diel.printer import query_sql
 from diel.engine import SqlEngine
+from diel.session import Session
 
 from conftest import FLIGHT_COLUMNS
 from listing_texts import SLIDER, SLIDER_LATEST_REQUEST
@@ -266,3 +268,36 @@ def test_dump_plan_lists_sections():
     assert "flights @ r1" in text
     assert "distDataEvent -> r1" in text
     assert "slideItx -> r1 (deltas)" in text
+
+
+def test_planning_leaves_the_compiled_catalog_untouched():
+    dbs = [quick(), remote("r1", {"flights": FLIGHT_COLUMNS}, {"flights": 10_000})]
+    catalog = compile_program(parse_diel(SLIDER), base_schemas_of(dbs))
+    printed = {name: query_sql(rel.query) for name, rel in catalog.relations.items() if rel.query}
+    graph, constraints = catalog.graph, list(catalog.constraints)
+    plan = plan_federation(catalog, dbs)
+    emit_per_db_sql(plan)
+
+    assert plan.rewritten_outputs == {"distData": "distDataEvent"}
+    assert {n: query_sql(r.query) for n, r in catalog.relations.items() if r.query} == printed
+    assert catalog.graph is graph and catalog.constraints == constraints
+    assert "distDataEvent" not in catalog.relations and "distDataEvent" not in graph.reads
+    # the output keeps its query in the compiled catalog; only the plan reads the async view
+    assert catalog.relations["distData"].query.table.name == "flights"
+    assert plan.catalog.relations["distData"].query.table.name == "distDataEvent"
+    assert plan.catalog.relations["distDataEvent"].query is catalog.relations["distData"].query
+
+
+def test_session_catalog_keeps_rewritten_outputs_as_compiled():
+    example = load_examples()["slider_remote"]
+    session = Session.build(example.config())
+    assert session.plan.rewritten_outputs == {"distData": "distDataEvent"}
+    schemas = {t: cols for db in example.databases() for t, (cols, _rows) in db.tables.items()}
+    compiled = compile_program(parse_diel("\n".join(example.diel_sources())), schemas)
+    assert set(session.catalog.relations) == set(compiled.relations)
+    for name, rel in compiled.relations.items():
+        if rel.query is not None:
+            assert query_sql(session.catalog.relations[name].query) == query_sql(rel.query), name
+    assert query_sql(session.plan.catalog.relations["distData"].query).startswith(
+        "SELECT e.origin, e.count FROM distDataEvent AS e"
+    )
