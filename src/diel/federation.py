@@ -28,6 +28,7 @@ from .errors import (
     EngineError,
     ScriptExhaustedError,
 )
+from .printer import quote_ident
 
 SHIP_DATA = "ShipData"
 EVAL_REQUEST = "EvalRequest"
@@ -247,11 +248,14 @@ class SimInstance:
         # arrive out of order, so out-of-sequence messages wait here
         self._channel_buffer: dict[int, Message] = {}
         self._next_link_seq = 1
+        self._view_sql: dict[str, str] = {}  # view -> its evaluation query
 
     def receive(self, msg: Message, now_ms: int) -> list[Message]:
         released: list[Message] = []
         if msg.link_seq == 0:
             released.append(msg)
+        elif msg.link_seq < self._next_link_seq or msg.link_seq in self._channel_buffer:
+            return []  # a duplicate of a message already released or waiting
         else:
             self._channel_buffer[msg.link_seq] = msg
             while self._next_link_seq in self._channel_buffer:
@@ -284,9 +288,10 @@ class SimInstance:
                 progress = True
             if t in self.pending_evals and (t in self.applied_ship_ts):
                 for msg in self.pending_evals.pop(t):
-                    _, rows = self.engine.run_query(
-                        f'SELECT * FROM "{msg.view}"', context=f"async view {msg.view}"
-                    )
+                    sql = self._view_sql.get(msg.view)
+                    if sql is None:
+                        sql = self._view_sql[msg.view] = f"SELECT * FROM {quote_ident(msg.view)}"
+                    _, rows = self.engine.run_query(sql, context=f"async view {msg.view}")
                     out.append(
                         Message(
                             kind=RESULT_ROWS,

@@ -130,10 +130,14 @@ def tokenize(source: str) -> list[Token]:
             append(Token("number", float(text) if "." in text else int(text), text, pos, line, col))
         elif first == "-":
             continue  # comment
-        elif len(text) > 1 and first == "'":
-            append(Token("string", text[1:-1].replace("''", "'"), text, pos, line, col))
-        elif len(text) > 1 and first == '"':
-            append(Token("ident", text[1:-1], text, pos, line, col))
+        elif len(text) > 1 and first in "'\"":
+            if first == "'":
+                append(Token("string", text[1:-1].replace("''", "'"), text, pos, line, col))
+            else:
+                append(Token("ident", text[1:-1], text, pos, line, col))
+            if "\n" in text:  # the only tokens that may span lines
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
         elif len(text) > 1 and first == "{":
             append(Token("tvar", text[1:-1], text, pos, line, col))
         else:  # a lone quote or brace, or a character no token starts with

@@ -74,6 +74,8 @@ class FederationPlan:
     shipments: list[ShipmentSpec]
     rewritten_outputs: dict[str, str] = field(default_factory=dict)  # output -> async view
     programs: dict[str, str] = field(default_factory=dict)
+    # (table, column, instance) of every index the programs create
+    indexes: list[tuple[str, str, str]] = field(default_factory=list)
     # lowered SELECT of every query relation, and the statements each state
     # program command runs (one per VALUES row); set by emit_per_db_sql
     relation_sql: dict[str, str] = field(default_factory=dict)
@@ -383,6 +385,10 @@ def local_eval_name(async_view: str) -> str:
     return f"__eval_{async_view}"
 
 
+def index_name(table: str, column: str) -> str:
+    return f"__idx_{table}_{column}"
+
+
 def _create_table_sql(name: str, columns: list[ColumnDef], system: tuple[str, ...]) -> str:
     decls = []
     for col in columns:
@@ -409,11 +415,23 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     reconstructs the federation (and re-executing them collides, by design).
 
     Every query is lowered to SQL once, here, and kept on the plan for the
-    runtime (`relation_sql`, `program_sql`)."""
+    runtime (`relation_sql`, `program_sql`). Every async-result table, and
+    every shadow of one, is indexed on request_timestep: each concurrency
+    policy finds its rows by that column, and without the index SQLite builds
+    an automatic one over the whole result history on every evaluation."""
     catalog = plan.catalog
     mat_views = mat_views or {}
     order = catalog.graph.topological_order()
     programs: dict[str, str] = {}
+    plan.indexes = []
+
+    def index_request_timestep(table: str, db_id: str) -> str:
+        plan.indexes.append((table, "request_timestep", db_id))
+        return (
+            f"CREATE INDEX {quote_ident(index_name(table, 'request_timestep'))} "
+            f"ON {quote_ident(table)} (request_timestep);"
+        )
+
     plan.relation_sql = lowered = {
         rel.name: query_sql(rel.query, lower=True)
         for rel in catalog.relations.values()
@@ -441,6 +459,7 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
             payload = infer_output_columns(rel.query, catalog)
             untyped = [ColumnDef(c.name, None) for c in payload]
             lines.append(_create_table_sql(rel.name, untyped, rel.system_columns))
+            lines.append(index_request_timestep(rel.name, plan.coordinator))
     view_names = {r.name for r in catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)}
     for name in topo_sorted(view_names):
         rel = catalog.relations[name]
@@ -479,9 +498,10 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
             if rel.kind is RelationKind.ASYNC_VIEW:
                 payload = infer_output_columns(rel.query, catalog)
                 cols = [ColumnDef(c.name, None) for c in payload]
+                lines.append(_create_table_sql(spec.relation, cols, rel.system_columns))
+                lines.append(index_request_timestep(spec.relation, db_id))
             else:
-                cols = rel.columns
-            lines.append(_create_table_sql(spec.relation, cols, rel.system_columns))
+                lines.append(_create_table_sql(spec.relation, rel.columns, rel.system_columns))
         local_views = set()
         for view, leader in plan.leaders.items():
             if leader != db_id:
@@ -517,4 +537,8 @@ def dump_plan(plan: FederationPlan) -> str:
         for spec in plan.shipments:
             mode = "snapshot" if spec.snapshot else "deltas"
             lines.append(f"{spec.relation} -> {spec.destination} ({mode})")
+    if plan.indexes:
+        lines.append("== indexes ==")
+        for table, column, db_id in plan.indexes:
+            lines.append(f"{table} ({column}) @ {db_id}")
     return "\n".join(lines)

@@ -130,13 +130,44 @@ class Runtime:
             name: dependency_closure(name, self.catalog)
             for name in self._outputs + self._async_views
         }
-        self._checkable = [
-            c
+        # per-event statements, formatted once: output evaluation, NOT EMPTY
+        # probes (view, SQL), mat-view refresh (DELETE, INSERT) and the
+        # evaluation query of each coordinator-led async view
+        self._output_sql = {name: f"SELECT * FROM {quote_ident(name)}" for name in self._outputs}
+        self._probes = [
+            (c.view, f"SELECT 1 FROM {quote_ident(c.view)} LIMIT 1")
             for c in self.catalog.constraints
             if c.view in self.catalog.relations
             and c not in plan.unchecked_constraints
             and self.catalog.relations[c.view].kind in (RelationKind.VIEW, RelationKind.OUTPUT)
         ]
+        self._refresh_sql = {
+            view: (
+                f"DELETE FROM {quote_ident(view)}",
+                f"INSERT INTO {quote_ident(view)} {plan.relation_sql[view]}",
+            )
+            for view in mat_plan.order
+        }
+        self._local_eval_sql = {
+            view: f"SELECT * FROM {quote_ident(local_eval_name(view))}"
+            for view in self._async_views
+            if plan.leaders[view] == plan.coordinator
+        }
+        # program -> (statements, staged history INSERT or None) per command
+        self._program_sql: dict[str, list[tuple[list[str], str | None]]] = {}
+        for program in self.catalog.programs.values():
+            commands = []
+            for command, sqls in zip(program.commands, plan.program_sql[program.name]):
+                insert = None
+                if isinstance(command, InsertStatement):
+                    names = command.columns or [
+                        c.name for c in self.catalog.relations[command.table].columns
+                    ]
+                    col_sql = ", ".join(quote_ident(c) for c in names + ["timestep"])
+                    marks = ", ".join("?" * (len(names) + 1))
+                    insert = f"INSERT INTO {quote_ident(command.table)} ({col_sql}) VALUES ({marks})"
+                commands.append((sqls, insert))
+            self._program_sql[program.name] = commands
         self._result_widths = {
             name: len(infer_output_columns(self.catalog.relations[name].query, self.catalog))
             for name in self._async_views
@@ -331,8 +362,7 @@ class Runtime:
                 self._pending_params[(view, t)] = params
             if leader == self.plan.coordinator:
                 _, rows = self.engine.run_query(
-                    f'SELECT * FROM {quote_ident(local_eval_name(view))}',
-                    context=f"async view {view}",
+                    self._local_eval_sql[view], context=f"async view {view}"
                 )
                 self.local_evals += 1
                 self._inbox.append(("result", view, rows, t, self._now_ms()))
@@ -367,9 +397,7 @@ class Runtime:
     # -- the processing pass ----------------------------------------------------------
 
     def _evaluate_relation(self, name: str) -> tuple[list[str], list[tuple]]:
-        columns, rows = self.engine.run_query(
-            f"SELECT * FROM {quote_ident(name)}", context=f"output {name}"
-        )
+        columns, rows = self.engine.run_query(self._output_sql[name], context=f"output {name}")
         rel = self.catalog.relations[name]
         if rel.query is not None and not rel.query.order_by:
             rows = canonical_rows(rows)
@@ -382,28 +410,28 @@ class Runtime:
             self._dirty_next = set()
 
             # (1) state programs; inserts are staged until the end of the pass
-            staged: list[tuple[str, list[str] | None, list[tuple]]] = []
+            staged: list[tuple[str, str, list[tuple]]] = []  # (table, INSERT, rows)
             for program in self.catalog.programs.values():
                 if triggering not in program.triggers:
                     continue
-                for command, sqls in zip(program.commands, self.plan.program_sql[program.name]):
+                for command, (sqls, insert) in zip(
+                    program.commands, self._program_sql[program.name]
+                ):
                     rows = [
                         row
                         for sql in sqls
                         for row in self.engine.run_query(sql, context=f"program {program.name}")[1]
                     ]
-                    if isinstance(command, InsertStatement):
-                        staged.append((command.table, command.columns, rows))
+                    if insert is not None:
+                        staged.append((command.table, insert, rows))
 
             # (2) refresh materialized shared views whose dependencies changed
             for view in self.mat_plan.order:
                 if not (self.mat_plan.tables[view] & changed):
                     continue
-                self.engine.execute(f"DELETE FROM {quote_ident(view)}", context=f"refresh {view}")
-                self.engine.execute(
-                    f"INSERT INTO {quote_ident(view)} {self.plan.relation_sql[view]}",
-                    context=f"refresh {view}",
-                )
+                delete, insert = self._refresh_sql[view]
+                self.engine.execute(delete, context=f"refresh {view}")
+                self.engine.execute(insert, context=f"refresh {view}")
                 changed.add(view)
 
             # (3) re-evaluate outputs whose dependency closure changed
@@ -424,15 +452,10 @@ class Runtime:
                 frames.append(frame)
 
             # (4) NOT EMPTY debugging constraints, checked every timestep
-            for constraint in self._checkable:
-                _, probe = self.engine.run_query(
-                    f"SELECT 1 FROM {quote_ident(constraint.view)} LIMIT 1",
-                    context=f"constraint {constraint.view}",
-                )
+            for view, sql in self._probes:
+                _, probe = self.engine.run_query(sql, context=f"constraint {view}")
                 if not probe:
-                    self.diagnostics.append(
-                        f"NOT EMPTY violated: {constraint.view} is empty at timestep {t}"
-                    )
+                    self.diagnostics.append(f"NOT EMPTY violated: {view} is empty at timestep {t}")
 
             # (5) fire callbacks and log the frames
             for frame in frames:
@@ -442,17 +465,9 @@ class Runtime:
                     callback(frame)
 
             # (6) staged history inserts land now, visible from t+1 onward
-            for table, columns, rows in staged:
-                rel = self.catalog.relations[table]
-                names = columns or [c.name for c in rel.columns]
-                col_sql = ", ".join(quote_ident(c) for c in names + ["timestep"])
-                marks = ", ".join("?" * (len(names) + 1))
+            for table, insert, rows in staged:
                 for row in rows:
-                    self.engine.execute(
-                        f"INSERT INTO {quote_ident(table)} ({col_sql}) VALUES ({marks})",
-                        tuple(row) + (t,),
-                        context=f"history insert {table}",
-                    )
+                    self.engine.execute(insert, tuple(row) + (t,), context=f"history insert {table}")
                 if rows:
                     self._dirty_next.add(table)
             return frames
@@ -535,8 +550,7 @@ def setup(
 
     runtime = Runtime(plan, engine, federation, mat_plan, bindings, options)
     for view in mat_plan.order:
-        sql = plan.relation_sql[view]
-        engine.execute(f"INSERT INTO {quote_ident(view)} {sql}", context=f"init {view}")
+        engine.execute(runtime._refresh_sql[view][1], context=f"init {view}")
     if ready_cb is not None:
         ready_cb(runtime)
     return runtime

@@ -34,14 +34,14 @@ def make_instance(db_id="r1"):
     return SimInstance(db_id, engine)
 
 
-def ship(t, rows, relation="ev"):
+def ship(t, rows, relation="ev", link_seq=0):
     return Message(kind=SHIP_DATA, from_db="main", to_db="r1", send_ms=0,
-                   relation=relation, rows=rows, request_timestep=t)
+                   relation=relation, rows=rows, request_timestep=t, link_seq=link_seq)
 
 
-def evalreq(t, view="v"):
+def evalreq(t, view="v", link_seq=0):
     return Message(kind=EVAL_REQUEST, from_db="main", to_db="r1", send_ms=0,
-                   view=view, request_timestep=t)
+                   view=view, request_timestep=t, link_seq=link_seq)
 
 
 # --- transport scheduling ----------------------------------------------------------
@@ -150,6 +150,22 @@ def test_shipment_at_any_timestep_waits_for_its_eval():
     out = instance.receive(evalreq(0), 0)
     assert [(m.request_timestep, m.rows) for m in out] == [(0, [(5,)])]
     assert instance.queue_depth() == 0
+
+
+@pytest.mark.parametrize("duplicate", ["ship", "eval"])
+def test_duplicate_channel_message_is_dropped(duplicate):
+    """A message delivered twice on the ordered channel is applied once and
+    leaves nothing queued, whether the copy arrives after its original was
+    released or while it still waits for an earlier message."""
+    for order in ([1, 2, "dup"], [2, "dup", 1]):
+        instance = make_instance()
+        messages = {1: ship(1, [(10, 1, 0)], link_seq=1), 2: evalreq(1, link_seq=2)}
+        messages["dup"] = messages[1] if duplicate == "ship" else messages[2]
+        results = [r for key in order for r in instance.receive(messages[key], 0)]
+        assert instance.queue_depth() == 0, order
+        assert instance.evaluated == [1]
+        assert [m.rows for m in results] == [[(10,)]]
+        assert instance.engine.table_rows("ev") == [(10, 1, 0)]
 
 
 def test_queue_reordering_within_known_timesteps():

@@ -182,6 +182,8 @@ def test_error_positions_lie_within_input():
         ("SELECT a FROM t\nWHERE \"unfinished = 1;", "unterminated quoted identifier", 2, 7),
         ("CREATE TEMPLATE t(x) AS\n  SELECT a FROM {x WHERE a > 1;", "malformed template placeholder", 2, 17),
         ("CREATE VIEW v AS\n  SELECT a FROM t\n    WHERE a @ 1;", "unexpected character '@'", 3, 13),
+        ("SELECT 'a\nb' AS x @ 1;", "unexpected character '@'", 2, 9),
+        ("SELECT \"a\n\nb\" FROM t\nWHERE a @ 1;", "unexpected character '@'", 4, 9),
     ],
 )
 def test_tokenizer_error_positions(source, message, line, col):
@@ -189,6 +191,14 @@ def test_tokenizer_error_positions(source, message, line, col):
         tokenize(source)
     err = exc_info.value
     assert (str(err), err.line, err.col) == (f"{message} at line {line}, column {col}", line, col)
+
+
+def test_tokens_after_a_multi_line_string_count_its_newlines():
+    tokens = tokenize("SELECT 'a\nb' AS x")
+    assert [(t.lexeme, t.line, t.col) for t in tokens[2:]] == [("AS", 2, 4), ("x", 2, 7), ("", 2, 8)]
+    with pytest.raises(ParseError) as exc_info:
+        parse_diel("CREATE VIEW v AS SELECT 'a\nb' AS x FROM ;")
+    assert (exc_info.value.line, exc_info.value.col) == (2, 14)
 
 
 def test_every_statement_carries_a_name_and_full_span():

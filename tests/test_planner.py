@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +17,13 @@ from diel.planner import (
     choose_leader,
     dump_plan,
     emit_per_db_sql,
+    index_name,
     locate_relations,
     plan_federation,
 )
 from diel.printer import query_sql
 from diel.engine import SqlEngine
-from diel.session import Session
+from diel.session import DbConfig, RunConfig, Session
 
 from conftest import FLIGHT_COLUMNS
 from listing_texts import SLIDER, SLIDER_LATEST_REQUEST
@@ -268,6 +271,7 @@ def test_dump_plan_lists_sections():
     assert "flights @ r1" in text
     assert "distDataEvent -> r1" in text
     assert "slideItx -> r1 (deltas)" in text
+    assert "== indexes ==\ndistDataEvent (request_timestep) @ main" in text
 
 
 def test_planning_leaves_the_compiled_catalog_untouched():
@@ -301,3 +305,105 @@ def test_session_catalog_keeps_rewritten_outputs_as_compiled():
     assert query_sql(session.plan.catalog.relations["distData"].query).startswith(
         "SELECT e.origin, e.count FROM distDataEvent AS e"
     )
+
+
+# --- indexes on async results ---------------------------------------------------------
+
+
+def assert_async_reads_use_planned_index(session: Session, db_id: str) -> list[str]:
+    """Every view or output on db_id that reads an async-result table finds its
+    rows through the planned request_timestep index, never an automatic one.
+    Returns the relations checked."""
+    plan = session.plan
+    if db_id == plan.coordinator:
+        engine = session.runtime.engine
+        relations = [
+            r.name for r in plan.catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)
+            if plan.placement[r.name] == db_id
+        ]
+    else:
+        engine = session.runtime.federation.instances[db_id].engine
+        relations = [v for v, leader in plan.leaders.items() if leader == db_id]
+    checked = []
+    for name in relations:
+        async_reads = [
+            r for r in plan.catalog.graph.reads.get(name, ())
+            if plan.catalog.relations[r].kind is RelationKind.ASYNC_VIEW
+        ]
+        if not async_reads:
+            continue
+        details = [
+            row[3] for row in engine.conn.execute("EXPLAIN QUERY PLAN " + plan.relation_sql[name])
+        ]
+        assert not [d for d in details if "AUTOMATIC" in d and "request_timestep" in d], (name, details)
+        for table in async_reads:
+            planned = f"INDEX {index_name(table, 'request_timestep')}"
+            assert any(planned in d for d in details), (name, table, details)
+        checked.append(name)
+    return checked
+
+
+def test_corpus_policy_outputs_use_the_request_timestep_index():
+    covered = {}
+    for name, example in load_examples().items():
+        session = Session.build(example.config())
+        checked = assert_async_reads_use_planned_index(session, session.plan.coordinator)
+        if checked:
+            covered[name] = checked
+    assert covered == {
+        "latest_request": ["distData"],
+        "slider_remote": ["distData"],
+        "slider_reordered": ["distData"],
+    }
+
+
+def test_benchmark_policy_outputs_use_the_request_timestep_index(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    expected = {
+        "remote_brush": ["brushedTweets", "followerAgeDist"],
+        "remote_reorder_cached": ["distData", "distStrict"],
+    }
+    for name, outputs in expected.items():
+        workload = workloads.WORKLOADS[name](1, scale=0.2)
+        databases = [
+            DbConfig(inst.name, inst.kind, latency=inst.latency, tables=dict(inst.tables))
+            for inst in workload.instances
+        ]
+        session = Session.build(RunConfig([workload.program], databases, seed=1))
+        assert sorted(assert_async_reads_use_planned_index(session, "main")) == outputs
+
+
+def test_shipped_async_results_are_indexed_on_the_instance():
+    """A shadow of an async view's results is indexed where it is shipped to,
+    and the downstream async view there searches it by that index."""
+    text = """\
+CREATE EVENT TABLE slideItx(flight_year INT);
+CREATE ASYNC VIEW perOrigin AS
+  SELECT origin, COUNT() count FROM flights JOIN LATEST slideItx ON flight_year
+  GROUP BY origin;
+CREATE ASYNC VIEW perRegion AS
+  SELECT region, count FROM lookup JOIN LATEST_REQUEST perOrigin ON origin;
+CREATE OUTPUT regions AS SELECT region, count FROM LATEST_REQUEST perRegion;
+"""
+    lookup = [ColumnDef("origin", "TEXT"), ColumnDef("region", "TEXT")]
+    regions = [("LAX", "west"), ("SFO", "west"), ("JFK", "east")]
+    flights = [("LAX", "JFK", 1998, 5, 2475), ("SFO", "ORD", 2000, 0, 1846)]
+    config = RunConfig(
+        diel_sources=[text],
+        databases=[
+            DbConfig("main", "quick"),
+            DbConfig("r1", "remote", tables={"flights": (FLIGHT_COLUMNS, flights)}),
+            DbConfig("r2", "remote", tables={"lookup": (lookup, regions)}),
+        ],
+        seed=1,
+    )
+    session = Session.build(config)
+    assert session.plan.leaders == {"perOrigin": "r1", "perRegion": "r2"}
+    assert sorted(session.plan.indexes) == [
+        ("perOrigin", "request_timestep", "main"),
+        ("perOrigin", "request_timestep", "r2"),
+        ("perRegion", "request_timestep", "main"),
+    ]
+    assert assert_async_reads_use_planned_index(session, "r2") == ["perRegion"]
+    assert assert_async_reads_use_planned_index(session, "main") == ["regions"]
