@@ -150,7 +150,7 @@ class ScriptExhaustedError(FederationError):
 
 
 class DependencyTimeoutError(FederationError):
-    """An instance queue stalled waiting for a shipment that never arrived."""
+    """An instance's channel stalled: messages wait behind one that never arrived."""
 
 
 class DeadlineExceededError(FederationError):

@@ -2,13 +2,14 @@
 
 Messages between the coordinator and instances are scheduled on a discrete
 virtual clock (1 ms granularity). Each link has independent uplink/downlink
-latency models, so deliveries reorder across messages; each instance applies
-shipments and evaluates requests in ascending request_timestep regardless of
-arrival order.
+latency models, so deliveries reorder across messages; each coordinator->
+instance link is an ordered channel, so each instance still applies shipments
+and evaluates requests in ascending request_timestep.
 
-Wire format (socket mode and trace logging): a 4-byte big-endian length
-prefix, then a JSON object with fields {kind, view?, relation?, rows?,
-request_timestep, send_ms, deliver_ms}.
+Wire format (what a message would cost on a wire; the benchmark's
+`federation.bytes` counts it): a 4-byte big-endian length prefix, then a JSON
+object with fields {kind, view?, relation?, rows?, request_timestep, send_ms,
+deliver_ms}.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class Message:
     rows: list[tuple] | None = None
     request_timestep: int | None = None
     seq: int = 0  # global send order; breaks simultaneous-delivery ties
-    link_seq: int = 0  # per-link channel position; 0 bypasses channel ordering
+    link_seq: int = 0  # position on its coordinator->instance channel, from 1
 
 
 def encode_message(msg: Message) -> bytes:
@@ -227,89 +228,67 @@ class Transport:
 
 
 class SimInstance:
-    """A Worker/Remote instance: an embedded engine plus the timestep queue.
+    """A Worker/Remote instance: an embedded engine behind an ordered channel.
 
-    Work for request timestep t is gated on t's shipment: the runtime pairs
-    every EvalRequest(t) with a ShipData(t) on the same link, so applying
-    shipments lazily keeps LATEST evaluating against exactly the state as of
-    t even when deliveries reorder. Setup snapshots are written by `setup`
-    before any message is sent.
+    The coordinator->instance link is an ordered channel: every message
+    carries its link position, deliveries that arrive early wait in a buffer,
+    and each message is applied as the channel releases it. The runtime sends
+    on each link in ascending request timestep, with ShipData(t) ahead of the
+    EvalRequests of t, so release order alone evaluates requests in ascending
+    timestep against exactly the state as of t, however deliveries reorder.
+    Setup snapshots are written by `setup` before any message is sent.
     """
 
     def __init__(self, db_id: str, engine: SqlEngine):
         self.db_id = db_id
         self.engine = engine
-        self.pending_ships: dict[int, list[Message]] = {}
-        self.pending_evals: dict[int, list[Message]] = {}
-        self.applied_ship_ts: set[int] = set()
-        self.evaluated: list[int] = []
-        self.results_sent = 0
-        # the coordinator->instance link is an ordered channel; deliveries may
-        # arrive out of order, so out-of-sequence messages wait here
-        self._channel_buffer: dict[int, Message] = {}
+        self.evaluated: list[int] = []  # request_timestep of each evaluation, in order
+        self._channel_buffer: dict[int, Message] = {}  # link_seq -> early arrival
         self._next_link_seq = 1
         self._view_sql: dict[str, str] = {}  # view -> its evaluation query
 
     def receive(self, msg: Message, now_ms: int) -> list[Message]:
-        released: list[Message] = []
-        if msg.link_seq == 0:
-            released.append(msg)
-        elif msg.link_seq < self._next_link_seq or msg.link_seq in self._channel_buffer:
+        """Buffer one delivery, apply every message it releases, and return
+        the results of the EvalRequests among them."""
+        if msg.link_seq < 1:
+            raise EngineError(
+                f"instance {self.db_id}",
+                f"{msg.kind} has no channel position (link_seq {msg.link_seq})",
+            )
+        if msg.link_seq < self._next_link_seq or msg.link_seq in self._channel_buffer:
             return []  # a duplicate of a message already released or waiting
-        else:
-            self._channel_buffer[msg.link_seq] = msg
-            while self._next_link_seq in self._channel_buffer:
-                released.append(self._channel_buffer.pop(self._next_link_seq))
-                self._next_link_seq += 1
-        for item in released:
+        self._channel_buffer[msg.link_seq] = msg
+        out: list[Message] = []
+        while self._next_link_seq in self._channel_buffer:
+            item = self._channel_buffer.pop(self._next_link_seq)
+            self._next_link_seq += 1
+            t = item.request_timestep
             if item.kind == SHIP_DATA:
-                self.pending_ships.setdefault(item.request_timestep, []).append(item)
+                self.engine.insert_rows(item.relation, item.rows or [], context=f"shipment t={t}")
             elif item.kind == EVAL_REQUEST:
-                self.pending_evals.setdefault(item.request_timestep, []).append(item)
+                sql = self._view_sql.get(item.view)
+                if sql is None:
+                    sql = self._view_sql[item.view] = f"SELECT * FROM {quote_ident(item.view)}"
+                _, rows = self.engine.run_query(sql, context=f"async view {item.view}")
+                out.append(
+                    Message(
+                        kind=RESULT_ROWS,
+                        from_db=self.db_id,
+                        to_db=item.from_db,
+                        send_ms=now_ms,
+                        view=item.view,
+                        rows=rows,
+                        request_timestep=t,
+                    )
+                )
+                self.evaluated.append(t)
             else:
                 raise EngineError(f"instance {self.db_id}", f"unexpected message {item.kind}")
-        return self.step(now_ms)
-
-    def step(self, now_ms: int) -> list[Message]:
-        out: list[Message] = []
-        progress = True
-        while progress:
-            progress = False
-            pending = sorted(set(self.pending_ships) | set(self.pending_evals))
-            if not pending:
-                break
-            t = pending[0]
-            if t in self.pending_ships and t in self.pending_evals:
-                for msg in self.pending_ships.pop(t):
-                    self.engine.insert_rows(
-                        msg.relation, msg.rows or [], context=f"shipment t={t}"
-                    )
-                self.applied_ship_ts.add(t)
-                progress = True
-            if t in self.pending_evals and (t in self.applied_ship_ts):
-                for msg in self.pending_evals.pop(t):
-                    sql = self._view_sql.get(msg.view)
-                    if sql is None:
-                        sql = self._view_sql[msg.view] = f"SELECT * FROM {quote_ident(msg.view)}"
-                    _, rows = self.engine.run_query(sql, context=f"async view {msg.view}")
-                    out.append(
-                        Message(
-                            kind=RESULT_ROWS,
-                            from_db=self.db_id,
-                            to_db=msg.from_db,
-                            send_ms=now_ms,
-                            view=msg.view,
-                            rows=rows,
-                            request_timestep=msg.request_timestep,
-                        )
-                    )
-                    self.results_sent += 1
-                self.evaluated.append(t)
-                progress = True
         return out
 
     def queue_depth(self) -> int:
-        return len(self.pending_ships) + len(self.pending_evals) + len(self._channel_buffer)
+        """Messages that arrived ahead of an earlier one on the channel."""
+        return len(self._channel_buffer)
 
 
 # --- federation --------------------------------------------------------------------------
@@ -365,47 +344,39 @@ class Federation:
             self.links[db_id].up,
         )
 
-    def _route(self, msg: Message) -> list[Message]:
-        """Deliver one message; returns messages now due at the coordinator."""
-        if msg.to_db == self.coordinator_id:
-            return [msg]
-        instance = self.instances[msg.to_db]
-        for result in instance.receive(msg, msg.deliver_ms):
-            self.transport.send(result, self.links[msg.to_db].down)
-        return []
-
-    def deliver_due(self, until_ms: int) -> list[Message]:
-        """Deliver everything scheduled at or before until_ms, in
-        (deliver_ms, send order); coordinator-bound messages are returned."""
-        arrived: list[Message] = []
+    def deliver(self, on_message, until_ms: int) -> None:
+        """Deliver every message due at or before until_ms, in (deliver_ms,
+        send order). Instance-bound messages are routed and their results
+        sent back; each coordinator-bound message goes to `on_message` as it
+        is popped, so results are admitted in virtual-time order and whatever
+        admitting one sends is delivered in the same pass."""
+        transport = self.transport
         while True:
-            next_ms = self.transport.next_deliver_ms()
+            next_ms = transport.next_deliver_ms()
             if next_ms is None or next_ms > until_ms:
-                break
-            arrived.extend(self._route(self.transport.pop_next()))
-        self.transport.advance_to(until_ms)
-        return arrived
+                return
+            msg = transport.pop_next()
+            if msg.to_db == self.coordinator_id:
+                on_message(msg)
+                continue
+            for result in self.instances[msg.to_db].receive(msg, msg.deliver_ms):
+                transport.send(result, self.links[msg.to_db].down)
 
 
 def run_until_quiescent(federation: Federation, on_message, deadline_ms: int = 10**9) -> int:
-    """Advance the virtual clock until no messages are in flight and every
-    instance queue is drained; coordinator-bound messages go to `on_message`
-    (which may send more). Returns the final virtual time in ms.
+    """Deliver until no message is in flight; coordinator-bound messages go to
+    `on_message` (which may send more). Returns the final virtual time in ms.
     """
-    while True:
-        next_ms = federation.transport.next_deliver_ms()
-        if next_ms is None:
-            break
-        if next_ms > deadline_ms:
-            raise DeadlineExceededError(
-                f"message due at {next_ms} ms exceeds deadline {deadline_ms} ms"
-            )
-        for msg in federation._route(federation.transport.pop_next()):
-            on_message(msg)
+    federation.deliver(on_message, deadline_ms)
+    next_ms = federation.transport.next_deliver_ms()
+    if next_ms is not None:
+        raise DeadlineExceededError(
+            f"message due at {next_ms} ms exceeds deadline {deadline_ms} ms"
+        )
     for instance in federation.instances.values():
         if instance.queue_depth():
             raise DependencyTimeoutError(
-                f"instance {instance.db_id} stalled with "
-                f"{instance.queue_depth()} queued timesteps"
+                f"instance {instance.db_id} stalled with {instance.queue_depth()} "
+                f"messages waiting for an earlier one on its channel"
             )
     return federation.transport.now

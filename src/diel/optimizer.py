@@ -70,7 +70,7 @@ def materialize_shared_views(
 
 @dataclass(frozen=True)
 class RequestCacheRow:
-    hash: str
+    key: tuple  # (view, params)
     dataId: int
     viewName: str
 
@@ -78,25 +78,23 @@ class RequestCacheRow:
 class RequestCache:
     """Maps (async view, triggering parameters) to stored result row sets.
 
+    The key is the tuple itself: params are validated payload values, and a
+    REAL column stores 2000 and 2000.0 alike, so equal params give equal rows.
     Identical row sets share one dataId, so repeated results cost a pointer,
-    not a copy.
+    not a copy; row sets are compared by a digest that keeps 1 and 1.0 apart,
+    so a hit replays exactly the values that were stored.
     """
 
     def __init__(self) -> None:
-        self.rows: dict[str, RequestCacheRow] = {}
+        self.rows: dict[tuple, RequestCacheRow] = {}
         self.data: dict[int, list[tuple]] = {}
         self._by_digest: dict[str, int] = {}
         self._next_data_id = 1
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def key(view: str, params: tuple) -> str:
-        encoded = json.dumps([view, list(params)], separators=(",", ":"), default=str)
-        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
     def lookup(self, view: str, params: tuple) -> list[tuple] | None:
-        row = self.rows.get(self.key(view, params))
+        row = self.rows.get((view, params))
         if row is None:
             self.misses += 1
             return None
@@ -113,9 +111,9 @@ class RequestCache:
             self._next_data_id += 1
             self._by_digest[digest] = data_id
             self.data[data_id] = [tuple(r) for r in rows]
-        key = self.key(view, params)
+        key = (view, params)
         if key not in self.rows:
-            self.rows[key] = RequestCacheRow(hash=key, dataId=data_id, viewName=view)
+            self.rows[key] = RequestCacheRow(key=key, dataId=data_id, viewName=view)
         return data_id
 
     def stats(self) -> dict[str, int]:

@@ -214,14 +214,8 @@ class Session:
     def deliver_due(self, until_ms: int) -> None:
         if self.runtime.federation is None:
             return
-        while True:
-            # admitting a result can dispatch further shipments (chained async
-            # views), so keep draining until the window is truly empty
-            arrived = self.runtime.federation.deliver_due(until_ms)
-            if not arrived:
-                return
-            for msg in arrived:
-                self.runtime.admit(msg)
+        # looked up on each call, so a caller may wrap `runtime.admit`
+        self.runtime.federation.deliver(self.runtime.admit, until_ms)
 
     def inject(self, entry: TraceEntry) -> int | None:
         self.deliver_due(entry.at_ms)

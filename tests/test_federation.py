@@ -5,7 +5,7 @@ import random
 import pytest
 
 from diel.engine import SqlEngine
-from diel.errors import ConfigError, DependencyTimeoutError, ScriptExhaustedError
+from diel.errors import ConfigError, DependencyTimeoutError, EngineError, ScriptExhaustedError
 from diel.federation import (
     EVAL_REQUEST,
     RESULT_ROWS,
@@ -34,12 +34,12 @@ def make_instance(db_id="r1"):
     return SimInstance(db_id, engine)
 
 
-def ship(t, rows, relation="ev", link_seq=0):
+def ship(t, rows, link_seq, relation="ev"):
     return Message(kind=SHIP_DATA, from_db="main", to_db="r1", send_ms=0,
                    relation=relation, rows=rows, request_timestep=t, link_seq=link_seq)
 
 
-def evalreq(t, view="v", link_seq=0):
+def evalreq(t, link_seq, view="v"):
     return Message(kind=EVAL_REQUEST, from_db="main", to_db="r1", send_ms=0,
                    view=view, request_timestep=t, link_seq=link_seq)
 
@@ -49,8 +49,8 @@ def evalreq(t, view="v", link_seq=0):
 
 def test_fixed_zero_is_fifo_per_link():
     transport = Transport()
-    m1 = transport.send(ship(1, [(10, 1, 0)]), FixedLatency(0))
-    m2 = transport.send(evalreq(1), FixedLatency(0))
+    m1 = transport.send(ship(1, [(10, 1, 0)], 1), FixedLatency(0))
+    m2 = transport.send(evalreq(1, 2), FixedLatency(0))
     assert transport.pop_next() is m1
     assert transport.pop_next() is m2
 
@@ -59,9 +59,9 @@ def test_scripted_delays_reorder_delivery():
     # two sends at 0 and 10 with delays [500, 100]: the second arrives first
     transport = Transport()
     model = ScriptedLatency([500, 100])
-    first = transport.send(ship(1, []), model)
+    first = transport.send(ship(1, [], 1), model)
     transport.advance_to(10)
-    second = transport.send(ship(2, []), model)
+    second = transport.send(ship(2, [], 2), model)
     assert (first.deliver_ms, second.deliver_ms) == (500, 110)
     assert transport.pop_next() is second
     assert transport.pop_next() is first
@@ -75,7 +75,7 @@ def test_slow_backend_scenario_overlaps_requests():
     deliveries = []
     for i in range(3):
         transport.advance_to(i * 300)
-        deliveries.append(transport.send(ship(i + 1, []), model).deliver_ms)
+        deliveries.append(transport.send(ship(i + 1, [], i + 1), model).deliver_ms)
     assert deliveries == [500, 800, 1100]
     assert deliveries[0] > 300 and deliveries[1] > 600
 
@@ -83,9 +83,9 @@ def test_slow_backend_scenario_overlaps_requests():
 def test_script_exhausted():
     transport = Transport()
     model = ScriptedLatency([5])
-    transport.send(ship(1, []), model)
+    transport.send(ship(1, [], 1), model)
     with pytest.raises(ScriptExhaustedError):
-        transport.send(ship(2, []), model)
+        transport.send(ship(2, [], 2), model)
 
 
 def test_uniform_latency_is_seeded():
@@ -105,13 +105,13 @@ def test_parse_latency_spec_forms():
         parse_latency_spec("warp(9)")
 
 
-# --- instance queue -----------------------------------------------------------------
+# --- instance channel -----------------------------------------------------------------
 
 
 def test_ship_then_eval_produces_one_result():
     instance = make_instance()
-    assert instance.receive(ship(3, [(30, 3, 0)]), 0) == []
-    out = instance.receive(evalreq(3), 0)
+    assert instance.receive(ship(3, [(30, 3, 0)], 1), 0) == []
+    out = instance.receive(evalreq(3, 2), 0)
     assert len(out) == 1
     assert out[0].kind == RESULT_ROWS
     assert out[0].request_timestep == 3
@@ -120,19 +120,19 @@ def test_ship_then_eval_produces_one_result():
 
 def test_eval_waits_for_its_shipment():
     instance = make_instance()
-    assert instance.receive(evalreq(4), 0) == []
+    assert instance.receive(evalreq(4, 2), 0) == []
     assert instance.queue_depth() == 1
-    out = instance.receive(ship(4, [(40, 4, 0)]), 5)
+    out = instance.receive(ship(4, [(40, 4, 0)], 1), 5)
     assert [m.request_timestep for m in out] == [4]
 
 
 def test_reordered_shipments_evaluate_in_ascending_order():
     instance = make_instance()
-    instance.receive(evalreq(2), 0)
-    instance.receive(evalreq(3), 0)
-    out = instance.receive(ship(3, [(30, 3, 0)]), 0)
+    instance.receive(evalreq(2, 2), 0)
+    instance.receive(evalreq(3, 4), 0)
+    out = instance.receive(ship(3, [(30, 3, 0)], 3), 0)
     assert out == []  # request 2 still blocks request 3
-    out = instance.receive(ship(2, [(20, 2, 0)]), 0)
+    out = instance.receive(ship(2, [(20, 2, 0)], 1), 0)
     assert [m.request_timestep for m in out] == [2, 3]
     assert instance.evaluated == [2, 3]
     # request 2 evaluated against state as of 2, request 3 as of 3
@@ -140,16 +140,24 @@ def test_reordered_shipments_evaluate_in_ascending_order():
     assert out[1].rows == [(30,)]
 
 
-def test_shipment_at_any_timestep_waits_for_its_eval():
-    """Setup snapshots are written directly, so even timestep 0 is an ordinary
-    shipment: it is applied only when its eval arrives."""
+def test_released_shipment_is_applied_at_once():
+    """A shipment the channel releases is applied before any later message
+    arrives, and the eval behind it sees it."""
     instance = make_instance()
-    assert instance.receive(ship(0, [(5, 0, 0)]), 0) == []
-    assert instance.queue_depth() == 1
-    assert instance.engine.table_rows("ev") == []
-    out = instance.receive(evalreq(0), 0)
+    assert instance.receive(ship(0, [(5, 0, 0)], 1), 0) == []
+    assert instance.queue_depth() == 0
+    assert instance.engine.table_rows("ev") == [(5, 0, 0)]
+    out = instance.receive(evalreq(0, 2), 0)
     assert [(m.request_timestep, m.rows) for m in out] == [(0, [(5,)])]
     assert instance.queue_depth() == 0
+
+
+@pytest.mark.parametrize("link_seq", [0, -1])
+def test_message_without_channel_position_is_rejected(link_seq):
+    instance = make_instance()
+    with pytest.raises(EngineError, match="no channel position"):
+        instance.receive(ship(1, [(10, 1, 0)], link_seq), 0)
+    assert instance.engine.table_rows("ev") == []
 
 
 @pytest.mark.parametrize("duplicate", ["ship", "eval"])
@@ -171,7 +179,7 @@ def test_duplicate_channel_message_is_dropped(duplicate):
 def test_queue_reordering_within_known_timesteps():
     """Direct injection: whatever already arrived is processed ascending."""
     instance = make_instance()
-    arrivals = [evalreq(3), evalreq(1), ship(3, [(30, 3, 0)]), ship(1, [(10, 1, 0)])]
+    arrivals = [evalreq(3, 4), evalreq(1, 2), ship(3, [(30, 3, 0)], 3), ship(1, [(10, 1, 0)], 1)]
     results = []
     for msg in arrivals:
         results.extend(instance.receive(msg, 0))
@@ -234,10 +242,12 @@ def test_run_until_quiescent_deadline():
 
 
 def test_stalled_queue_raises_dependency_timeout():
-    federation, _ = make_federation()
-    federation.request_eval("r1", "v", 2)  # shipment for 2 never sent
+    federation, instance = make_federation()
+    federation._next_link_seq("r1")  # the message at link seq 1 is lost
+    federation.request_eval("r1", "v", 2)  # so the eval at seq 2 never releases
     with pytest.raises(DependencyTimeoutError):
         run_until_quiescent(federation, lambda m: None, deadline_ms=1000)
+    assert instance.queue_depth() == 1 and instance.evaluated == []
 
 
 # --- wire format ------------------------------------------------------------------------

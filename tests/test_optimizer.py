@@ -111,10 +111,19 @@ def test_zero_row_result_is_cached_like_any_other():
 
 
 def test_cache_key_distinguishes_views_and_params():
-    key = RequestCache.key
-    assert key("v", (1,)) == key("v", (1,))
-    assert key("v", (1,)) != key("w", (1,))
-    assert key("v", (1,)) != key("v", (2,))
+    cache = RequestCache()
+    for view, params in [("v", (1,)), ("v", (1,)), ("w", (1,)), ("v", (2,))]:
+        cache.store(view, params, [(view, params[0])])
+    assert set(cache.rows) == {("v", (1,)), ("w", (1,)), ("v", (2,))}
+    assert cache.lookup("w", (1,)) == [("w", 1)]
+    # a REAL column stores 2000 and 2000.0 alike, so they are one key
+    assert cache.lookup("v", (2.0,)) == [("v", 2)]
+
+
+def test_row_set_digest_keeps_int_and_real_apart():
+    cache = RequestCache()
+    assert cache.store("v", (1,), [(1,)]) != cache.store("v", (2,), [(1.0,)])
+    assert [type(x) for (x,) in cache.lookup("v", (2,))] == [float]
 
 
 def test_cache_hit_count_equals_repeated_pairs():

@@ -208,14 +208,7 @@ def test_undo_trace_matches_formula():
     assert currsel == [((1,),), ((2,),), ((3,),), ((2,),), ((1,),)]
 
 
-def test_chained_async_views_hop_between_instances():
-    """An async view may consume another's results: the downstream view is
-    triggered by result events, with result deltas shipped one hop on."""
-    from diel.ast_nodes import ColumnDef
-
-    lookup_cols = [ColumnDef("origin", "TEXT"), ColumnDef("region", "TEXT")]
-    lookup_rows = [("LAX", "west"), ("SFO", "west"), ("JFK", "east")]
-    text = """\
+CHAINED_VIEWS = """\
 CREATE EVENT TABLE slideItx(flight_year INT);
 CREATE ASYNC VIEW perOrigin AS
   SELECT origin, COUNT() count FROM flights JOIN LATEST slideItx ON flight_year
@@ -225,8 +218,16 @@ CREATE ASYNC VIEW perRegion AS
 CREATE OUTPUT regions AS
   SELECT region, count FROM LATEST_REQUEST perRegion ORDER BY region, count;
 """
+
+
+def chained_session() -> Session:
+    """perOrigin leads on r1 (fixed(3)), perRegion on r2 (fixed(2))."""
+    from diel.ast_nodes import ColumnDef
+
+    lookup_cols = [ColumnDef("origin", "TEXT"), ColumnDef("region", "TEXT")]
+    lookup_rows = [("LAX", "west"), ("SFO", "west"), ("JFK", "east")]
     config = RunConfig(
-        diel_sources=[text],
+        diel_sources=[CHAINED_VIEWS],
         databases=[
             DbConfig("main", "quick"),
             DbConfig("r1", "remote", latency="fixed(3)",
@@ -236,7 +237,13 @@ CREATE OUTPUT regions AS
         ],
         seed=9,
     )
-    session = Session.build(config)
+    return Session.build(config)
+
+
+def test_chained_async_views_hop_between_instances():
+    """An async view may consume another's results: the downstream view is
+    triggered by result events, with result deltas shipped one hop on."""
+    session = chained_session()
     assert session.plan.leaders == {"perOrigin": "r1", "perRegion": "r2"}
     shipped = {(s.relation, s.destination) for s in session.plan.shipments}
     assert shipped == {("slideItx", "r1"), ("perOrigin", "r2")}
@@ -246,6 +253,31 @@ CREATE OUTPUT regions AS
     frames = [f for f in session.runtime.frames if f.rows]
     assert [f.timestep for f in frames] == [3]
     assert frames[0].rows == (("east", 1), ("west", 1))  # JFK east, SFO west in 2000
+
+
+def test_chained_result_is_admitted_and_forwarded_at_its_arrival():
+    """A result that arrives mid-trace is admitted at its own deliver_ms, and
+    the follow-up request it triggers leaves then, not at the next trace entry."""
+    session = chained_session()
+    session.run_replay([
+        TraceEntry(0, "slideItx", {"flight_year": 2000}),
+        TraceEntry(100, "slideItx", {"flight_year": 1998}),
+    ])
+    events = [(r.timestep, r.relation, r.timestamp, r.request_timestep)
+              for r in session.runtime.event_log()]
+    assert events == [
+        (1, "slideItx", 0, None),
+        (2, "perOrigin", 6, 1),
+        (3, "perRegion", 10, 2),
+        (4, "slideItx", 100, None),
+        (5, "perOrigin", 106, 4),
+        (6, "perRegion", 110, 5),
+    ]
+    frames = [f.timestep for f in session.runtime.frames if f.output == "regions" and f.rows]
+    assert frames == [3, 6]
+    ship_r2 = [m for m in session.runtime.federation.transport.log
+               if m.kind == "ShipData" and m.to_db == "r2" and m.request_timestep == 2]
+    assert [m.send_ms for m in ship_r2] == [6]
 
 
 def test_output_over_result_table_fires_only_on_result_events():
