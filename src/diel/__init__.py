@@ -30,7 +30,6 @@ from .federation import (
     LatencySpec,
     Message,
     SimInstance,
-    decode_messages,
     encode_message,
     parse_latency_spec,
     run_until_quiescent,
@@ -91,7 +90,6 @@ __all__ = [
     "check_constraints_wellformed",
     "choose_leader",
     "compile_program",
-    "decode_messages",
     "desugar_latest",
     "dump_ir",
     "dump_plan",

@@ -59,6 +59,7 @@ from .errors import (
     UnknownUdfError,
 )
 from .parser import parse_query_tokens, tokenize
+from .printer import query_sql
 from .udfs import BUILTIN_UDFS, ENGINE_FUNCTIONS, UdfDef
 
 SYSTEM_COLUMNS = ("timestep", "timestamp", "request_timestep")
@@ -844,8 +845,6 @@ def _check_insert_arity(stmt: InsertStatement, catalog: Catalog) -> None:
 
 def dump_ir(catalog: Catalog) -> str:
     """Human-readable compiled-plan text for --dump-ir."""
-    from .printer import query_sql
-
     lines = ["== relations =="]
     for rel in catalog.relations.values():
         cols = ", ".join(f"{c.name}:{c.type or 'ANY'}" for c in rel.columns)

@@ -51,7 +51,7 @@ class SqlEngine:
         except sqlite3.Error as exc:
             raise EngineError(f"{context} on instance {self.db_id}", str(exc)) from exc
         columns = [d[0] for d in cursor.description or []]
-        return columns, [tuple(row) for row in cursor.fetchall()]
+        return columns, cursor.fetchall()
 
     def execute(self, sql: str, params: tuple = (), context: str = "statement") -> None:
         try:

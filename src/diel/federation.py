@@ -8,8 +8,9 @@ and evaluates requests in ascending request_timestep.
 
 Wire format (what a message would cost on a wire; the benchmark's
 `federation.bytes` counts it): a 4-byte big-endian length prefix, then a JSON
-object with fields {kind, view?, relation?, rows?, request_timestep, send_ms,
-deliver_ms}.
+object with fields {kind, from_db, to_db, view?, relation?, rows?,
+request_timestep, send_ms, deliver_ms, link_seq}, every field routing needs.
+Nothing decodes it: no socket transport exists.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class Message:
 
 
 def encode_message(msg: Message) -> bytes:
-    payload: dict = {"kind": msg.kind}
+    payload: dict = {"kind": msg.kind, "from_db": msg.from_db, "to_db": msg.to_db}
     if msg.view is not None:
         payload["view"] = msg.view
     if msg.relation is not None:
@@ -62,35 +63,9 @@ def encode_message(msg: Message) -> bytes:
     payload["request_timestep"] = msg.request_timestep
     payload["send_ms"] = msg.send_ms
     payload["deliver_ms"] = msg.deliver_ms
+    payload["link_seq"] = msg.link_seq
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     return struct.pack(">I", len(body)) + body
-
-
-def decode_messages(buffer: bytes) -> tuple[list[Message], bytes]:
-    """Decode complete length-prefixed messages; returns (messages, remainder)."""
-    messages: list[Message] = []
-    offset = 0
-    while offset + 4 <= len(buffer):
-        (length,) = struct.unpack_from(">I", buffer, offset)
-        if offset + 4 + length > len(buffer):
-            break
-        payload = json.loads(buffer[offset + 4 : offset + 4 + length])
-        rows = payload.get("rows")
-        messages.append(
-            Message(
-                kind=payload["kind"],
-                from_db="",
-                to_db="",
-                send_ms=payload["send_ms"],
-                deliver_ms=payload["deliver_ms"],
-                view=payload.get("view"),
-                relation=payload.get("relation"),
-                rows=None if rows is None else [tuple(r) for r in rows],
-                request_timestep=payload.get("request_timestep"),
-            )
-        )
-        offset += 4 + length
-    return messages, buffer[offset:]
 
 
 # --- latency models ---------------------------------------------------------------

@@ -11,7 +11,14 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .compiler import Catalog, DependencyGraph, RelationKind
+from .ast_nodes import InsertStatement
+from .compiler import (
+    Catalog,
+    DependencyGraph,
+    RelationKind,
+    dependency_closure,
+    referenced_relations,
+)
 
 
 @dataclass
@@ -41,15 +48,11 @@ def materialize_shared_views(
     for program in catalog.programs.values():
         seen: set[str] = set()
         for command in program.commands:
-            query = command.select if hasattr(command, "select") else command
+            query = command.select if isinstance(command, InsertStatement) else command
             if query is not None:
-                from .compiler import referenced_relations
-
                 seen |= referenced_relations(query)
         for dep in seen:
             consumers[dep] = consumers.get(dep, 0) + 1
-
-    from .compiler import dependency_closure
 
     plan = MaterializationPlan()
     for name in graph.topological_order():

@@ -24,12 +24,15 @@ from .ast_nodes import (
     TableRef,
 )
 from .compiler import (
+    SYSTEM_COLUMNS,
     Catalog,
     RelationDef,
     RelationKind,
     ViewConstraint,
+    _nested_queries,
     build_dependency_graph,
     infer_output_columns,
+    referenced_relations,
     resolve_query,
 )
 from .engine import sql_type
@@ -171,8 +174,6 @@ def choose_leader(
 ) -> str:
     coordinator = coordinator_of(dbs)
     involved: set[str] = set()
-    from .compiler import referenced_relations
-
     for name in referenced_relations(query):
         rel = catalog.relations.get(name)
         if rel is None:
@@ -216,8 +217,6 @@ def collect_latest_event_tables(name_or_query, catalog: Catalog) -> list[str]:
     seen_rel: set[str] = set()
 
     def visit_query(query: SelectQuery) -> None:
-        from .compiler import _nested_queries
-
         for ref in query.table_refs():
             rel = catalog.relations.get(ref.name)
             if rel is None:
@@ -262,8 +261,6 @@ def rewrite_remote_output(
     )
 
     payload = infer_output_columns(output.query, catalog)
-    from .compiler import SYSTEM_COLUMNS
-
     for col in payload:
         if col.name in SYSTEM_COLUMNS:
             raise CompileError(

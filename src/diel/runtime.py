@@ -35,7 +35,7 @@ from .errors import (
     UnknownEventError,
     UnknownOutputError,
 )
-from .federation import Federation, Message, RESULT_ROWS
+from .federation import Federation, Message, RESULT_ROWS, SimInstance
 from .optimizer import MaterializationPlan, RequestCache
 from .planner import FederationPlan, local_eval_name
 from .printer import expr_sql, query_sql, quote_ident  # noqa: F401 (bench/tracing.py wraps query_sql here)
@@ -75,18 +75,6 @@ class RunOptions:
     cache_enabled: bool = True
     dedupe_frames: bool = False
     check_atomicity: bool = False
-
-
-def _sort_key(value) -> tuple:
-    if value is None:
-        return (0, "", "")
-    if isinstance(value, (int, float)):
-        return (1, float(value), repr(value))
-    return (2, str(value), "")
-
-
-def canonical_rows(rows: list[tuple]) -> list[tuple]:
-    return sorted(rows, key=lambda row: tuple(_sort_key(v) for v in row))
 
 
 class Runtime:
@@ -133,7 +121,7 @@ class Runtime:
         # per-event statements, formatted once: output evaluation, NOT EMPTY
         # probes (view, SQL), mat-view refresh (DELETE, INSERT) and the
         # evaluation query of each coordinator-led async view
-        self._output_sql = {name: f"SELECT * FROM {quote_ident(name)}" for name in self._outputs}
+        self._output_sql = {name: self._output_query(name) for name in self._outputs}
         self._probes = [
             (c.view, f"SELECT 1 FROM {quote_ident(c.view)} LIMIT 1")
             for c in self.catalog.constraints
@@ -184,6 +172,17 @@ class Runtime:
             ]
             if checks:
                 self._check_sql[rel.name] = checks
+
+    def _output_query(self, name: str) -> str:
+        """Without its own ORDER BY, an output is read in canonical order: NULL,
+        numbers by value (integer before real on a tie), text by code point,
+        blobs. The view's own column names are used, so duplicates are x, x:1."""
+        sql = f"SELECT * FROM {quote_ident(name)}"
+        if self.catalog.relations[name].query.order_by:
+            return sql
+        info = self.engine.conn.execute(f"PRAGMA table_info({quote_ident(name)})")
+        columns = ['"' + row[1].replace('"', '""') + '"' for row in info]
+        return sql + " ORDER BY " + ", ".join(f"{c}, typeof({c})" for c in columns)
 
     # -- API ------------------------------------------------------------------
 
@@ -397,11 +396,7 @@ class Runtime:
     # -- the processing pass ----------------------------------------------------------
 
     def _evaluate_relation(self, name: str) -> tuple[list[str], list[tuple]]:
-        columns, rows = self.engine.run_query(self._output_sql[name], context=f"output {name}")
-        rel = self.catalog.relations[name]
-        if rel.query is not None and not rel.query.order_by:
-            rows = canonical_rows(rows)
-        return columns, rows
+        return self.engine.run_query(self._output_sql[name], context=f"output {name}")
 
     def _process_timestep(self, t: int, triggering: str, at_ms: int) -> list[OutputFrame]:
         self._processing = True
@@ -446,7 +441,7 @@ class Runtime:
                         raise EngineError(
                             f"output {name}", "evaluation is not stable within a timestep"
                         )
-                frame = OutputFrame(name, t, tuple(columns), tuple(map(tuple, rows)))
+                frame = OutputFrame(name, t, tuple(columns), tuple(rows))
                 if self.options.dedupe_frames and self._last_rendered.get(name) == frame.rows:
                     continue
                 frames.append(frame)
@@ -467,7 +462,7 @@ class Runtime:
             # (6) staged history inserts land now, visible from t+1 onward
             for table, insert, rows in staged:
                 for row in rows:
-                    self.engine.execute(insert, tuple(row) + (t,), context=f"history insert {table}")
+                    self.engine.execute(insert, row + (t,), context=f"history insert {table}")
                 if rows:
                     self._dirty_next.add(table)
             return frames
@@ -485,7 +480,6 @@ def setup(
     links=None,
     bindings: dict | None = None,
     options: RunOptions | None = None,
-    ready_cb=None,
     udfs: dict | None = None,
     base_files: dict[str, Path] | None = None,
 ) -> Runtime:
@@ -494,8 +488,6 @@ def setup(
 
     `base_rows` maps a base table to its rows as Python values; `base_files`
     maps a base table to the SQLite file it is copied from."""
-    from .federation import SimInstance
-
     options = options or RunOptions()
     remote_ids = sorted(set(plan.programs) - {plan.coordinator})
     for db_id in remote_ids:
@@ -551,6 +543,4 @@ def setup(
     runtime = Runtime(plan, engine, federation, mat_plan, bindings, options)
     for view in mat_plan.order:
         engine.execute(runtime._refresh_sql[view][1], context=f"init {view}")
-    if ready_cb is not None:
-        ready_cb(runtime)
     return runtime

@@ -134,7 +134,7 @@ class Session:
         self.runtime = runtime
 
     @classmethod
-    def build(cls, config: RunConfig, bindings: dict | None = None, ready_cb=None) -> "Session":
+    def build(cls, config: RunConfig, bindings: dict | None = None) -> "Session":
         names = [db.name for db in config.databases]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate database names in config: {names}")
@@ -203,7 +203,6 @@ class Session:
             links=links,
             bindings=bindings,
             options=options,
-            ready_cb=ready_cb,
             udfs=config.udfs,
             base_files=base_files,
         )

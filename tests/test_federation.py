@@ -18,7 +18,6 @@ from diel.federation import (
     SimInstance,
     Transport,
     UniformLatency,
-    decode_messages,
     encode_message,
     parse_latency_spec,
     run_until_quiescent,
@@ -258,20 +257,16 @@ def test_codec_round_trip_and_field_names():
     import struct
 
     msg = Message(kind=SHIP_DATA, from_db="main", to_db="r1", send_ms=10,
-                  deliver_ms=25, relation="ev", rows=[(1, "x")], request_timestep=3)
+                  deliver_ms=25, relation="ev", rows=[(1, "x")], request_timestep=3,
+                  link_seq=2)
     blob = encode_message(msg)
     (length,) = struct.unpack_from(">I", blob, 0)
-    payload = json.loads(blob[4 : 4 + length])
-    assert set(payload) == {"kind", "relation", "rows", "request_timestep", "send_ms", "deliver_ms"}
-    decoded, rest = decode_messages(blob)
-    assert rest == b""
-    assert decoded[0].rows == [(1, "x")]
-    assert decoded[0].request_timestep == 3
-
-
-def test_codec_handles_partial_buffers():
-    msg = Message(kind=EVAL_REQUEST, from_db="m", to_db="r", send_ms=0,
-                  deliver_ms=0, view="v", request_timestep=1)
-    blob = encode_message(msg) + encode_message(msg)
-    decoded, rest = decode_messages(blob[:-3])
-    assert len(decoded) == 1 and len(rest) == len(encode_message(msg)) - 3
+    assert len(blob) == 4 + length
+    payload = json.loads(blob[4:])
+    assert set(payload) == {
+        "kind", "from_db", "to_db", "relation", "rows", "request_timestep",
+        "send_ms", "deliver_ms", "link_seq",
+    }
+    assert (payload["from_db"], payload["to_db"], payload["link_seq"]) == ("main", "r1", 2)
+    assert payload["rows"] == [[1, "x"]]
+    assert payload["request_timestep"] == 3

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import math
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diel.ast_nodes import ColumnDef
 from diel.errors import (
     SchemaMismatchError,
     SetupError,
@@ -10,7 +16,6 @@ from diel.errors import (
     UnknownEventError,
     UnknownOutputError,
 )
-from diel.runtime import canonical_rows
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
 from conftest import FLIGHT_COLUMNS
@@ -59,14 +64,7 @@ def remote_session(text, latency="fixed(0)", **kwargs):
 
 
 def test_setup_ready_at_clock_zero():
-    seen = []
-    config = RunConfig(
-        diel_sources=[SLIDER],
-        databases=[DbConfig("main", "quick", tables={"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)})],
-        seed=1,
-    )
-    session = Session.build(config, ready_cb=seen.append)
-    assert seen == [session.runtime]
+    session = local_session(SLIDER, tables={"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)})
     assert session.runtime.clock == 0
     assert session.runtime.event_log() == []
 
@@ -450,9 +448,63 @@ def test_event_log_replay_reproduces_frames():
     assert again.output_log_text() == session.output_log_text()
 
 
-def test_canonical_row_ordering_handles_mixed_types():
-    rows = [("b", 2), ("a", None), ("a", 1.5), ("a", 1)]
-    assert canonical_rows(rows) == [("a", None), ("a", 1), ("a", 1.5), ("b", 2)]
+def _exact_key(value) -> tuple:
+    """The canonical order of a value, computed exactly in Python: NULL,
+    numbers by value (integer before real on a tie), text by code point."""
+    if value is None:
+        return (0,)
+    if isinstance(value, (int, float)):
+        return (1, value, isinstance(value, float))
+    return (2, value)
+
+
+def _row_key(row: tuple) -> tuple:
+    return tuple(_exact_key(v) for v in row)
+
+
+def untyped_session(rows, width=2):
+    columns = [ColumnDef(f"c{i}", None) for i in range(width)]
+    select = ", ".join(c.name for c in columns)
+    return local_session(f"CREATE OUTPUT o AS SELECT {select} FROM t;", {"t": (columns, rows)})
+
+
+_EDGE_INTS = [0, 1, -1, 2**53 - 1, 2**53, 2**53 + 1, 10**16, 9999999999999999, -(2**63), 2**63 - 1]
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, 1.0, 9007199254740992.0, 1e16, 9.223372036854776e18]
+_VALUES = st.one_of(
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from(_EDGE_INTS),
+    st.floats(allow_nan=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.text(max_size=4),
+    st.sampled_from(["\x00", "a\x00", "é", "日本", "A", "a", ""]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_VALUES, _VALUES), max_size=12))
+def test_unordered_output_rows_are_in_canonical_order(rows):
+    frame = untyped_session(rows).runtime.current_output("o")
+    assert [_row_key(r) for r in frame.rows] == sorted(_row_key(r) for r in rows)
+    assert Counter(map(repr, frame.rows)) == Counter(map(repr, rows))
+
+
+def test_canonical_order_is_exact_beyond_2_53_and_for_negative_zero():
+    rows = [(10**16,), (9999999999999999,), (-0.0,), (0,)]
+    frame = untyped_session(rows, width=1).runtime.current_output("o")
+    assert [repr(r) for r in frame.rows] == [
+        "(0,)", "(-0.0,)", "(9999999999999999,)", "(10000000000000000,)"
+    ]
+
+
+def test_canonical_order_with_duplicate_column_names():
+    session = local_session(
+        "CREATE OUTPUT pairs AS SELECT a.x, b.x FROM t a, t b;",
+        {"t": ([ColumnDef("x", "INT")], [(2,), (1,)])},
+    )
+    frame = session.runtime.current_output("pairs")
+    assert frame.columns == ("x", "x:1")
+    assert frame.rows == ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def test_output_with_order_by_keeps_engine_order():
