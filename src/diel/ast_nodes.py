@@ -141,6 +141,49 @@ class SelectQuery:
         refs.extend(j.table for j in self.joins)
         return refs
 
+    def clauses(self) -> list[Expr]:
+        """Top-level expressions in clause order: select list, join conditions,
+        WHERE, GROUP BY, HAVING, ORDER BY, LIMIT."""
+        exprs = [item.expr for item in self.items]
+        exprs.extend(j.on for j in self.joins if j.on is not None)
+        if self.where is not None:
+            exprs.append(self.where)
+        exprs.extend(self.group_by)
+        if self.having is not None:
+            exprs.append(self.having)
+        exprs.extend(o.expr for o in self.order_by)
+        if self.limit is not None:
+            exprs.append(self.limit)
+        return exprs
+
+
+def walk(expr: Expr) -> list[Expr]:
+    """`expr` and its sub-expressions, parents first, left to right. A
+    ScalarSubquery is listed but not entered: its query is a scope of its own."""
+    nodes: list[Expr] = []
+
+    def visit(node: Expr) -> None:
+        nodes.append(node)
+        if isinstance(node, BinaryOp):
+            visit(node.left)
+            visit(node.right)
+        elif isinstance(node, (UnaryOp, IsNull)):
+            visit(node.operand)
+        elif isinstance(node, FuncCall):
+            for arg in node.args:
+                visit(arg)
+        elif isinstance(node, CaseExpr):
+            if node.operand is not None:
+                visit(node.operand)
+            for cond, result in node.whens:
+                visit(cond)
+                visit(result)
+            if node.else_result is not None:
+                visit(node.else_result)
+
+    visit(expr)
+    return nodes
+
 
 # --- statements --------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Resolve parsed statements into a relation catalog plus a dependency graph.
 
 Pipeline: template expansion -> schema copy -> catalog construction ->
-system-column augmentation -> name resolution and shorthand rewriting ->
-dependency graph -> well-formedness diagnostics. The catalog keeps queries in
+dependency graph -> system-column augmentation -> result columns of every
+query relation (in dependency order) -> name resolution and shorthand
+rewriting -> well-formedness diagnostics. The catalog keeps queries in
 their sugared form (LATEST flags intact); `desugar_latest` produces the plain
 SQL form as a new AST. Per-instance programs do not call it: the printer
 lowers LATEST while printing (`query_sql(q, lower=True)`), to the same text.
@@ -16,7 +17,6 @@ from enum import Enum
 
 from .ast_nodes import (
     BinaryOp,
-    CaseExpr,
     ColumnDef,
     ColumnRef,
     CreateAsyncView,
@@ -29,7 +29,6 @@ from .ast_nodes import (
     Expr,
     FuncCall,
     InsertStatement,
-    IsNull,
     NotEmptyConstraint,
     ProgramCommand,
     ScalarSubquery,
@@ -39,8 +38,8 @@ from .ast_nodes import (
     Star,
     Statement,
     TableRef,
-    UnaryOp,
     UseTemplate,
+    walk,
 )
 from .errors import (
     AmbiguousColumnError,
@@ -81,17 +80,16 @@ QUERY_KINDS = (RelationKind.VIEW, RelationKind.ASYNC_VIEW, RelationKind.OUTPUT)
 @dataclass
 class ViewConstraint:
     view: str
-    kind: str = "NotEmpty"
 
 
 @dataclass
 class RelationDef:
     name: str
     kind: RelationKind
+    # a query relation's result columns, inferred once by compile_program
     columns: list[ColumnDef] = field(default_factory=list)
     system_columns: tuple[str, ...] = ()
     query: SelectQuery | None = None
-    constraints: list[ViewConstraint] = field(default_factory=list)
     is_base: bool = False  # pre-existing table owned by a database instance
 
     @property
@@ -120,20 +118,6 @@ class DependencyGraph:
 
     reads: dict[str, tuple[str, ...]]
     program_writes: dict[str, tuple[str, ...]]
-
-    def edges(self) -> set[tuple[str, str]]:
-        return {(src, dst) for src, dsts in self.reads.items() for dst in dsts}
-
-    def closure(self, name: str) -> frozenset[str]:
-        seen: set[str] = set()
-        stack = list(self.reads.get(name, ()))
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self.reads.get(cur, ()))
-        return frozenset(seen)
 
     def topological_order(self) -> list[str]:
         order: list[str] = []
@@ -176,16 +160,9 @@ class Catalog:
         return [r for r in self.relations.values() if r.kind in kinds]
 
     def columns_of(self, name: str) -> list[ColumnDef]:
-        """Columns a query sees when it references `name`."""
-        rel = self.relation(name)
-        if rel.kind in TABLE_KINDS:
-            return rel.physical_columns
-        if rel.kind is RelationKind.ASYNC_VIEW:
-            # readable result relation at the coordinator: payload + system
-            return infer_output_columns(rel.query, self) + [
-                ColumnDef(c, "INT") for c in rel.system_columns
-            ]
-        return infer_output_columns(rel.query, self)
+        """Columns a query sees when it references `name`; an async view reads
+        as its result relation at the coordinator: payload + system."""
+        return self.relation(name).physical_columns
 
 
 # --- template expansion -------------------------------------------------------
@@ -331,11 +308,6 @@ def build_catalog(
                     f"program {program.name} trigger {trigger!r} is not an event table"
                 )
 
-    for constraint in catalog.constraints:
-        rel = catalog.relations.get(constraint.view)
-        if rel is not None and rel.kind in (RelationKind.VIEW, RelationKind.OUTPUT):
-            rel.constraints.append(constraint)
-
     return catalog
 
 
@@ -354,23 +326,14 @@ def augment_system_columns(catalog: Catalog) -> Catalog:
                         f"{rel.name!r}: column {col.name!r} shadows a system column"
                     )
         rel.system_columns = system
-        if rel.kind is RelationKind.ASYNC_VIEW and rel.query is not None:
-            for col in infer_output_columns(rel.query, catalog):
-                if col.name in SYSTEM_COLUMNS:
-                    raise ReservedColumnNameError(
-                        f"async view {rel.name!r} result column {col.name!r} "
-                        "shadows a system column"
-                    )
     return catalog
 
 
 # --- column inference -----------------------------------------------------------
 
 
-def infer_output_columns(query: SelectQuery | None, catalog: Catalog) -> list[ColumnDef]:
+def infer_output_columns(query: SelectQuery, catalog: Catalog) -> list[ColumnDef]:
     """Names and (best-effort) types for a query's result columns."""
-    if query is None:
-        return []
     columns: list[ColumnDef] = []
     taken: set[str] = set()
 
@@ -442,7 +405,7 @@ class _Scope:
 
     def column_names(self, binding: str) -> set[str]:
         relation = self.catalog.relation(self.bindings[binding])
-        names = {c.name for c in self.catalog.columns_of(relation.name)}
+        names = {c.name for c in relation.physical_columns}
         if relation.kind in TABLE_KINDS:
             names.add("rowid")  # implicit engine column on physical tables
         return names
@@ -476,8 +439,7 @@ class _Scope:
 def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = None) -> None:
     """Validate and normalize one query in place (recursing into subqueries)."""
     for ref in query.table_refs():
-        rel = catalog.relation(ref.name)
-        available = set(rel.system_columns) | {c.name for c in rel.columns}
+        available = {c.name for c in catalog.relation(ref.name).physical_columns}
         if ref.latest and "timestep" not in available:
             raise LatestOnNonEventError(f"LATEST on {ref.name!r}, which has no timestep")
         if ref.latest_request and "request_timestep" not in available:
@@ -488,50 +450,36 @@ def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = 
     scope = _Scope(catalog, query, parent)
     _rewrite_join_shorthand(query, scope)
 
-    def walk(expr: Expr, allow_alias: bool, in_args: bool = False) -> None:
-        if isinstance(expr, ColumnRef):
-            scope.resolve(expr, allow_alias)
-        elif isinstance(expr, Star):
-            if expr.table is not None and expr.table not in scope.bindings:
-                raise UnknownRelationError(f"unknown table alias {expr.table!r}")
-        elif isinstance(expr, FuncCall):
-            _check_function(expr, scope)
-            _expand_star_args(expr, scope)
-            for arg in expr.args:
-                walk(arg, allow_alias, in_args=True)
-        elif isinstance(expr, BinaryOp):
-            walk(expr.left, allow_alias)
-            walk(expr.right, allow_alias)
-        elif isinstance(expr, UnaryOp):
-            walk(expr.operand, allow_alias)
-        elif isinstance(expr, IsNull):
-            walk(expr.operand, allow_alias)
-        elif isinstance(expr, CaseExpr):
-            if expr.operand is not None:
-                walk(expr.operand, allow_alias)
-            for cond, result in expr.whens:
-                walk(cond, allow_alias)
-                walk(result, allow_alias)
-            if expr.else_result is not None:
-                walk(expr.else_result, allow_alias)
-        elif isinstance(expr, ScalarSubquery):
-            resolve_query(expr.query, catalog, parent=scope)
+    def check(expr: Expr, allow_alias: bool) -> None:
+        # the list is taken before `f(b.*)` is expanded: the references that
+        # replace the star name b's own columns and need no resolving
+        for node in walk(expr):
+            if isinstance(node, ColumnRef):
+                scope.resolve(node, allow_alias)
+            elif isinstance(node, Star):
+                if node.table is not None and node.table not in scope.bindings:
+                    raise UnknownRelationError(f"unknown table alias {node.table!r}")
+            elif isinstance(node, FuncCall):
+                _check_function(node, scope)
+                _expand_star_args(node, scope)
+            elif isinstance(node, ScalarSubquery):
+                resolve_query(node.query, catalog, parent=scope)
 
     for item in query.items:
-        walk(item.expr, allow_alias=False)
+        check(item.expr, allow_alias=False)
     for join in query.joins:
         if join.on is not None:
-            walk(join.on, allow_alias=False)
+            check(join.on, allow_alias=False)
     if query.where is not None:
-        walk(query.where, allow_alias=False)
+        check(query.where, allow_alias=False)
     for expr in query.group_by:
-        walk(expr, allow_alias=True)
+        check(expr, allow_alias=True)
     if query.having is not None:
-        walk(query.having, allow_alias=True)
+        check(query.having, allow_alias=True)
     for order in query.order_by:
-        walk(order.expr, allow_alias=True)
+        check(order.expr, allow_alias=True)
     if query.limit is not None:
-        walk(query.limit, allow_alias=False)
+        check(query.limit, allow_alias=False)
 
 
 def _rewrite_join_shorthand(query: SelectQuery, scope: _Scope) -> None:
@@ -611,10 +559,8 @@ def _desugar_in_place(query: SelectQuery, catalog: Catalog) -> None:
     for ref in query.table_refs():
         if not (ref.latest or ref.latest_request):
             continue
-        rel = catalog.relation(ref.name)
         column = "timestep" if ref.latest else "request_timestep"
-        available = set(rel.system_columns) | {c.name for c in rel.columns}
-        if column not in available:
+        if column not in {c.name for c in catalog.relation(ref.name).physical_columns}:
             raise LatestOnNonEventError(
                 f"{'LATEST' if ref.latest else 'LATEST_REQUEST'} on {ref.name!r}, "
                 f"which has no {column} column"
@@ -639,42 +585,12 @@ def _desugar_in_place(query: SelectQuery, catalog: Catalog) -> None:
 
 
 def _nested_queries(query: SelectQuery) -> list[SelectQuery]:
-    found: list[SelectQuery] = []
-
-    def walk(expr: Expr | None) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, ScalarSubquery):
-            found.append(expr.query)
-        elif isinstance(expr, BinaryOp):
-            walk(expr.left)
-            walk(expr.right)
-        elif isinstance(expr, UnaryOp):
-            walk(expr.operand)
-        elif isinstance(expr, IsNull):
-            walk(expr.operand)
-        elif isinstance(expr, FuncCall):
-            for arg in expr.args:
-                walk(arg)
-        elif isinstance(expr, CaseExpr):
-            walk(expr.operand)
-            for cond, result in expr.whens:
-                walk(cond)
-                walk(result)
-            walk(expr.else_result)
-
-    for item in query.items:
-        walk(item.expr)
-    for join in query.joins:
-        walk(join.on)
-    walk(query.where)
-    for expr in query.group_by:
-        walk(expr)
-    walk(query.having)
-    for order in query.order_by:
-        walk(order.expr)
-    walk(query.limit)
-    return found
+    return [
+        node.query
+        for clause in query.clauses()
+        for node in walk(clause)
+        if isinstance(node, ScalarSubquery)
+    ]
 
 
 def referenced_relations(query: SelectQuery) -> set[str]:
@@ -738,7 +654,9 @@ def check_constraints_wellformed(catalog: Catalog) -> list[str]:
             if col.check is None:
                 continue
             own = {c.name for c in rel.columns}
-            for ref in _column_refs(col.check):
+            for ref in walk(col.check):
+                if not isinstance(ref, ColumnRef):
+                    continue
                 if ref.table is not None and ref.table != rel.name:
                     diagnostics.append(
                         f"{rel.name}.{col.name}: CHECK references other relation {ref.table!r}"
@@ -758,33 +676,6 @@ def check_constraints_wellformed(catalog: Catalog) -> list[str]:
     return diagnostics
 
 
-def _column_refs(expr: Expr) -> list[ColumnRef]:
-    refs: list[ColumnRef] = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, ColumnRef):
-            refs.append(node)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (UnaryOp, IsNull)):
-            walk(node.operand)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, CaseExpr):
-            if node.operand is not None:
-                walk(node.operand)
-            for cond, result in node.whens:
-                walk(cond)
-                walk(result)
-            if node.else_result is not None:
-                walk(node.else_result)
-
-    walk(expr)
-    return refs
-
-
 # --- driver ----------------------------------------------------------------------
 
 
@@ -796,10 +687,22 @@ def compile_program(
     expanded = expand_templates(statements)
     expanded = resolve_schema_copy(expanded, base_schemas)
     catalog = build_catalog(expanded, base_schemas, udfs)
-    # cycle check first: column inference recurses through view queries
     catalog.graph = build_dependency_graph(catalog)
     augment_system_columns(catalog)
 
+    # dependencies first, so each query sees the columns of what it reads
+    for name in catalog.graph.topological_order():
+        rel = catalog.relations.get(name)
+        if rel is None or rel.query is None:
+            continue
+        rel.columns = infer_output_columns(rel.query, catalog)
+        if rel.kind is RelationKind.ASYNC_VIEW:
+            for col in rel.columns:
+                if col.name in SYSTEM_COLUMNS:
+                    raise ReservedColumnNameError(
+                        f"async view {rel.name!r} result column {col.name!r} "
+                        "shadows a system column"
+                    )
     for rel in catalog.relations.values():
         if rel.query is not None:
             resolve_query(rel.query, catalog)
@@ -814,7 +717,7 @@ def compile_program(
     catalog.diagnostics.extend(check_constraints_wellformed(catalog))
     event_names = {r.name for r in catalog.by_kind(RelationKind.EVENT_TABLE, RelationKind.ASYNC_VIEW)}
     for rel in catalog.by_kind(RelationKind.OUTPUT):
-        closure = catalog.graph.closure(rel.name)
+        closure = dependency_closure(rel.name, catalog)
         if rel.query is not None and rel.query.table is not None and not (closure & event_names):
             history = {r.name for r in catalog.by_kind(RelationKind.HISTORY_TABLE)}
             if not (closure & history):

@@ -70,12 +70,7 @@ class Example:
     def golden_text(self) -> str:
         return self._file(GOLDEN_NAME, "golden log").read_text(encoding="utf-8")
 
-    def config(
-        self,
-        cache: bool | None = None,
-        materialize: bool | None = None,
-        dedupe_frames: bool = False,
-    ) -> RunConfig:
+    def config(self, cache: bool | None = None, materialize: bool | None = None) -> RunConfig:
         flags = self.manifest.get("flags", {})
         return RunConfig(
             diel_sources=self.diel_sources(),
@@ -83,7 +78,6 @@ class Example:
             seed=self.manifest.get("seed", 0),
             cache=flags.get("cache", True) if cache is None else cache,
             materialize=flags.get("materialize", True) if materialize is None else materialize,
-            dedupe_frames=dedupe_frames,
         )
 
 
@@ -103,12 +97,9 @@ def load_examples() -> dict[str, Example]:
 
 
 def run_example(
-    example: Example,
-    cache: bool | None = None,
-    materialize: bool | None = None,
-    dedupe_frames: bool = False,
+    example: Example, cache: bool | None = None, materialize: bool | None = None
 ) -> Session:
-    config = example.config(cache=cache, materialize=materialize, dedupe_frames=dedupe_frames)
+    config = example.config(cache=cache, materialize=materialize)
     session = Session.build(config)
     session.run_replay(example.trace())
     return session

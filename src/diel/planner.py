@@ -31,7 +31,7 @@ from .compiler import (
     ViewConstraint,
     _nested_queries,
     build_dependency_graph,
-    infer_output_columns,
+    dependency_closure,
     referenced_relations,
     resolve_query,
 )
@@ -145,24 +145,25 @@ def _estimates(catalog: Catalog, dbs: list[DbDescriptor]) -> dict[str, int]:
 
 
 def base_closure(name: str, catalog: Catalog) -> set[str]:
-    """Leaf (non-query) relations a relation reads, directly or through views."""
-    leaves: set[str] = set()
-    seen: set[str] = set()
-    stack = [name]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        rel = catalog.relations.get(cur)
-        if rel is None:
-            continue
-        if rel.query is None or (rel.kind is RelationKind.ASYNC_VIEW and cur != name):
-            # an async view referenced by someone else reads as its local result table
-            leaves.add(cur)
-            continue
-        stack.extend(catalog.graph.reads.get(cur, ()))
-    return leaves
+    """Leaf relations a query relation reads, directly or through views: tables,
+    and async views, which a reader reads as their local result tables."""
+    return {
+        leaf
+        for leaf in dependency_closure(name, catalog)
+        if leaf in catalog.relations
+        and (catalog.relations[leaf].query is None
+             or catalog.relations[leaf].kind is RelationKind.ASYNC_VIEW)
+    }
+
+
+def remote_bases(name: str, catalog: Catalog, placement: dict[str, str], coordinator: str) -> set[str]:
+    """Base tables off the coordinator that a query relation reads. A base
+    table on no instance counts as local; `locate_relations` rejects it."""
+    return {
+        leaf
+        for leaf in base_closure(name, catalog)
+        if catalog.relations[leaf].is_base and placement.get(leaf, coordinator) != coordinator
+    }
 
 
 def choose_leader(
@@ -178,14 +179,10 @@ def choose_leader(
         rel = catalog.relations.get(name)
         if rel is None:
             continue
-        if rel.kind is RelationKind.ASYNC_VIEW:
-            involved.add(name)  # read as its result table, not through its query
-            continue
-        involved |= {
-            leaf
-            for leaf in base_closure(name, catalog)
-            if catalog.relations.get(leaf) is not None
-        }
+        if rel.query is None or rel.kind is RelationKind.ASYNC_VIEW:
+            involved.add(name)  # an async view is read as its result table
+        else:
+            involved |= base_closure(name, catalog)
 
     def located(rel_name: str) -> str:
         rel = catalog.relations.get(rel_name)
@@ -256,18 +253,17 @@ def rewrite_remote_output(
     async_view = RelationDef(
         name=async_name,
         kind=RelationKind.ASYNC_VIEW,
+        columns=output.columns,
         query=output.query,
         system_columns=("timestep", "timestamp", "request_timestep"),
     )
-
-    payload = infer_output_columns(output.query, catalog)
-    for col in payload:
+    for col in output.columns:
         if col.name in SYSTEM_COLUMNS:
             raise CompileError(
                 f"output {output.name!r} spans remote data but selects a column "
                 f"named {col.name!r}; alias it so the async result schema is valid"
             )
-    items = [SelectItem(ColumnRef(column=c.name, table="e")) for c in payload]
+    items = [SelectItem(ColumnRef(column=c.name, table="e")) for c in output.columns]
     coord_query = SelectQuery(items=items, table=TableRef(name=async_name, alias="e"))
     for event_table in collect_latest_event_tables(output.query, catalog):
         coord_query.joins.append(
@@ -281,7 +277,9 @@ def rewrite_remote_output(
                 ),
             )
         )
-    coord_output = RelationDef(name=output.name, kind=RelationKind.OUTPUT, query=coord_query)
+    coord_output = RelationDef(
+        name=output.name, kind=RelationKind.OUTPUT, columns=output.columns, query=coord_query
+    )
     return async_view, coord_output
 
 
@@ -295,22 +293,12 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         catalog, relations=dict(catalog.relations), constraints=list(catalog.constraints)
     )
     coordinator = coordinator_of(dbs)
-    estimates = _estimates(catalog, dbs)
-    placement = locate_relations(catalog, dbs)
-
-    def off_coordinator(rel: RelationDef) -> set[str]:
-        return {
-            leaf
-            for leaf in base_closure(rel.name, catalog)
-            if catalog.relations.get(leaf) is not None
-            and catalog.relations[leaf].is_base
-            and placement[leaf] != coordinator
-        }
+    bases = {table: db.db_id for db in dbs for table in db.tables}
 
     rewritten: dict[str, str] = {}
     for name in list(catalog.relations):
         rel = catalog.relations[name]
-        if rel.kind is not RelationKind.OUTPUT or not off_coordinator(rel):
+        if rel.kind is not RelationKind.OUTPUT or not remote_bases(name, catalog, bases, coordinator):
             continue
         reads_async = any(
             catalog.relations.get(r) is not None
@@ -331,7 +319,7 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
     for name in rewritten:
         resolve_query(catalog.relations[name].query, catalog)
 
-    # placement again: new async views need leaders, outputs moved home
+    # placed after rewriting, so each new async view gets a leader
     placement = locate_relations(catalog, dbs)
     leaders = {
         rel.name: placement[rel.name]
@@ -352,15 +340,14 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
             if rel.kind in SHIPPABLE_KINDS:
                 shipments.add(ShipmentSpec(relation=leaf, destination=leader))
             elif rel.is_base or rel.kind is RelationKind.TABLE:
-                if leaf not in estimates:
-                    raise UnsupportedSpanError(f"no row estimate for {leaf!r}")
                 shipments.add(ShipmentSpec(relation=leaf, destination=leader, snapshot=True))
 
     unchecked = [
         c
         for c in catalog.constraints
-        if c.view in catalog.relations and off_coordinator(catalog.relations[c.view])
+        if c.view in catalog.relations
         and catalog.relations[c.view].kind is RelationKind.VIEW
+        and remote_bases(c.view, catalog, bases, coordinator)
     ]
 
     plan = FederationPlan(
@@ -453,15 +440,14 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
         elif rel.kind is RelationKind.TABLE and not rel.is_base:
             lines.append(_create_table_sql(rel.name, rel.columns, ()))
         elif rel.kind is RelationKind.ASYNC_VIEW:
-            payload = infer_output_columns(rel.query, catalog)
-            untyped = [ColumnDef(c.name, None) for c in payload]
+            untyped = [ColumnDef(c.name, None) for c in rel.columns]
             lines.append(_create_table_sql(rel.name, untyped, rel.system_columns))
             lines.append(index_request_timestep(rel.name, plan.coordinator))
     view_names = {r.name for r in catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)}
     for name in topo_sorted(view_names):
         rel = catalog.relations[name]
         if name in mat_views:
-            cols = [ColumnDef(c.name, None) for c in infer_output_columns(rel.query, catalog)]
+            cols = [ColumnDef(c.name, None) for c in rel.columns]
             lines.append(_create_table_sql(name, cols, ()))
         else:
             lines.append(f"CREATE VIEW {quote_ident(name)} AS {lowered[name]};")
@@ -493,8 +479,7 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
                 continue
             rel = catalog.relation(spec.relation)
             if rel.kind is RelationKind.ASYNC_VIEW:
-                payload = infer_output_columns(rel.query, catalog)
-                cols = [ColumnDef(c.name, None) for c in payload]
+                cols = [ColumnDef(c.name, None) for c in rel.columns]
                 lines.append(_create_table_sql(spec.relation, cols, rel.system_columns))
                 lines.append(index_request_timestep(spec.relation, db_id))
             else:
@@ -503,7 +488,7 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
         for view, leader in plan.leaders.items():
             if leader != db_id:
                 continue
-            for name in catalog.graph.closure(view):
+            for name in dependency_closure(view, catalog):
                 rel = catalog.relations.get(name)
                 if rel is not None and rel.kind is RelationKind.VIEW:
                     local_views.add(name)

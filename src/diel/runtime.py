@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .ast_nodes import ColumnDef, InsertStatement
-from .compiler import (
-    Catalog,
-    RelationKind,
-    dependency_closure,
-    infer_output_columns,
-)
+from .compiler import Catalog, RelationKind, dependency_closure
 from .engine import SqlEngine
 from .errors import (
     EngineError,
@@ -74,7 +69,6 @@ class RunOptions:
     seed: int | None = None
     cache_enabled: bool = True
     dedupe_frames: bool = False
-    check_atomicity: bool = False
 
 
 class Runtime:
@@ -157,8 +151,7 @@ class Runtime:
                 commands.append((sqls, insert))
             self._program_sql[program.name] = commands
         self._result_widths = {
-            name: len(infer_output_columns(self.catalog.relations[name].query, self.catalog))
-            for name in self._async_views
+            name: len(self.catalog.relations[name].columns) for name in self._async_views
         }
         # event table -> (column, SQL of its CHECK over the bound payload values)
         self._check_sql: dict[str, list[tuple[str, str]]] = {}
@@ -435,12 +428,6 @@ class Runtime:
                 if not ({name} | set(self._closures[name])) & changed:
                     continue
                 columns, rows = self._evaluate_relation(name)
-                if self.options.check_atomicity:
-                    again = self._evaluate_relation(name)[1]
-                    if again != rows:
-                        raise EngineError(
-                            f"output {name}", "evaluation is not stable within a timestep"
-                        )
                 frame = OutputFrame(name, t, tuple(columns), tuple(rows))
                 if self.options.dedupe_frames and self._last_rendered.get(name) == frame.rows:
                     continue

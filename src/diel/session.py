@@ -23,10 +23,10 @@ from .parser import parse_diel
 from .planner import (
     DbDescriptor,
     FederationPlan,
-    base_closure,
     base_schemas_of,
     emit_per_db_sql,
     plan_federation,
+    remote_bases,
 )
 from .runtime import OutputFrame, RunOptions, Runtime, setup
 
@@ -84,7 +84,6 @@ class RunConfig:
     cache: bool = True
     materialize: bool = True
     dedupe_frames: bool = False
-    check_atomicity: bool = False
     udfs: dict | None = None  # name -> UdfDef, registered on every instance
 
 
@@ -161,11 +160,7 @@ class Session:
                 rel.name
                 for rel in plan.catalog.relations.values()
                 if rel.query is not None
-                and all(
-                    plan.placement.get(leaf, plan.coordinator) == plan.coordinator
-                    or not plan.catalog.relations[leaf].is_base
-                    for leaf in base_closure(rel.name, plan.catalog)
-                )
+                and not remote_bases(rel.name, plan.catalog, plan.placement, plan.coordinator)
             }
             mat_plan = materialize_shared_views(plan.catalog, plan.catalog.graph, local)
         emit_per_db_sql(plan, mat_plan.tables)
@@ -194,7 +189,6 @@ class Session:
             seed=config.seed,
             cache_enabled=config.cache,
             dedupe_frames=config.dedupe_frames,
-            check_atomicity=config.check_atomicity,
         )
         runtime = setup(
             plan,

@@ -15,7 +15,6 @@ class UdfDef:
     name: str
     arity: int
     fn: Callable
-    pure: bool = True
 
 
 def point_in_box(lat, lon, lat_min, lon_min, lat_max, lon_max) -> int:

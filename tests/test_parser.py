@@ -13,10 +13,11 @@ from diel.ast_nodes import (
     ScalarSubquery,
     SchemaCopy,
     UseTemplate,
+    walk,
 )
 from diel.errors import ParseError, UnknownKeywordError
 from diel.parser import parse_diel, parse_query, tokenize
-from diel.printer import program_sql, query_sql
+from diel.printer import expr_sql, program_sql, query_sql
 
 from listing_texts import ALL_LISTINGS, MULTI_SELECT, UNDO
 
@@ -242,3 +243,24 @@ def test_query_round_trip_with_case_and_subquery():
     )
     query = parse_query(text)
     assert parse_query(query_sql(query)) == query
+
+
+def test_walk_lists_parents_first_left_to_right_without_entering_subqueries():
+    """The planner's coordination joins follow this order, so it is pinned."""
+    query = parse_query(
+        "SELECT CASE WHEN a > 1 THEN f(b, -c) ELSE (SELECT MAX(x) FROM t) END AS k, d "
+        "FROM t JOIN u ON t.y = u.y WHERE d IS NULL AND NOT e "
+        "GROUP BY k HAVING COUNT() > 2 ORDER BY g LIMIT 5"
+    )
+    case = query.items[0].expr
+    assert [type(n).__name__ for n in walk(case)] == [
+        "CaseExpr", "BinaryOp", "ColumnRef", "Literal", "FuncCall", "ColumnRef",
+        "UnaryOp", "ColumnRef", "ScalarSubquery",
+    ]
+    assert [expr_sql(n) for n in walk(query.where)] == [
+        "((d IS NULL) AND (NOT e))", "(d IS NULL)", "d", "(NOT e)", "e",
+    ]
+    assert [expr_sql(c) for c in query.clauses()] == [
+        expr_sql(case), "d", "(t.y = u.y)", "((d IS NULL) AND (NOT e))", "k",
+        "(COUNT(*) > 2)", "g", "5",
+    ]

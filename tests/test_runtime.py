@@ -218,14 +218,14 @@ CREATE OUTPUT regions AS
 """
 
 
-def chained_session() -> Session:
+def chained_session(program: str = CHAINED_VIEWS) -> Session:
     """perOrigin leads on r1 (fixed(3)), perRegion on r2 (fixed(2))."""
     from diel.ast_nodes import ColumnDef
 
     lookup_cols = [ColumnDef("origin", "TEXT"), ColumnDef("region", "TEXT")]
     lookup_rows = [("LAX", "west"), ("SFO", "west"), ("JFK", "east")]
     config = RunConfig(
-        diel_sources=[CHAINED_VIEWS],
+        diel_sources=[program],
         databases=[
             DbConfig("main", "quick"),
             DbConfig("r1", "remote", latency="fixed(3)",
@@ -276,6 +276,96 @@ def test_chained_result_is_admitted_and_forwarded_at_its_arrival():
     ship_r2 = [m for m in session.runtime.federation.transport.log
                if m.kind == "ShipData" and m.to_db == "r2" and m.request_timestep == 2]
     assert [m.send_ms for m in ship_r2] == [6]
+
+
+CHAINED_THROUGH_VIEW = """\
+CREATE EVENT TABLE slideItx(flight_year INT);
+CREATE VIEW inYear AS
+  SELECT origin FROM flights JOIN LATEST slideItx ON flight_year;
+CREATE ASYNC VIEW perOrigin AS SELECT origin, COUNT() count FROM inYear GROUP BY origin;
+CREATE ASYNC VIEW perRegion AS
+  SELECT region, count FROM lookup JOIN LATEST_REQUEST perOrigin ON origin;
+CREATE OUTPUT regions AS
+  SELECT region, count FROM LATEST_REQUEST perRegion ORDER BY region, count;
+"""
+
+
+def test_views_on_a_chained_instance_read_only_what_it_holds():
+    """perRegion's leader reads perOrigin as a shipped result table, so it
+    must not also receive the view perOrigin reads (inYear over flights)."""
+    session = chained_session(CHAINED_THROUGH_VIEW)
+    assert session.plan.leaders == {"perOrigin": "r1", "perRegion": "r2"}
+    for db_id, instance in session.runtime.federation.instances.items():
+        views = [row[0] for row in instance.engine.conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'view'")]
+        for view in views:
+            # a view over a relation the instance lacks fails when it is read
+            instance.engine.run_query(f'SELECT * FROM "{view}" LIMIT 0', context=view)
+    assert "inYear" not in session.plan.programs["r2"]
+    session.run_replay([TraceEntry(0, "slideItx", {"flight_year": 2000})])
+    frames = [f for f in session.runtime.frames if f.rows]
+    assert frames[-1].rows == (("east", 1), ("west", 1))
+
+
+PTS_COLUMNS = [ColumnDef("id", "INT"), ColumnDef("lat", "REAL"), ColumnDef("lon", "REAL")]
+PTS_ROWS = [(1, 1.0, 1.0), (2, 5.0, 5.0), (3, 9.0, 2.0), (4, 2.0, 8.0)]
+BRUSH = "CREATE EVENT TABLE brushItx(latMin REAL, lonMin REAL, latMax REAL, lonMax REAL);\n"
+DIRECT = """\
+CREATE OUTPUT direct AS
+  SELECT p.id FROM pts p JOIN LATEST brushItx b ON point_in_box(p.lat, p.lon, b.*);
+"""
+BOX_VIEW = """\
+CREATE VIEW box AS SELECT latMin, lonMin, latMax, lonMax FROM LATEST brushItx;
+CREATE OUTPUT viaBox AS
+  SELECT p.id FROM pts p JOIN box b ON point_in_box(p.lat, p.lon, b.*);
+"""
+BOX_ASYNC = """\
+CREATE ASYNC VIEW box AS SELECT latMin, lonMin, latMax, lonMax FROM LATEST brushItx;
+CREATE OUTPUT viaBox AS
+  SELECT p.id FROM pts p JOIN LATEST_REQUEST box b ON point_in_box(p.lat, p.lon, b.*);
+"""
+# with pts remote, a reader of an async view is itself written as one
+BOX_ASYNC_CHAINED = """\
+CREATE ASYNC VIEW box AS SELECT latMin, lonMin, latMax, lonMax FROM LATEST brushItx;
+CREATE ASYNC VIEW inBox AS
+  SELECT p.id FROM pts p JOIN LATEST_REQUEST box b ON point_in_box(p.lat, p.lon, b.*);
+CREATE OUTPUT viaBox AS SELECT id FROM LATEST_REQUEST inBox;
+"""
+
+
+@pytest.mark.parametrize(
+    "program, pts_remote",
+    [(BOX_VIEW, False), (BOX_VIEW, True), (BOX_ASYNC, False), (BOX_ASYNC_CHAINED, True)],
+    ids=["view-local", "view-remote", "async-local", "async-remote"],
+)
+def test_star_argument_expands_the_columns_of_a_view(program, pts_remote):
+    """`f(b.*)` over a view or an async view passes that relation's columns,
+    exactly as it does over the event table the view reads."""
+    pts = {"pts": (PTS_COLUMNS, PTS_ROWS)}
+    databases = [DbConfig("main", "quick", tables={} if pts_remote else pts)]
+    if pts_remote:
+        databases.append(DbConfig("r1", "remote", latency="fixed(2)", tables=pts))
+    session = Session.build(RunConfig([BRUSH + program + DIRECT], databases, seed=3))
+    rendered = []
+    for i, box in enumerate([(0, 0, 6, 6), (4, 1, 10, 10), (8, 0, 10, 3), (0, 0, 10, 10)]):
+        payload = dict(zip(("latMin", "lonMin", "latMax", "lonMax"), map(float, box)))
+        session.inject(TraceEntry(100 * i, "brushItx", payload))
+        session.run_quiescent()
+        via_box = session.runtime.current_output("viaBox").rows
+        assert via_box == session.runtime.current_output("direct").rows
+        rendered.append(sorted(via_box))
+    assert rendered == [[(1,), (2,)], [(2,), (3,)], [(3,)], [(1,), (2,), (3,), (4,)]]
+
+
+def test_latest_over_a_view_that_selects_timestep():
+    """LATEST needs a timestep column, and a view's inferred columns count."""
+    session = local_session(
+        "CREATE EVENT TABLE slideItx(flight_year INT);"
+        "CREATE VIEW slides AS SELECT * FROM slideItx;"
+        "CREATE OUTPUT year AS SELECT flight_year FROM LATEST slides;"
+    )
+    session.run_replay(TRACE3)
+    assert [f.rows for f in session.runtime.frames] == [((1998,),), ((1999,),), ((2000,),)]
 
 
 def test_output_over_result_table_fires_only_on_result_events():
@@ -352,15 +442,6 @@ def test_reaction_time_policy_window():
     session.runtime.new_event("clickItx", {"item": "b"}, at_ms=1250)
     frames = {f.timestep: f for f in session.runtime.frames if f.output == "intended"}
     assert frames[3].rows == (("b",),)
-
-
-def test_atomicity_double_evaluation_is_stable():
-    session = local_session(
-        SLIDER, tables={"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)}, check_atomicity=True
-    )
-    for year in (1998, 1999, 2000):
-        session.runtime.new_event("slideItx", {"flight_year": year}, at_ms=0)
-    assert len(session.runtime.frames) == 3
 
 
 def test_event_tables_are_append_only():
