@@ -48,7 +48,7 @@ from .planner import (
     rewrite_remote_output,
 )
 from .printer import program_sql, query_sql, statement_sql
-from .runtime import EventRecord, OutputFrame, RunOptions, Runtime, setup
+from .runtime import EventRecord, OutputFrame, Runtime, setup
 from .session import DbConfig, RunConfig, Session, TraceEntry, load_trace, parse_trace
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "RequestCache",
     "RequestCacheRow",
     "RunConfig",
-    "RunOptions",
     "Runtime",
     "SelectQuery",
     "Session",

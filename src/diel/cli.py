@@ -132,7 +132,7 @@ def _repl(session: Session) -> int:
         print(f"-- {frame.output} @ timestep {frame.timestep}")
         print(render_frame_text(frame.columns, frame.rows))
 
-    for output in runtime._output_names():
+    for output in runtime._outputs:
         runtime.bind_output(output, on_frame)
 
     print("commands: event <name> {json} | show <output> | log | quit")

@@ -75,6 +75,9 @@ class RelationKind(Enum):
 
 TABLE_KINDS = (RelationKind.EVENT_TABLE, RelationKind.TABLE, RelationKind.HISTORY_TABLE)
 QUERY_KINDS = (RelationKind.VIEW, RelationKind.ASYNC_VIEW, RelationKind.OUTPUT)
+# relations that grow, append-only, while a session runs; the rest of what
+# queries read (base and plain tables) is fixed at setup
+GROWING_KINDS = (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE, RelationKind.ASYNC_VIEW)
 
 
 @dataclass
@@ -593,11 +596,16 @@ def _nested_queries(query: SelectQuery) -> list[SelectQuery]:
     ]
 
 
-def referenced_relations(query: SelectQuery) -> set[str]:
-    names = {ref.name for ref in query.table_refs()}
+def all_table_refs(query: SelectQuery) -> list[TableRef]:
+    """Table references of a query and of its nested subqueries, at every depth."""
+    refs = query.table_refs()
     for sub in _nested_queries(query):
-        names |= referenced_relations(sub)
-    return names
+        refs.extend(all_table_refs(sub))
+    return refs
+
+
+def referenced_relations(query: SelectQuery) -> set[str]:
+    return {ref.name for ref in all_table_refs(query)}
 
 
 def dependency_closure(name: str, catalog: Catalog) -> frozenset[str]:
@@ -620,6 +628,18 @@ def dependency_closure(name: str, catalog: Catalog) -> frozenset[str]:
             continue
         stack.extend(graph.reads.get(cur, ()))
     return frozenset(seen)
+
+
+def closure_table_refs(name: str, catalog: Catalog) -> list[TableRef]:
+    """Table references of a query relation and of the views it reads through,
+    the ones in its dependency closure: async views are read as result tables."""
+    closure = dependency_closure(name, catalog)
+    views = sorted(
+        n for n in closure
+        if catalog.relations[n].query is not None
+        and catalog.relations[n].kind is not RelationKind.ASYNC_VIEW
+    )
+    return [ref for n in [name, *views] for ref in all_table_refs(catalog.relations[n].query)]
 
 
 # --- dependency graph ----------------------------------------------------------

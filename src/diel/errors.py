@@ -84,17 +84,6 @@ class CyclicDependencyError(CompileError):
         super().__init__("cyclic dependency: " + " -> ".join(cycle + cycle[:1]))
 
 
-# --- planning ----------------------------------------------------------------
-
-
-class PlanError(DielError):
-    pass
-
-
-class UnsupportedSpanError(PlanError):
-    """A query spans instances whose row estimates are missing."""
-
-
 # --- runtime -----------------------------------------------------------------
 
 

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 from .ast_nodes import InsertStatement
 from .compiler import (
+    GROWING_KINDS,
     Catalog,
     DependencyGraph,
     RelationKind,
+    closure_table_refs,
     dependency_closure,
     referenced_relations,
 )
@@ -38,8 +40,8 @@ def materialize_shared_views(
 ) -> MaterializationPlan:
     """Plan table-backed storage for every view with two or more consumers.
 
-    `evaluable` restricts candidates to views the coordinator can refresh
-    locally (views spanning remote base data stay virtual at their leader).
+    `evaluable` restricts candidates to views placed on the coordinator (a
+    view over remote base data exists only at the leaders that read it).
     """
     consumers: dict[str, int] = {}
     for name, reads in graph.reads.items():
@@ -69,6 +71,24 @@ def materialize_shared_views(
 
 
 # --- request cache ---------------------------------------------------------------
+
+
+def cacheable_views(catalog: Catalog) -> set[str]:
+    """Async views whose result depends on the triggering event's payload alone,
+    the ones the request cache serves: the only changing relation in the view's
+    dependency closure is one event table, every reference to it is LATEST,
+    and everything else the view reads is a base or plain table."""
+    views = set()
+    for view in catalog.by_kind(RelationKind.ASYNC_VIEW):
+        changing = [
+            name for name in dependency_closure(view.name, catalog)
+            if catalog.relations[name].kind in GROWING_KINDS
+        ]
+        if len(changing) != 1 or catalog.relations[changing[0]].kind is not RelationKind.EVENT_TABLE:
+            continue
+        if all(ref.latest for ref in closure_table_refs(view.name, catalog) if ref.name == changing[0]):
+            views.add(view.name)
+    return views
 
 
 @dataclass(frozen=True)

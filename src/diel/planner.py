@@ -1,9 +1,20 @@
 """Assign relations to database instances and emit per-instance SQL programs.
 
+`FederationPlan.placement` is the one record of where each relation lives or
+is evaluated; emission, materialization and NOT EMPTY probes read it:
+
+- a base table is placed on the instance that owns it;
+- an async view is placed on its leader, the instance that `choose_leader`
+  picks so that the fewest rows are shipped (the planner's only choice);
+- event, history and plain tables and outputs are placed on the coordinator;
+- a plain view is placed on the coordinator when it reads no base table held
+  by another instance. Otherwise it has no entry: it exists only inside the
+  programs of the leaders whose async views read it.
+
 Outputs that read off-coordinator data are rewritten into an async view that
 runs at a leader instance plus a coordination output implementing the strict
 default policy: result rows render only when their request_timestep equals
-the latest timestep of every interaction table the original query read.
+the newest timestep of the interaction tables the original query read.
 Explicitly declared async views are never touched, so custom policies stay
 exactly as written.
 """
@@ -17,22 +28,23 @@ from .ast_nodes import (
     ColumnDef,
     ColumnRef,
     CreateProgram,
+    FuncCall,
     InsertStatement,
     Join,
+    ScalarSubquery,
     SelectItem,
     SelectQuery,
     TableRef,
 )
 from .compiler import (
+    GROWING_KINDS,
     SYSTEM_COLUMNS,
     Catalog,
     RelationDef,
     RelationKind,
-    ViewConstraint,
-    _nested_queries,
     build_dependency_graph,
+    closure_table_refs,
     dependency_closure,
-    referenced_relations,
     resolve_query,
 )
 from .engine import sql_type
@@ -41,16 +53,12 @@ from .errors import (
     ConfigError,
     DuplicateRelationError,
     UnknownRelationError,
-    UnsupportedSpanError,
 )
 from .printer import expr_sql, query_sql, quote_ident, statement_sql
 
 KIND_QUICK = "quick"
 KIND_BACKGROUND = "background"
 KIND_REMOTE = "remote"
-
-# coordinator-resident relations that grow append-only and ship as deltas
-SHIPPABLE_KINDS = (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE, RelationKind.ASYNC_VIEW)
 
 
 @dataclass
@@ -83,7 +91,6 @@ class FederationPlan:
     # program command runs (one per VALUES row); set by emit_per_db_sql
     relation_sql: dict[str, str] = field(default_factory=dict)
     program_sql: dict[str, list[list[str]]] = field(default_factory=dict)
-    unchecked_constraints: list[ViewConstraint] = field(default_factory=list)
 
 
 def base_schemas_of(dbs: list[DbDescriptor]) -> dict[str, list[ColumnDef]]:
@@ -108,28 +115,37 @@ def coordinator_of(dbs: list[DbDescriptor]) -> str:
 # --- placement -----------------------------------------------------------------
 
 
-def locate_relations(catalog: Catalog, dbs: list[DbDescriptor]) -> dict[str, str]:
-    coordinator = coordinator_of(dbs)
-    placement: dict[str, str] = {}
-    estimates = _estimates(catalog, dbs)
+def locate_bases(catalog: Catalog, dbs: list[DbDescriptor]) -> dict[str, str]:
+    """The instance that owns each base table."""
+    owners: dict[str, str] = {}
     for db in dbs:
         for name in db.tables:
             if name not in catalog.relations:
                 raise UnknownRelationError(
                     f"instance {db.db_id} provides {name!r}, which the catalog does not know"
                 )
-            placement[name] = db.db_id
+            owners[name] = db.db_id
+    for rel in catalog.relations.values():
+        if rel.is_base and rel.name not in owners:
+            raise UnknownRelationError(f"base relation {rel.name!r} is on no instance")
+    return owners
+
+
+def locate_relations(
+    catalog: Catalog, dbs: list[DbDescriptor], bases: dict[str, str], coordinator: str
+) -> dict[str, str]:
+    """Placement of every relation, by the rule in the module docstring."""
+    placement = dict(bases)
+    estimates = _estimates(catalog, dbs)
     for rel in catalog.relations.values():
         if rel.is_base:
-            if rel.name not in placement:
-                raise UnknownRelationError(f"base relation {rel.name!r} is on no instance")
             continue
-        if rel.kind in (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE, RelationKind.TABLE):
+        if rel.kind is RelationKind.ASYNC_VIEW:
+            placement[rel.name] = choose_leader(rel.name, bases, estimates, catalog, dbs, coordinator)
+        elif rel.kind is not RelationKind.VIEW or not remote_bases(
+            rel.name, catalog, bases, coordinator
+        ):
             placement[rel.name] = coordinator
-        elif rel.kind is RelationKind.OUTPUT:
-            placement[rel.name] = coordinator
-        else:  # views and async views run where they move the least data
-            placement[rel.name] = choose_leader(rel.query, placement, estimates, catalog, dbs)
     return placement
 
 
@@ -158,7 +174,7 @@ def base_closure(name: str, catalog: Catalog) -> set[str]:
 
 def remote_bases(name: str, catalog: Catalog, placement: dict[str, str], coordinator: str) -> set[str]:
     """Base tables off the coordinator that a query relation reads. A base
-    table on no instance counts as local; `locate_relations` rejects it."""
+    table on no instance counts as local; `locate_bases` rejects it."""
     return {
         leaf
         for leaf in base_closure(name, catalog)
@@ -167,77 +183,34 @@ def remote_bases(name: str, catalog: Catalog, placement: dict[str, str], coordin
 
 
 def choose_leader(
-    query: SelectQuery,
-    placement: dict[str, str],
+    name: str,
+    bases: dict[str, str],
     estimates: dict[str, int],
     catalog: Catalog,
     dbs: list[DbDescriptor],
+    coordinator: str,
 ) -> str:
-    coordinator = coordinator_of(dbs)
-    involved: set[str] = set()
-    for name in referenced_relations(query):
-        rel = catalog.relations.get(name)
-        if rel is None:
-            continue
-        if rel.query is None or rel.kind is RelationKind.ASYNC_VIEW:
-            involved.add(name)  # an async view is read as its result table
-        else:
-            involved |= base_closure(name, catalog)
-
-    def located(rel_name: str) -> str:
-        rel = catalog.relations.get(rel_name)
-        if rel is not None and rel.kind is RelationKind.ASYNC_VIEW:
-            return coordinator  # consumers read the result table at the coordinator
-        return placement.get(rel_name, coordinator)
+    """The instance that evaluates query relation `name` shipping the fewest
+    estimated rows; ties go to the coordinator, then by id. Every leaf it reads
+    but a base table is on the coordinator, an async view as its result table."""
+    leaves = base_closure(name, catalog)
 
     def cost(db_id: str) -> int:
-        total = 0
-        for rel_name in involved:
-            if located(rel_name) != db_id:
-                if rel_name not in estimates:
-                    raise UnsupportedSpanError(f"no row estimate for {rel_name!r}")
-                total += estimates[rel_name]
-        return total
+        return sum(estimates[leaf] for leaf in leaves if bases.get(leaf, coordinator) != db_id)
 
-    def sort_key(db_id: str) -> tuple:
-        return (cost(db_id), db_id != coordinator, db_id)
-
-    return min((db.db_id for db in dbs), key=sort_key)
+    return min((db.db_id for db in dbs), key=lambda db_id: (cost(db_id), db_id != coordinator, db_id))
 
 
 # --- output rewriting ------------------------------------------------------------
 
 
-def collect_latest_event_tables(name_or_query, catalog: Catalog) -> list[str]:
-    """Latest-flagged event tables of a query, following view references."""
-    ordered: list[str] = []
-    seen_rel: set[str] = set()
-
-    def visit_query(query: SelectQuery) -> None:
-        for ref in query.table_refs():
-            rel = catalog.relations.get(ref.name)
-            if rel is None:
-                continue
-            if ref.latest and rel.kind is RelationKind.EVENT_TABLE and ref.name not in ordered:
-                ordered.append(ref.name)
-            if rel.query is not None and rel.kind is not RelationKind.ASYNC_VIEW:
-                visit_relation(rel.name)
-        for sub in _nested_queries(query):
-            visit_query(sub)
-
-    def visit_relation(rel_name: str) -> None:
-        if rel_name in seen_rel:
-            return
-        seen_rel.add(rel_name)
-        rel = catalog.relations.get(rel_name)
-        if rel is not None and rel.query is not None:
-            visit_query(rel.query)
-
-    if isinstance(name_or_query, SelectQuery):
-        visit_query(name_or_query)
-    else:
-        visit_relation(name_or_query)
-    return ordered
+def collect_latest_event_tables(name: str, catalog: Catalog) -> list[str]:
+    """Event tables a query relation reads with LATEST, itself or through views."""
+    return list(dict.fromkeys(
+        ref.name
+        for ref in closure_table_refs(name, catalog)
+        if ref.latest and catalog.relations[ref.name].kind is RelationKind.EVENT_TABLE
+    ))
 
 
 def rewrite_remote_output(
@@ -265,17 +238,31 @@ def rewrite_remote_output(
             )
     items = [SelectItem(ColumnRef(column=c.name, table="e")) for c in output.columns]
     coord_query = SelectQuery(items=items, table=TableRef(name=async_name, alias="e"))
-    for event_table in collect_latest_event_tables(output.query, catalog):
+    event_tables = collect_latest_event_tables(output.name, catalog)
+    if len(event_tables) == 1:
         coord_query.joins.append(
             Join(
                 kind="inner",
-                table=TableRef(name=event_table, latest=True),
+                table=TableRef(name=event_tables[0], latest=True),
                 on=BinaryOp(
                     "=",
-                    ColumnRef(column="timestep", table=event_table),
+                    ColumnRef(column="timestep", table=event_tables[0]),
                     ColumnRef(column="request_timestep", table="e"),
                 ),
             )
+        )
+    elif event_tables:
+        # two tables never share a timestep: render the answer to the newest
+        # interaction, using SQLite's multi-argument scalar MAX
+        newest = [
+            ScalarSubquery(SelectQuery(
+                items=[SelectItem(FuncCall("MAX", [ColumnRef(column="timestep")]))],
+                table=TableRef(name=table),
+            ))
+            for table in event_tables
+        ]
+        coord_query.where = BinaryOp(
+            "=", ColumnRef(column="request_timestep", table="e"), FuncCall("MAX", newest)
         )
     coord_output = RelationDef(
         name=output.name, kind=RelationKind.OUTPUT, columns=output.columns, query=coord_query
@@ -293,7 +280,7 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         catalog, relations=dict(catalog.relations), constraints=list(catalog.constraints)
     )
     coordinator = coordinator_of(dbs)
-    bases = {table: db.db_id for db in dbs for table in db.tables}
+    bases = locate_bases(catalog, dbs)
 
     rewritten: dict[str, str] = {}
     for name in list(catalog.relations):
@@ -320,7 +307,7 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         resolve_query(catalog.relations[name].query, catalog)
 
     # placed after rewriting, so each new async view gets a leader
-    placement = locate_relations(catalog, dbs)
+    placement = locate_relations(catalog, dbs, bases, coordinator)
     leaders = {
         rel.name: placement[rel.name]
         for rel in catalog.relations.values()
@@ -332,23 +319,13 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         if leader == coordinator:
             continue
         for leaf in base_closure(view, catalog):
-            rel = catalog.relations.get(leaf)
-            if rel is None:
-                continue
+            rel = catalog.relations[leaf]
             if placement.get(leaf) == leader:
                 continue
-            if rel.kind in SHIPPABLE_KINDS:
+            if rel.kind in GROWING_KINDS:  # ships as deltas
                 shipments.add(ShipmentSpec(relation=leaf, destination=leader))
             elif rel.is_base or rel.kind is RelationKind.TABLE:
                 shipments.add(ShipmentSpec(relation=leaf, destination=leader, snapshot=True))
-
-    unchecked = [
-        c
-        for c in catalog.constraints
-        if c.view in catalog.relations
-        and catalog.relations[c.view].kind is RelationKind.VIEW
-        and remote_bases(c.view, catalog, bases, coordinator)
-    ]
 
     plan = FederationPlan(
         coordinator=coordinator,
@@ -357,7 +334,6 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         leaders=leaders,
         shipments=sorted(shipments, key=lambda s: (s.relation, s.destination)),
         rewritten_outputs=rewritten,
-        unchecked_constraints=unchecked,
     )
     return plan
 
@@ -443,7 +419,11 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
             untyped = [ColumnDef(c.name, None) for c in rel.columns]
             lines.append(_create_table_sql(rel.name, untyped, rel.system_columns))
             lines.append(index_request_timestep(rel.name, plan.coordinator))
-    view_names = {r.name for r in catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)}
+    view_names = {
+        r.name
+        for r in catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)
+        if plan.placement.get(r.name) == plan.coordinator
+    }
     for name in topo_sorted(view_names):
         rel = catalog.relations[name]
         if name in mat_views:
@@ -462,12 +442,7 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     programs[plan.coordinator] = "\n".join(lines)
 
     # -- other instances: resident bases, shadows, duplicated views, queries --
-    remote_ids = (
-        set(plan.placement.values())
-        | {s.destination for s in plan.shipments}
-        | set(plan.leaders.values())
-    )
-    for db_id in sorted(remote_ids):
+    for db_id in sorted(set(plan.placement.values())):
         if db_id == plan.coordinator:
             continue
         lines = [f"-- program for instance {db_id}"]

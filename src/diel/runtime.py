@@ -31,7 +31,7 @@ from .errors import (
     UnknownOutputError,
 )
 from .federation import Federation, Message, RESULT_ROWS, SimInstance
-from .optimizer import MaterializationPlan, RequestCache
+from .optimizer import MaterializationPlan, RequestCache, cacheable_views
 from .planner import FederationPlan, local_eval_name
 from .printer import expr_sql, query_sql, quote_ident  # noqa: F401 (bench/tracing.py wraps query_sql here)
 
@@ -64,13 +64,6 @@ class OutputFrame:
         )
 
 
-@dataclass
-class RunOptions:
-    seed: int | None = None
-    cache_enabled: bool = True
-    dedupe_frames: bool = False
-
-
 class Runtime:
     def __init__(
         self,
@@ -79,14 +72,15 @@ class Runtime:
         federation: Federation | None,
         mat_plan: MaterializationPlan,
         bindings: dict[str, object] | None = None,
-        options: RunOptions | None = None,
+        cache_enabled: bool = True,
+        dedupe_frames: bool = False,
     ):
         self.plan = plan
         self.catalog: Catalog = plan.catalog
         self.engine = engine
         self.federation = federation
         self.mat_plan = mat_plan
-        self.options = options or RunOptions()
+        self.dedupe_frames = dedupe_frames
         self.bindings: dict[str, list] = {}
         for output, callback in (bindings or {}).items():
             self.bind_output(output, callback)
@@ -116,13 +110,20 @@ class Runtime:
         # probes (view, SQL), mat-view refresh (DELETE, INSERT) and the
         # evaluation query of each coordinator-led async view
         self._output_sql = {name: self._output_query(name) for name in self._outputs}
-        self._probes = [
-            (c.view, f"SELECT 1 FROM {quote_ident(c.view)} LIMIT 1")
-            for c in self.catalog.constraints
-            if c.view in self.catalog.relations
-            and c not in plan.unchecked_constraints
-            and self.catalog.relations[c.view].kind in (RelationKind.VIEW, RelationKind.OUTPUT)
-        ]
+        self._probes = []
+        for c in self.catalog.constraints:
+            rel = self.catalog.relations.get(c.view)
+            if rel is None or rel.kind not in (RelationKind.VIEW, RelationKind.OUTPUT):
+                continue  # the compiler reports these
+            if plan.placement.get(c.view) == plan.coordinator:
+                self._probes.append((c.view, f"SELECT 1 FROM {quote_ident(c.view)} LIMIT 1"))
+            else:
+                self.diagnostics.append(
+                    f"NOT EMPTY on {c.view} is not checked: the view reads data "
+                    "off the coordinator"
+                )
+        # async views the request cache serves
+        self._cached_views = cacheable_views(self.catalog) if cache_enabled else set()
         self._refresh_sql = {
             view: (
                 f"DELETE FROM {quote_ident(view)}",
@@ -182,12 +183,9 @@ class Runtime:
     def bind_output(self, output: str, callback) -> None:
         rel = self.catalog.relations.get(output)
         if rel is None or rel.kind is not RelationKind.OUTPUT:
-            known = ", ".join(sorted(self._output_names())) or "(none)"
+            known = ", ".join(sorted(self._outputs)) or "(none)"
             raise UnknownOutputError(f"unknown output {output!r}; known outputs: {known}")
         self.bindings.setdefault(output, []).append(callback)
-
-    def _output_names(self) -> list[str]:
-        return [r.name for r in self.catalog.by_kind(RelationKind.OUTPUT)]
 
     def new_event(self, name: str, payload: dict, at_ms: int | None = None) -> int | None:
         if self._processing:
@@ -241,7 +239,7 @@ class Runtime:
             )
         )
         pending = self._pending_params.pop((view, request_timestep), None)
-        if pending is not None and self.options.cache_enabled:
+        if pending is not None:
             self.cache.store(view, pending, rows)
         self._dispatch_async(view, None, t)
         self._process_timestep(t, view, at_ms)
@@ -271,7 +269,7 @@ class Runtime:
     def current_output(self, name: str) -> OutputFrame:
         rel = self.catalog.relations.get(name)
         if rel is None or rel.kind is not RelationKind.OUTPUT:
-            known = ", ".join(sorted(self._output_names())) or "(none)"
+            known = ", ".join(sorted(self._outputs)) or "(none)"
             raise UnknownOutputError(f"unknown output {name!r}; known outputs: {known}")
         columns, rows = self._evaluate_relation(name)
         return OutputFrame(name, self.clock, tuple(columns), tuple(rows))
@@ -346,7 +344,7 @@ class Runtime:
             if relation not in self._closures[view]:
                 continue
             leader = self.plan.leaders[view]
-            if self.options.cache_enabled and params is not None:
+            if view in self._cached_views:
                 cached = self.cache.lookup(view, params)
                 if cached is not None:
                     self._inbox.append(("result", view, cached, t, self._now_ms()))
@@ -429,7 +427,7 @@ class Runtime:
                     continue
                 columns, rows = self._evaluate_relation(name)
                 frame = OutputFrame(name, t, tuple(columns), tuple(rows))
-                if self.options.dedupe_frames and self._last_rendered.get(name) == frame.rows:
+                if self.dedupe_frames and self._last_rendered.get(name) == frame.rows:
                     continue
                 frames.append(frame)
 
@@ -466,7 +464,9 @@ def setup(
     mat_plan: MaterializationPlan,
     links=None,
     bindings: dict | None = None,
-    options: RunOptions | None = None,
+    seed: int | None = None,
+    cache_enabled: bool = True,
+    dedupe_frames: bool = False,
     udfs: dict | None = None,
     base_files: dict[str, Path] | None = None,
 ) -> Runtime:
@@ -475,13 +475,12 @@ def setup(
 
     `base_rows` maps a base table to its rows as Python values; `base_files`
     maps a base table to the SQLite file it is copied from."""
-    options = options or RunOptions()
     remote_ids = sorted(set(plan.programs) - {plan.coordinator})
     for db_id in remote_ids:
         if links is None or db_id not in links:
             raise SetupError(db_id, "no latency link configured for this instance")
 
-    engine = SqlEngine(plan.coordinator, seed=options.seed, udfs=udfs)
+    engine = SqlEngine(plan.coordinator, seed=seed, udfs=udfs)
     try:
         engine.execute_script(plan.programs[plan.coordinator])
     except EngineError as exc:
@@ -489,7 +488,7 @@ def setup(
 
     instances: dict[str, SimInstance] = {}
     for db_id in remote_ids:
-        inst_engine = SqlEngine(db_id, seed=options.seed, udfs=udfs)
+        inst_engine = SqlEngine(db_id, seed=seed, udfs=udfs)
         try:
             inst_engine.execute_script(plan.programs[db_id])
         except EngineError as exc:
@@ -527,7 +526,7 @@ def setup(
 
     federation = Federation(plan.coordinator, instances, links or {}) if instances else None
 
-    runtime = Runtime(plan, engine, federation, mat_plan, bindings, options)
+    runtime = Runtime(plan, engine, federation, mat_plan, bindings, cache_enabled, dedupe_frames)
     for view in mat_plan.order:
         engine.execute(runtime._refresh_sql[view][1], context=f"init {view}")
     return runtime

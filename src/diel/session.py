@@ -26,9 +26,8 @@ from .planner import (
     base_schemas_of,
     emit_per_db_sql,
     plan_federation,
-    remote_bases,
 )
-from .runtime import OutputFrame, RunOptions, Runtime, setup
+from .runtime import OutputFrame, Runtime, setup
 
 DEFAULT_LATENCY = {"background": "fixed(1)", "remote": "fixed(0)"}
 
@@ -156,12 +155,7 @@ class Session:
 
         mat_plan = MaterializationPlan()
         if config.materialize:
-            local = {
-                rel.name
-                for rel in plan.catalog.relations.values()
-                if rel.query is not None
-                and not remote_bases(rel.name, plan.catalog, plan.placement, plan.coordinator)
-            }
+            local = {name for name, db_id in plan.placement.items() if db_id == plan.coordinator}
             mat_plan = materialize_shared_views(plan.catalog, plan.catalog.graph, local)
         emit_per_db_sql(plan, mat_plan.tables)
 
@@ -185,18 +179,15 @@ class Session:
                 down=spec.build("down", config.seed, db.name),
             )
 
-        options = RunOptions(
-            seed=config.seed,
-            cache_enabled=config.cache,
-            dedupe_frames=config.dedupe_frames,
-        )
         runtime = setup(
             plan,
             base_rows,
             mat_plan,
             links=links,
             bindings=bindings,
-            options=options,
+            seed=config.seed,
+            cache_enabled=config.cache,
+            dedupe_frames=config.dedupe_frames,
             udfs=config.udfs,
             base_files=base_files,
         )

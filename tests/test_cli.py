@@ -85,6 +85,33 @@ def test_strict_mode_fails_on_diagnostics(tmp_path):
     assert main(args) == 1  # the trace contains a CHECK-violating event
 
 
+def test_strict_mode_fails_on_an_unchecked_not_empty(tmp_path, capsys):
+    """inYear reads flights, which only r1 holds, so the coordinator cannot
+    probe its NOT EMPTY; the diagnostic saying so fails a strict run."""
+    program = tmp_path / "app.diel"
+    program.write_text(
+        "CREATE EVENT TABLE slideItx(flight_year INT);\n"
+        "CREATE VIEW inYear AS SELECT origin FROM flights JOIN LATEST slideItx ON flight_year;\n"
+        "CREATE ASYNC VIEW perOrigin AS SELECT origin, COUNT() n FROM inYear GROUP BY origin;\n"
+        "CREATE OUTPUT origins AS SELECT origin, n FROM LATEST_REQUEST perOrigin;\n"
+        "inYear NOT EMPTY;\n"
+    )
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"at_ms": 0, "event": "slideItx", "payload": {"flight_year": 2000}}\n')
+    args = [
+        "run",
+        "--diel", str(program),
+        "--db", "main=quick:mem",
+        "--db", f"r1=remote:{CORPUS / 'data' / 'flights.csv'}",
+        "--trace", str(trace),
+        "--seed", "7",
+        "--out", str(tmp_path / "out"),
+    ]
+    assert main(args) == 0
+    assert main(args + ["--strict"]) == 1
+    assert "NOT EMPTY on inYear is not checked" in capsys.readouterr().err
+
+
 def test_import_subcommand(tmp_path, capsys):
     csv_file = tmp_path / "mini.csv"
     csv_file.write_text("a:INT,b:TEXT\n1,x\n2,y\n")

@@ -105,6 +105,20 @@ def test_golden_log_replays_bit_identically(name):
     assert session.output_log_text() == example.golden_text()
 
 
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_every_created_view_can_be_read(name):
+    """Each instance's program creates only views over what that instance holds."""
+    runtime = Session.build(EXAMPLES[name].config()).runtime
+    engines = [runtime.engine]
+    if runtime.federation is not None:
+        engines += [instance.engine for instance in runtime.federation.instances.values()]
+    for engine in engines:
+        views = [row[0] for row in engine.conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'view'")]
+        for view in views:
+            engine.run_query(f'SELECT * FROM "{view}" LIMIT 0', context=view)
+
+
 def test_missing_dataset_is_reported_by_name(tmp_path):
     manifest = {
         "name": "broken",

@@ -18,7 +18,6 @@ from diel.planner import (
     dump_plan,
     emit_per_db_sql,
     index_name,
-    locate_relations,
     plan_federation,
 )
 from diel.printer import query_sql
@@ -50,7 +49,7 @@ def slider_plan(remote_flights=True):
     return plan_federation(catalog, dbs), dbs
 
 
-# --- locate_relations ---------------------------------------------------------
+# --- placement ----------------------------------------------------------------
 
 
 def test_remote_base_placement():
@@ -73,7 +72,7 @@ def test_unknown_relation_across_instances():
     catalog.relations.pop("flights")
     catalog.graph.reads.pop("flights")
     with pytest.raises(UnknownRelationError):
-        locate_relations(catalog, dbs)
+        plan_federation(catalog, dbs)
 
 
 def test_duplicate_base_relation_rejected():
@@ -135,9 +134,8 @@ def test_leader_minimizes_shipped_rows_exhaustively():
             ),
             base_schemas_of(dbs),
         )
-        query = catalog.relations["v"].query
         placement = {t: owners[t] for t in tables}
-        chosen = choose_leader(query, placement, estimates, catalog, dbs)
+        chosen = choose_leader("v", placement, estimates, catalog, dbs, "main")
 
         def cost(db_id):
             return sum(estimates[t] for t in tables if owners[t] != db_id)
@@ -192,8 +190,9 @@ def test_rewrite_with_two_latest_event_tables():
     catalog = compile_program(parse_diel(text), base_schemas_of(dbs))
     plan = plan_federation(catalog, dbs)
     coord_sql = query_sql(plan.catalog.relations["picked"].query)
-    assert "yearItx.timestep = e.request_timestep" in coord_sql
-    assert "originItx.timestep = e.request_timestep" in coord_sql
+    # two tables never share a timestep: the newest of their latest ones is awaited
+    assert "e.request_timestep = MAX((SELECT MAX(timestep) FROM yearItx), " in coord_sql
+    assert "(SELECT MAX(timestep) FROM originItx))" in coord_sql
 
 
 # --- emit_per_db_sql -----------------------------------------------------------------
@@ -255,13 +254,18 @@ def test_plan_invariants_hold_across_corpus_and_remote_slider():
                     assert resident or (leaf, leader) in shipped, (rel.name, leaf)
 
 
-def test_view_placement_follows_leader_heuristic():
+def test_view_over_remote_data_has_no_placement():
+    """A plain view over an off-coordinator table is placed nowhere; with no
+    async view reading it, no instance's program creates it."""
     dbs = [quick(), remote("r1", {"flights": FLIGHT_COLUMNS}, {"flights": 10_000})]
     text = SLIDER + "CREATE VIEW flightsOnly AS SELECT origin FROM flights;"
     catalog = compile_program(parse_diel(text), base_schemas_of(dbs))
     plan = plan_federation(catalog, dbs)
-    # the heuristic keeps the query next to the big table
-    assert plan.placement["flightsOnly"] == "r1"
+    programs = emit_per_db_sql(plan)
+    assert "flightsOnly" not in plan.placement
+    assert "flightsOnly" not in dump_plan(plan)
+    assert set(programs) == {"main", "r1"}
+    assert not [db_id for db_id, sql in programs.items() if "flightsOnly" in sql]
 
 
 def test_dump_plan_lists_sections():
@@ -319,7 +323,7 @@ def assert_async_reads_use_planned_index(session: Session, db_id: str) -> list[s
         engine = session.runtime.engine
         relations = [
             r.name for r in plan.catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)
-            if plan.placement[r.name] == db_id
+            if plan.placement.get(r.name) == db_id
         ]
     else:
         engine = session.runtime.federation.instances[db_id].engine

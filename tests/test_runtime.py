@@ -292,19 +292,90 @@ CREATE OUTPUT regions AS
 
 def test_views_on_a_chained_instance_read_only_what_it_holds():
     """perRegion's leader reads perOrigin as a shipped result table, so it
-    must not also receive the view perOrigin reads (inYear over flights)."""
+    must not also receive the view perOrigin reads (inYear over flights);
+    nor does the coordinator, which does not hold flights either."""
     session = chained_session(CHAINED_THROUGH_VIEW)
     assert session.plan.leaders == {"perOrigin": "r1", "perRegion": "r2"}
-    for db_id, instance in session.runtime.federation.instances.items():
-        views = [row[0] for row in instance.engine.conn.execute(
+    engines = [session.runtime.engine] + [
+        instance.engine for instance in session.runtime.federation.instances.values()
+    ]
+    for engine in engines:
+        views = [row[0] for row in engine.conn.execute(
             "SELECT name FROM sqlite_master WHERE type = 'view'")]
         for view in views:
             # a view over a relation the instance lacks fails when it is read
-            instance.engine.run_query(f'SELECT * FROM "{view}" LIMIT 0', context=view)
+            engine.run_query(f'SELECT * FROM "{view}" LIMIT 0', context=view)
     assert "inYear" not in session.plan.programs["r2"]
+    assert "inYear" not in session.plan.programs["main"]
     session.run_replay([TraceEntry(0, "slideItx", {"flight_year": 2000})])
     frames = [f for f in session.runtime.frames if f.rows]
     assert frames[-1].rows == (("east", 1), ("west", 1))
+
+
+def test_not_empty_on_a_view_over_remote_data_is_reported_unchecked():
+    """The coordinator cannot evaluate inYear, so its NOT EMPTY is never
+    probed; that is said once, when the session is built."""
+    session = chained_session(CHAINED_THROUGH_VIEW + "inYear NOT EMPTY;\n")
+    expected = ["NOT EMPTY on inYear is not checked: the view reads data off the coordinator"]
+    assert session.runtime.diagnostics == expected
+    session.run_replay([TraceEntry(0, "slideItx", {"flight_year": 1800})])
+    assert session.runtime.diagnostics == expected
+    assert session.summary()["diagnostics"] == 1
+
+
+# two event tables pick one row of t; v = 10 * k + k2
+TWO_KEYS = [ColumnDef("k", "INT"), ColumnDef("k2", "INT"), ColumnDef("v", "INT")]
+TWO_KEY_ROWS = [(1, 1, 11), (1, 2, 12), (2, 1, 21), (2, 2, 22)]
+TWO_EVENTS = """\
+CREATE EVENT TABLE aItx(x INT);
+CREATE EVENT TABLE bItx(y INT);
+"""
+TWO_KEY_TRACE = [
+    TraceEntry(i * 10, event, payload)
+    for i, (event, payload) in enumerate([
+        ("aItx", {"x": 1}), ("bItx", {"y": 1}), ("bItx", {"y": 2}),
+        ("aItx", {"x": 2}), ("aItx", {"x": 1}),
+    ])
+]
+
+
+def two_key_session(program: str, remote: bool, cache: bool = True) -> Session:
+    tables = {"t": (TWO_KEYS, TWO_KEY_ROWS)}
+    databases = [DbConfig("main", "quick", tables={} if remote else tables)]
+    if remote:
+        databases.append(DbConfig("r1", "remote", latency="fixed(0)", tables=tables))
+    session = Session.build(RunConfig([TWO_EVENTS + program], databases, seed=1, cache=cache))
+    session.run_replay(TWO_KEY_TRACE)
+    return session
+
+
+def test_request_cache_serves_only_views_that_read_one_latest_event_table():
+    """av reads two changing event tables, so its result is not a function
+    of the triggering payload: equal payloads of aItx and bItx must not share
+    an entry, and the other table's row must not be ignored."""
+    program = """\
+CREATE ASYNC VIEW av AS SELECT t.v FROM t
+  JOIN LATEST aItx ON t.k = aItx.x JOIN LATEST bItx ON t.k2 = bItx.y;
+CREATE OUTPUT o AS SELECT v FROM LATEST_REQUEST av;
+"""
+    cached = two_key_session(program, remote=True)
+    uncached = two_key_session(program, remote=True, cache=False)
+    assert cached.output_log_text() == uncached.output_log_text()
+    rows = {f.timestep: f.rows for f in cached.runtime.frames}
+    assert rows[4] == ((11,),) and rows[8] == ((22,),)
+    assert cached.summary()["cache_hits"] == 0
+
+
+def test_strict_rewrite_over_two_latest_event_tables_renders_like_local():
+    program = """\
+CREATE OUTPUT o AS SELECT t.v FROM t
+  JOIN LATEST aItx ON t.k = aItx.x JOIN LATEST bItx ON t.k2 = bItx.y;
+"""
+    remote = two_key_session(program, remote=True)
+    local = two_key_session(program, remote=False)
+    assert remote.plan.rewritten_outputs == {"o": "oEvent"}
+    assert local.runtime.frames[-1].rows == ((12,),)
+    assert remote.runtime.frames[-1].rows == local.runtime.frames[-1].rows
 
 
 PTS_COLUMNS = [ColumnDef("id", "INT"), ColumnDef("lat", "REAL"), ColumnDef("lon", "REAL")]
