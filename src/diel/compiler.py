@@ -596,12 +596,17 @@ def _nested_queries(query: SelectQuery) -> list[SelectQuery]:
     ]
 
 
+def all_queries(query: SelectQuery) -> list[SelectQuery]:
+    """A query and its nested subqueries at every depth, outermost first."""
+    queries = [query]
+    for sub in _nested_queries(query):
+        queries.extend(all_queries(sub))
+    return queries
+
+
 def all_table_refs(query: SelectQuery) -> list[TableRef]:
     """Table references of a query and of its nested subqueries, at every depth."""
-    refs = query.table_refs()
-    for sub in _nested_queries(query):
-        refs.extend(all_table_refs(sub))
-    return refs
+    return [ref for q in all_queries(query) for ref in q.table_refs()]
 
 
 def referenced_relations(query: SelectQuery) -> set[str]:
@@ -630,8 +635,8 @@ def dependency_closure(name: str, catalog: Catalog) -> frozenset[str]:
     return frozenset(seen)
 
 
-def closure_table_refs(name: str, catalog: Catalog) -> list[TableRef]:
-    """Table references of a query relation and of the views it reads through,
+def closure_queries(name: str, catalog: Catalog) -> list[SelectQuery]:
+    """The query of a query relation and those of the views it reads through,
     the ones in its dependency closure: async views are read as result tables."""
     closure = dependency_closure(name, catalog)
     views = sorted(
@@ -639,7 +644,12 @@ def closure_table_refs(name: str, catalog: Catalog) -> list[TableRef]:
         if catalog.relations[n].query is not None
         and catalog.relations[n].kind is not RelationKind.ASYNC_VIEW
     )
-    return [ref for n in [name, *views] for ref in all_table_refs(catalog.relations[n].query)]
+    return [catalog.relations[n].query for n in [name, *views]]
+
+
+def closure_table_refs(name: str, catalog: Catalog) -> list[TableRef]:
+    """Table references of `closure_queries`, nested subqueries included."""
+    return [ref for query in closure_queries(name, catalog) for ref in all_table_refs(query)]
 
 
 # --- dependency graph ----------------------------------------------------------

@@ -1,26 +1,38 @@
-"""Performance layer: shared-view materialization and the async request cache.
+"""Performance layer: shared-view materialization, the async request cache and
+empty-delta checks.
 
-Both are semantically transparent: materialization trades view re-evaluation
-for refresh-on-change, and the cache replays stored result rows as ordinary
-async result events, so concurrency policies apply to hits and misses alike.
+All three are semantically transparent: materialization trades view
+re-evaluation for refresh-on-change, the cache replays stored result rows as
+ordinary async result events, so concurrency policies apply to hits and
+misses alike, and an output whose delta is provably empty keeps its rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Container
 from dataclasses import dataclass, field
 
-from .ast_nodes import InsertStatement
+from .ast_nodes import ColumnRef, Expr, FuncCall, InsertStatement, SelectQuery, Star, walk
 from .compiler import (
     GROWING_KINDS,
     Catalog,
     DependencyGraph,
     RelationKind,
+    all_queries,
+    closure_queries,
     closure_table_refs,
     dependency_closure,
     referenced_relations,
 )
+from .udfs import AGGREGATE_FUNCTIONS
+
+
+def _nodes(queries: list[SelectQuery]) -> list[Expr]:
+    """Every expression node of the given queries. Scalar subqueries are not
+    entered; pass `all_queries(query)` to include them."""
+    return [node for q in queries for clause in q.clauses() for node in walk(clause)]
 
 
 @dataclass
@@ -77,6 +89,7 @@ def cacheable_views(catalog: Catalog) -> set[str]:
     """Async views whose result depends on the triggering event's payload alone,
     the ones the request cache serves: the only changing relation in the view's
     dependency closure is one event table, every reference to it is LATEST,
+    no query reads its timestep or timestamp (the cache key is the payload),
     and everything else the view reads is a base or plain table."""
     views = set()
     for view in catalog.by_kind(RelationKind.ASYNC_VIEW):
@@ -86,9 +99,107 @@ def cacheable_views(catalog: Catalog) -> set[str]:
         ]
         if len(changing) != 1 or catalog.relations[changing[0]].kind is not RelationKind.EVENT_TABLE:
             continue
-        if all(ref.latest for ref in closure_table_refs(view.name, catalog) if ref.name == changing[0]):
+        event = changing[0]
+        if not all(ref.latest for ref in closure_table_refs(view.name, catalog) if ref.name == event):
+            continue
+        if not any(_reads_system_columns(q, event) for q in closure_queries(view.name, catalog)):
             views.add(view.name)
     return views
+
+
+def _reads_system_columns(query: SelectQuery, event: str) -> bool:
+    """Whether a query may see `event`'s timestep or timestamp: a reference to
+    either column, or a `*`, that can name the event table's binding."""
+    queries = all_queries(query)
+    bound = {ref.binding for q in queries for ref in q.table_refs() if ref.name == event}
+
+    def may_name_event(table: str | None) -> bool:
+        return table in bound or (table is None and bool(bound))
+
+    return any(
+        (isinstance(node, ColumnRef) and node.column in ("timestep", "timestamp")
+         and may_name_event(node.table))
+        or (isinstance(node, Star) and may_name_event(node.table))
+        for node in _nodes(queries)
+    )
+
+
+# --- empty-delta checks ---------------------------------------------------------
+
+
+def delta_paths(
+    catalog: Catalog, materialized: Container[str]
+) -> dict[str, tuple[str, list[str]]]:
+    """Outputs monotone in exactly one event table E: output -> (E, the views
+    and outputs from the output down to E). For such an output an append to E can
+    only add rows, and only rows built from the appended ones, so when E alone
+    changed and the query over E's new rows is empty, the output is unchanged.
+
+    Monotone means: every query from the output down to E is select-project-
+    join (no aggregate, GROUP BY, HAVING, ORDER BY, LIMIT or LEFT join) and
+    reads E through exactly one plain reference, never through LATEST or a
+    scalar subquery (any view or output that reads E counts as reading it),
+    and no view on the way is materialized. Nothing in the
+    closure calls RANDOM(), since skipping an evaluation would shift the
+    engine's seeded generator, or reads `rowid`, which E's delta lacks."""
+    paths = {}
+    for output in catalog.by_kind(RelationKind.OUTPUT):
+        found = {}
+        for name in sorted(dependency_closure(output.name, catalog)):
+            if catalog.relations[name].kind is RelationKind.EVENT_TABLE:
+                path = _delta_path(output.name, name, catalog, materialized)
+                if path is not None:
+                    found[name] = path
+        if len(found) == 1 and not any(
+            (isinstance(node, FuncCall) and node.name.upper() == "RANDOM")
+            or (isinstance(node, ColumnRef) and node.column == "rowid")
+            for query in closure_queries(output.name, catalog)
+            for node in _nodes(all_queries(query))
+        ):
+            paths[output.name] = next(iter(found.items()))
+    return paths
+
+
+def _delta_path(
+    name: str, event: str, catalog: Catalog, materialized: Container[str]
+) -> list[str] | None:
+    """The views and outputs from `name` down to `event`, or None when a query
+    on the way is not select-project-join or does not read `event` exactly
+    once, plainly. An async view is read as its result table, never as E."""
+
+    def reaches(ref) -> bool:
+        rel = catalog.relations[ref.name]
+        return ref.name == event or (
+            rel.kind in (RelationKind.VIEW, RelationKind.OUTPUT)
+            and event in dependency_closure(ref.name, catalog)
+        )
+
+    views: list[str] = []
+    while True:
+        query = catalog.relations[name].query
+        if not _select_project_join(query):
+            return None
+        direct = [ref for ref in query.table_refs() if reaches(ref)]
+        nested = [ref for sub in all_queries(query)[1:] for ref in sub.table_refs() if reaches(ref)]
+        if len(direct) != 1 or nested or direct[0].latest or direct[0].latest_request:
+            return None
+        name = direct[0].name
+        if name == event:
+            return views
+        if name in materialized:
+            return None
+        views.append(name)
+
+
+def _select_project_join(query: SelectQuery) -> bool:
+    if query.group_by or query.having is not None or query.order_by or query.limit is not None:
+        return False
+    if any(join.kind == "left" for join in query.joins):
+        return False
+    return not any(
+        isinstance(node, FuncCall) and node.name.upper() in AGGREGATE_FUNCTIONS
+        for node in _nodes([query])
+    )
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .errors import (
     DuplicateRelationError,
     UnknownRelationError,
 )
+from .optimizer import delta_paths
 from .printer import expr_sql, query_sql, quote_ident, statement_sql
 
 KIND_QUICK = "quick"
@@ -91,6 +92,9 @@ class FederationPlan:
     # program command runs (one per VALUES row); set by emit_per_db_sql
     relation_sql: dict[str, str] = field(default_factory=dict)
     program_sql: dict[str, list[list[str]]] = field(default_factory=dict)
+    # output -> (event table E, delta statement): one row iff the output's
+    # query over E's rows at timestep ? is non-empty; set by emit_per_db_sql
+    delta_sql: dict[str, tuple[str, str]] = field(default_factory=dict)
 
 
 def base_schemas_of(dbs: list[DbDescriptor]) -> dict[str, list[ColumnDef]]:
@@ -405,6 +409,18 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     def topo_sorted(names: set[str]) -> list[str]:
         return [n for n in order if n in names]
 
+    # the delta statement shadows E, and the views between the output and E
+    # (each reads the next, so reversed they are in dependency order), with
+    # common table expressions; E's rows at t are read from E itself, so
+    # column affinity applies as in the full query
+    plan.delta_sql = {}
+    for output, (event, views) in delta_paths(catalog, mat_views).items():
+        ctes = [f"{quote_ident(event)} AS (SELECT * FROM main.{quote_ident(event)} WHERE timestep = ?)"]
+        ctes += [f"{quote_ident(view)} AS ({lowered[view]})" for view in reversed(views)]
+        plan.delta_sql[output] = (
+            event, f"WITH {', '.join(ctes)} SELECT 1 FROM ({lowered[output]}) LIMIT 1"
+        )
+
     # -- coordinator -----------------------------------------------------
     lines: list[str] = [f"-- program for coordinator {plan.coordinator}"]
     for rel in catalog.relations.values():
@@ -498,4 +514,8 @@ def dump_plan(plan: FederationPlan) -> str:
         lines.append("== indexes ==")
         for table, column, db_id in plan.indexes:
             lines.append(f"{table} ({column}) @ {db_id}")
+    if plan.delta_sql:
+        lines.append("== delta ==")
+        for output in sorted(plan.delta_sql):
+            lines.append(f"{output} on {plan.delta_sql[output][0]}")
     return "\n".join(lines)

@@ -4,10 +4,12 @@ Each accepted event advances the logical clock by exactly one, is inserted
 with its timestep and timestamp, ships deltas to the instances that need
 them, and drives one atomic processing pass: state programs run first (their
 inserts are staged), materialized shared views refresh, outputs whose
-dependency closure changed re-evaluate, NOT EMPTY constraints are checked,
-callbacks fire, and finally the staged history-table inserts are applied so
-they become visible from the next timestep onward. Async results, including
-request-cache hits, come back as ordinary events of their own.
+dependency closure changed re-evaluate (or keep their rows, when only an event
+table they are monotone in changed and its new rows add none), NOT EMPTY
+constraints are checked, callbacks fire, and finally the staged history-table
+inserts are applied so they become visible from the next timestep onward.
+Async results, including request-cache hits, come back as ordinary events of
+their own.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class Runtime:
         self._pending_params: dict[tuple[str, int], tuple] = {}
         self._ship_cursor: dict[tuple[str, str], int] = {}
         self._dirty_next: set[str] = set()
-        self._last_rendered: dict[str, tuple] = {}
+        self._last_rendered: dict[str, OutputFrame] = {}
         self._inbox: deque = deque()
         self._processing = False
 
@@ -420,14 +422,26 @@ class Runtime:
                 self.engine.execute(insert, context=f"refresh {view}")
                 changed.add(view)
 
-            # (3) re-evaluate outputs whose dependency closure changed
+            # (3) re-evaluate outputs whose dependency closure changed, unless
+            # only an event table E changed and the output's query over E's
+            # new rows is empty: then the last rendered rows still hold
             frames: list[OutputFrame] = []
             for name in self._outputs:
-                if not ({name} | set(self._closures[name])) & changed:
+                touched = ({name} | self._closures[name]) & changed
+                if not touched:
                     continue
-                columns, rows = self._evaluate_relation(name)
-                frame = OutputFrame(name, t, tuple(columns), tuple(rows))
-                if self.dedupe_frames and self._last_rendered.get(name) == frame.rows:
+                last = self._last_rendered.get(name)
+                event, delta_sql = self.plan.delta_sql.get(name, (None, None))
+                if (
+                    last is not None
+                    and touched == {event}
+                    and not self.engine.run_query(delta_sql, (t,), context=f"output {name}")[1]
+                ):
+                    frame = OutputFrame(name, t, last.columns, last.rows)
+                else:
+                    columns, rows = self._evaluate_relation(name)
+                    frame = OutputFrame(name, t, tuple(columns), tuple(rows))
+                if self.dedupe_frames and last is not None and last.rows == frame.rows:
                     continue
                 frames.append(frame)
 
@@ -440,7 +454,7 @@ class Runtime:
             # (5) fire callbacks and log the frames
             for frame in frames:
                 self.frames.append(frame)
-                self._last_rendered[frame.output] = frame.rows
+                self._last_rendered[frame.output] = frame
                 for callback in self.bindings.get(frame.output, []):
                     callback(frame)
 

@@ -41,9 +41,12 @@ BUILTIN_UDFS: dict[str, UdfDef] = {
     "box_in_box": UdfDef("box_in_box", 8, box_in_box),
 }
 
+# the engine's aggregate functions (MAX and MIN are also scalar with two or
+# more arguments)
+AGGREGATE_FUNCTIONS = frozenset({"COUNT", "MAX", "MIN", "SUM", "AVG", "TOTAL"})
+
 # SQL functions the dialect delegates to the embedded engine; anything not
 # listed here and not in the UDF registry fails compilation.
-ENGINE_FUNCTIONS = {
-    "COUNT", "MAX", "MIN", "SUM", "AVG", "TOTAL",
+ENGINE_FUNCTIONS = AGGREGATE_FUNCTIONS | {
     "ROUND", "COALESCE", "ABS", "RANDOM", "LENGTH", "LOWER", "UPPER", "IFNULL",
 }

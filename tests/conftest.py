@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
+from hypothesis import settings
 
 from diel.ast_nodes import ColumnDef
+
+# on CI, property tests draw the same examples on every run and keep no
+# example database, so a failure there reproduces locally with CI=1
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 FLIGHT_COLUMNS = [
     ColumnDef("origin", "TEXT"),

@@ -276,6 +276,9 @@ def test_dump_plan_lists_sections():
     assert "distDataEvent -> r1" in text
     assert "slideItx -> r1 (deltas)" in text
     assert "== indexes ==\ndistDataEvent (request_timestep) @ main" in text
+    assert "== delta ==" not in text  # distData reads slideItx only through LATEST
+    session = Session.build(load_examples()["realtime_tweets"].config())
+    assert dump_plan(session.plan).endswith("== delta ==\ntweetsInBrush on tweets")
 
 
 def test_planning_leaves_the_compiled_catalog_untouched():

@@ -366,6 +366,23 @@ CREATE OUTPUT o AS SELECT v FROM LATEST_REQUEST av;
     assert cached.summary()["cache_hits"] == 0
 
 
+@pytest.mark.parametrize("view", [
+    "CREATE ASYNC VIEW av AS SELECT aItx.timestep ts, t.v FROM t JOIN LATEST aItx ON t.k = aItx.x;",
+    """CREATE VIEW pick AS SELECT * FROM LATEST aItx;
+CREATE ASYNC VIEW av AS SELECT p.timestep ts, t.v FROM t JOIN pick p ON t.k = p.x;""",
+], ids=["column", "star-in-view"])
+def test_request_cache_skips_views_that_read_the_event_timestep(view):
+    """av returns the LATEST event's timestep, which the payload key does not
+    hold: the repeated aItx 1 must be evaluated, not served from the cache."""
+    program = view + "\nCREATE OUTPUT o AS SELECT * FROM LATEST_REQUEST av;\n"
+    cached = two_key_session(program, remote=True)
+    uncached = two_key_session(program, remote=True, cache=False)
+    assert cached.output_log_text() == uncached.output_log_text()
+    rows = {f.timestep: f.rows for f in cached.runtime.frames}
+    assert [row[:2] for row in rows[8]] == [(7, 11), (7, 12)]
+    assert cached.summary()["cache_hits"] == 0
+
+
 def test_strict_rewrite_over_two_latest_event_tables_renders_like_local():
     program = """\
 CREATE OUTPUT o AS SELECT t.v FROM t
