@@ -37,12 +37,9 @@ def _nodes(queries: list[SelectQuery]) -> list[Expr]:
 
 @dataclass
 class MaterializationPlan:
-    # view name -> relations whose change forces a refresh
+    # view name -> relations whose change forces a refresh, in refresh order
+    # (dependencies first)
     tables: dict[str, frozenset[str]] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)  # refresh order (dependencies first)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tables
 
 
 def materialize_shared_views(
@@ -78,7 +75,6 @@ def materialize_shared_views(
         if evaluable is not None and name not in evaluable:
             continue
         plan.tables[name] = dependency_closure(name, catalog)
-        plan.order.append(name)
     return plan
 
 

@@ -72,9 +72,11 @@ class DbDescriptor:
 
 @dataclass(frozen=True)
 class ShipmentSpec:
+    # a snapshot is copied once at setup; otherwise, before each EvalRequest to
+    # the destination, the rows not shipped yet go out (history tables included)
     relation: str
     destination: str
-    snapshot: bool = False  # one-time copy at setup instead of per-event deltas
+    snapshot: bool = False
 
 
 @dataclass

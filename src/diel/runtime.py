@@ -104,10 +104,17 @@ class Runtime:
 
         self._outputs = [r.name for r in self.catalog.by_kind(RelationKind.OUTPUT)]
         self._async_views = [r.name for r in self.catalog.by_kind(RelationKind.ASYNC_VIEW)]
-        self._closures = {
-            name: dependency_closure(name, self.catalog)
-            for name in self._outputs + self._async_views
-        }
+        self._closures = {name: dependency_closure(name, self.catalog) for name in self._outputs}
+        # relation -> the async views whose dependency closure holds it, in view order
+        self._readers: dict[str, list[str]] = {}
+        for view in self._async_views:
+            for name in dependency_closure(view, self.catalog):
+                self._readers.setdefault(name, []).append(view)
+        # leader -> the relations the plan ships it as deltas, in plan order
+        self._deltas: dict[str, list[str]] = {}
+        for spec in plan.shipments:
+            if not spec.snapshot:
+                self._deltas.setdefault(spec.destination, []).append(spec.relation)
         # per-event statements, formatted once: output evaluation, NOT EMPTY
         # probes (view, SQL), mat-view refresh (DELETE, INSERT) and the
         # evaluation query of each coordinator-led async view
@@ -131,7 +138,7 @@ class Runtime:
                 f"DELETE FROM {quote_ident(view)}",
                 f"INSERT INTO {quote_ident(view)} {plan.relation_sql[view]}",
             )
-            for view in mat_plan.order
+            for view in mat_plan.tables
         }
         self._local_eval_sql = {
             view: f"SELECT * FROM {quote_ident(local_eval_name(view))}"
@@ -340,11 +347,8 @@ class Runtime:
     # -- async dispatch ------------------------------------------------------------
 
     def _dispatch_async(self, relation: str, params: tuple | None, t: int) -> None:
-        ships_needed: dict[str, bool] = {}
         evals: list[tuple[str, str]] = []  # (view, leader)
-        for view in self._async_views:
-            if relation not in self._closures[view]:
-                continue
+        for view in self._readers.get(relation, ()):
             leader = self.plan.leaders[view]
             if view in self._cached_views:
                 cached = self.cache.lookup(view, params)
@@ -359,10 +363,9 @@ class Runtime:
                 self.local_evals += 1
                 self._inbox.append(("result", view, rows, t, self._now_ms()))
             else:
-                ships_needed[leader] = True
                 evals.append((view, leader))
-        for leader in sorted(ships_needed):
-            self._ship_backlog(relation, leader, t)
+        for leader in sorted({leader for _, leader in evals}):
+            self._ship_backlog(leader, t)
         for view, leader in evals:
             self.federation.request_eval(leader, view, t)
 
@@ -376,15 +379,21 @@ class Runtime:
             return self.federation.transport.now
         return self.now_ms
 
-    def _ship_backlog(self, relation: str, db_id: str, t: int) -> None:
-        cursor = self._ship_cursor.get((relation, db_id), 0)
-        _, rows = self.engine.run_query(
-            f"SELECT * FROM {quote_ident(relation)} WHERE timestep > ? AND timestep <= ?",
-            (cursor, t),
-            context=f"backlog of {relation}",
-        )
-        self._ship_cursor[(relation, db_id)] = t
-        self.federation.ship(db_id, relation, rows, t)
+    def _ship_backlog(self, db_id: str, t: int) -> None:
+        """Ship each relation the plan sends db_id as deltas: the rows not
+        shipped yet. Growing tables are append-only, so a rowid cursor marks
+        them, and also catches history rows stamped t that land after the
+        request at t."""
+        for relation in self._deltas.get(db_id, ()):
+            cursor = self._ship_cursor.get((relation, db_id), 0)
+            _, rows = self.engine.run_query(
+                f"SELECT _rowid_, * FROM {quote_ident(relation)} WHERE _rowid_ > ?",
+                (cursor,),
+                context=f"backlog of {relation}",
+            )
+            if rows:
+                self._ship_cursor[(relation, db_id)] = rows[-1][0]
+                self.federation.ship(db_id, relation, [row[1:] for row in rows], t)
 
     # -- the processing pass ----------------------------------------------------------
 
@@ -414,8 +423,8 @@ class Runtime:
                         staged.append((command.table, insert, rows))
 
             # (2) refresh materialized shared views whose dependencies changed
-            for view in self.mat_plan.order:
-                if not (self.mat_plan.tables[view] & changed):
+            for view, reads in self.mat_plan.tables.items():
+                if not (reads & changed):
                     continue
                 delete, insert = self._refresh_sql[view]
                 self.engine.execute(delete, context=f"refresh {view}")
@@ -541,6 +550,6 @@ def setup(
     federation = Federation(plan.coordinator, instances, links or {}) if instances else None
 
     runtime = Runtime(plan, engine, federation, mat_plan, bindings, cache_enabled, dedupe_frames)
-    for view in mat_plan.order:
+    for view in mat_plan.tables:
         engine.execute(runtime._refresh_sql[view][1], context=f"init {view}")
     return runtime

@@ -42,7 +42,7 @@ def test_lowered_sql_equals_printed_desugared_ast(name):
     plan, catalog = session.plan, session.plan.catalog
     queries = {rel.name: rel.query for rel in catalog.relations.values() if rel.query is not None}
     assert set(plan.relation_sql) == set(queries)
-    assert set(session.mat_plan.order) <= set(queries)
+    assert set(session.mat_plan.tables) <= set(queries)
     for relation, query in queries.items():
         assert plan.relation_sql[relation] == query_sql(desugar_latest(query, catalog)), relation
     assert set(plan.program_sql) == set(catalog.programs)

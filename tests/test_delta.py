@@ -131,7 +131,7 @@ CREATE VIEW v AS SELECT tId, lat FROM tweets;
 CREATE OUTPUT o AS SELECT tId FROM v;
 CREATE OUTPUT o2 AS SELECT lat FROM v;
 """
-    assert local(program).mat_plan.order == ["v"]
+    assert list(local(program).mat_plan.tables) == ["v"]
     assert local(program).plan.delta_sql == {}
     assert delta_pairs(local(program, materialize=False)) == {("o", "tweets"), ("o2", "tweets")}
 

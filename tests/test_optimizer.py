@@ -30,14 +30,14 @@ CREATE VIEW single AS SELECT delay FROM filtered;
 def test_view_with_two_consumers_is_materialized():
     catalog = compile_program(parse_diel(SHARED_VIEW), {"flights": FLIGHT_COLUMNS})
     plan = materialize_shared_views(catalog, catalog.graph)
-    assert "filtered" in plan
+    assert "filtered" in plan.tables
     assert plan.tables["filtered"] == {"flights", "yearItx"}
 
 
 def test_view_with_one_consumer_stays_virtual():
     catalog = compile_program(parse_diel(SHARED_VIEW), {"flights": FLIGHT_COLUMNS})
     plan = materialize_shared_views(catalog, catalog.graph)
-    assert "single" not in plan
+    assert "single" not in plan.tables
 
 
 def test_materialization_respects_evaluable_filter():

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import importlib
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diel.ast_nodes import ColumnDef
+from diel.corpus import load_examples, run_example
 from diel.errors import (
     SchemaMismatchError,
     SetupError,
@@ -339,13 +342,16 @@ TWO_KEY_TRACE = [
 ]
 
 
-def two_key_session(program: str, remote: bool, cache: bool = True) -> Session:
+def two_key_session(
+    program: str, remote: bool, cache: bool = True,
+    trace: list[TraceEntry] = TWO_KEY_TRACE, latency: str = "fixed(0)", seed: int = 1,
+) -> Session:
     tables = {"t": (TWO_KEYS, TWO_KEY_ROWS)}
     databases = [DbConfig("main", "quick", tables={} if remote else tables)]
     if remote:
-        databases.append(DbConfig("r1", "remote", latency="fixed(0)", tables=tables))
-    session = Session.build(RunConfig([TWO_EVENTS + program], databases, seed=1, cache=cache))
-    session.run_replay(TWO_KEY_TRACE)
+        databases.append(DbConfig("r1", "remote", latency=latency, tables=tables))
+    session = Session.build(RunConfig([TWO_EVENTS + program], databases, seed=seed, cache=cache))
+    session.run_replay(trace)
     return session
 
 
@@ -393,6 +399,122 @@ CREATE OUTPUT o AS SELECT t.v FROM t
     assert remote.plan.rewritten_outputs == {"o": "oEvent"}
     assert local.runtime.frames[-1].rows == ((12,),)
     assert remote.runtime.frames[-1].rows == local.runtime.frames[-1].rows
+
+
+# a state program records each aItx x in the history table picks, and o,
+# over t on r1, reads picks beside LATEST aItx: the plan ships both to r1
+PICKS = """\
+CREATE TABLE picks(x INT);
+CREATE PROGRAM AFTER (aItx) BEGIN INSERT INTO picks SELECT x FROM LATEST aItx; END;
+CREATE OUTPUT o AS SELECT t.v FROM t JOIN picks ON t.k = picks.x JOIN LATEST aItx ON t.k2 = aItx.x;
+"""
+PICKS_TRACE = [TraceEntry(10 * i, "aItx", {"x": x}) for i, x in enumerate([1, 2, 1])]
+
+
+def sent_to(session: Session, db_id: str) -> list[tuple]:
+    """(kind, relation or view, request_timestep, rows) of each message sent to db_id."""
+    return [
+        (m.kind, m.relation or m.view, m.request_timestep, m.rows)
+        for m in session.runtime.federation.transport.log
+        if m.to_db == db_id
+    ]
+
+
+@pytest.mark.parametrize("latency", ["fixed(0)", "uniform(0,40)"])
+def test_history_table_reaches_a_remote_leader(latency):
+    """Before each request r1 receives every picks row that has landed, so
+    its evaluation of o sees what a local evaluation sees."""
+    local = two_key_session(PICKS, remote=False, trace=PICKS_TRACE)
+    remote = two_key_session(PICKS, remote=True, trace=PICKS_TRACE, latency=latency)
+    assert remote.plan.rewritten_outputs == {"o": "oEvent"}
+    assert [f.rows for f in local.runtime.frames] == [(), ((12,),), ((11,), (21,))]
+    assert remote.runtime.frames[-1].rows == local.runtime.frames[-1].rows
+    last_request = max(t for kind, _, t, _ in sent_to(remote, "r1") if kind == "EvalRequest")
+    landed = remote.runtime.engine.conn.execute(
+        "SELECT * FROM picks WHERE timestep < ?", (last_request,)
+    ).fetchall()
+    r1 = remote.runtime.federation.instances["r1"].engine
+    assert r1.conn.execute("SELECT * FROM picks").fetchall() == landed
+    assert [x for x, _ in landed] == [1, 2]
+
+
+def test_history_row_stamped_t_ships_with_the_next_request():
+    """The picks row of timestep t lands at the end of pass t, after the
+    request at t has gone out, so it travels with the next request."""
+    session = two_key_session(PICKS, remote=True, trace=PICKS_TRACE)
+    ships = [(t, rows) for kind, rel, t, rows in sent_to(session, "r1")
+             if kind == "ShipData" and rel == "picks"]
+    assert ships == [(3, [(1, 1)]), (5, [(2, 3)])]
+
+
+def test_one_leader_gets_a_shipment_per_relation_with_new_rows_in_plan_order():
+    """r1 takes two delta relations, picks before zItx in plan order. Each
+    request ships those with new rows, in that order, ahead of the
+    EvalRequest; picks has none before the first request and sends nothing."""
+    program = "CREATE EVENT TABLE zItx(x INT);\n" + PICKS.replace("aItx", "zItx")
+    trace = [TraceEntry(e.at_ms, "zItx", e.payload) for e in PICKS_TRACE]
+    session = two_key_session(program, remote=True, trace=trace)
+    deltas = [s.relation for s in session.plan.shipments if s.destination == "r1" and not s.snapshot]
+    assert deltas == ["picks", "zItx"]
+    assert sent_to(session, "r1") == [
+        ("ShipData", "zItx", 1, [(1, 1, 0)]),
+        ("EvalRequest", "oEvent", 1, None),
+        ("ShipData", "picks", 3, [(1, 1)]),
+        ("ShipData", "zItx", 3, [(2, 3, 10)]),
+        ("EvalRequest", "oEvent", 3, None),
+        ("ShipData", "picks", 5, [(2, 3)]),
+        ("ShipData", "zItx", 5, [(1, 5, 20)]),
+        ("EvalRequest", "oEvent", 5, None),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    xs=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=8),
+    gaps=st.lists(st.integers(0, 30), min_size=8, max_size=8),
+    seed=st.integers(0, 2**16),
+)
+def test_history_shipping_is_placement_transparent(xs, gaps, seed):
+    """C04 over generated aItx traces and latency seeds: with t on r1, o's
+    final frame equals the all-local run's. Traces with a bItx event are
+    left out: a history change alone does not dispatch the async views that
+    read it, so a bItx after the last aItx re-renders o only in the local
+    run ("History on another instance" in docs/dialect.md; still open as a
+    FOUND in CHANGES.md)."""
+    at = [sum(gaps[:i]) for i in range(len(xs))]
+    trace = [TraceEntry(ms, "aItx", {"x": x}) for ms, x in zip(at, xs)]
+    local = two_key_session(PICKS, remote=False, trace=trace, seed=seed)
+    remote = two_key_session(PICKS, remote=True, trace=trace, latency="uniform(0,40)", seed=seed)
+    assert remote.runtime.frames[-1].rows == local.runtime.frames[-1].rows
+
+
+def test_shipments_follow_the_plan_in_the_corpus_and_the_benchmark(monkeypatch):
+    """Every ShipData carries a (relation, instance) pair the plan lists as
+    a delta shipment; on the remote benchmark programs the two sets agree."""
+
+    def pairs(session: Session) -> tuple[set, set]:
+        log = session.runtime.federation.transport.log if session.runtime.federation else []
+        shipped = {(m.relation, m.to_db) for m in log if m.kind == "ShipData"}
+        planned = {(s.relation, s.destination) for s in session.plan.shipments if not s.snapshot}
+        return shipped, planned
+
+    for name, example in load_examples().items():
+        shipped, planned = pairs(run_example(example))
+        assert shipped <= planned, name
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    for name, make in workloads.WORKLOADS.items():
+        workload = make(1, scale=0.2)
+        databases = [
+            DbConfig(inst.name, inst.kind, latency=inst.latency, tables=dict(inst.tables))
+            for inst in workload.instances
+        ]
+        session = Session.build(RunConfig([workload.program], databases, seed=1))
+        session.run_replay(workload.trace)
+        shipped, planned = pairs(session)
+        assert shipped <= planned, name
+        if name.startswith("remote_"):
+            assert shipped == planned != set(), name
 
 
 PTS_COLUMNS = [ColumnDef("id", "INT"), ColumnDef("lat", "REAL"), ColumnDef("lon", "REAL")]
