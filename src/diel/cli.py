@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", metavar="DIR", help="directory for output_log.jsonl and summary.json")
     run_p.add_argument("--no-cache", action="store_true")
     run_p.add_argument("--no-materialize", action="store_true")
-    run_p.add_argument("--dedupe-frames", action="store_true")
     run_p.add_argument("--dump-ir", action="store_true")
     run_p.add_argument("--dump-plan", action="store_true")
     run_p.add_argument("--interactive", action="store_true")
@@ -81,7 +80,6 @@ def _config_from_args(args) -> RunConfig:
         seed=args.seed if args.seed is not None else 0,
         cache=not args.no_cache,
         materialize=not args.no_materialize,
-        dedupe_frames=args.dedupe_frames,
     )
 
 
@@ -138,7 +136,6 @@ def _repl(session: Session) -> int:
     print("commands: event <name> {json} | show <output> | log | quit")
     while True:
         session.deliver_due(now_ms())
-        runtime.drain_inbox()
         try:
             line = input("diel> ").strip()
         except EOFError:
@@ -167,9 +164,7 @@ def _repl(session: Session) -> int:
                 name, _, payload_text = rest.partition(" ")
                 payload = json.loads(payload_text) if payload_text.strip() else {}
                 timestep = runtime.new_event(name, payload, at_ms=now_ms())
-                runtime.drain_inbox()
                 session.deliver_due(now_ms())
-                runtime.drain_inbox()
                 if timestep is None:
                     print("event ignored (CHECK constraint)")
                 continue

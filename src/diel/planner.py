@@ -84,7 +84,6 @@ class FederationPlan:
     coordinator: str
     catalog: Catalog
     placement: dict[str, str]
-    leaders: dict[str, str]
     shipments: list[ShipmentSpec]
     rewritten_outputs: dict[str, str] = field(default_factory=dict)  # output -> async view
     programs: dict[str, str] = field(default_factory=dict)
@@ -97,6 +96,14 @@ class FederationPlan:
     # output -> (event table E, delta statement): one row iff the output's
     # query over E's rows at timestep ? is non-empty; set by emit_per_db_sql
     delta_sql: dict[str, tuple[str, str]] = field(default_factory=dict)
+
+    @property
+    def leaders(self) -> dict[str, str]:
+        """Each async view -> its leader, the instance it is placed on."""
+        return {
+            rel.name: self.placement[rel.name]
+            for rel in self.catalog.by_kind(RelationKind.ASYNC_VIEW)
+        }
 
 
 def base_schemas_of(dbs: list[DbDescriptor]) -> dict[str, list[ColumnDef]]:
@@ -314,14 +321,10 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
 
     # placed after rewriting, so each new async view gets a leader
     placement = locate_relations(catalog, dbs, bases, coordinator)
-    leaders = {
-        rel.name: placement[rel.name]
-        for rel in catalog.relations.values()
-        if rel.kind is RelationKind.ASYNC_VIEW
-    }
 
     shipments: set[ShipmentSpec] = set()
-    for view, leader in leaders.items():
+    for async_view in catalog.by_kind(RelationKind.ASYNC_VIEW):
+        view, leader = async_view.name, placement[async_view.name]
         if leader == coordinator:
             continue
         for leaf in base_closure(view, catalog):
@@ -337,7 +340,6 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         coordinator=coordinator,
         catalog=catalog,
         placement=placement,
-        leaders=leaders,
         shipments=sorted(shipments, key=lambda s: (s.relation, s.destination)),
         rewritten_outputs=rewritten,
     )

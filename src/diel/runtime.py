@@ -10,6 +10,12 @@ constraints are checked, callbacks fire, and finally the staged history-table
 inserts are applied so they become visible from the next timestep onward.
 Async results, including request-cache hits, come back as ordinary events of
 their own.
+
+Events and results share one way in. `new_event` and `on_async_result` both
+go through `_enter`: a call made during a pass (from a callback) is queued
+and taken after that pass ends; any other call is taken at once, followed by
+everything it queued (local results, cache hits, calls from callbacks), one
+timestep each in arrival order, before it returns. Callers never drain.
 """
 
 from __future__ import annotations
@@ -71,24 +77,21 @@ class Runtime:
         self,
         plan: FederationPlan,
         engine: SqlEngine,
-        federation: Federation | None,
+        federation: Federation,
         mat_plan: MaterializationPlan,
         bindings: dict[str, object] | None = None,
         cache_enabled: bool = True,
-        dedupe_frames: bool = False,
     ):
         self.plan = plan
         self.catalog: Catalog = plan.catalog
         self.engine = engine
         self.federation = federation
         self.mat_plan = mat_plan
-        self.dedupe_frames = dedupe_frames
         self.bindings: dict[str, list] = {}
         for output, callback in (bindings or {}).items():
             self.bind_output(output, callback)
 
         self.clock = 0
-        self.now_ms = 0
         self.events: list[EventRecord] = []
         self.frames: list[OutputFrame] = []
         self.diagnostics: list[str] = []
@@ -99,7 +102,7 @@ class Runtime:
         self._ship_cursor: dict[tuple[str, str], int] = {}
         self._dirty_next: set[str] = set()
         self._last_rendered: dict[str, OutputFrame] = {}
-        self._inbox: deque = deque()
+        self._inbox: deque = deque()  # (step, args) taken once the current pass ends
         self._processing = False
 
         self._outputs = [r.name for r in self.catalog.by_kind(RelationKind.OUTPUT)]
@@ -143,7 +146,7 @@ class Runtime:
         self._local_eval_sql = {
             view: f"SELECT * FROM {quote_ident(local_eval_name(view))}"
             for view in self._async_views
-            if plan.leaders[view] == plan.coordinator
+            if plan.placement[view] == plan.coordinator
         }
         # program -> (statements, staged history INSERT or None) per command
         self._program_sql: dict[str, list[tuple[list[str], str | None]]] = {}
@@ -197,11 +200,43 @@ class Runtime:
         self.bindings.setdefault(output, []).append(callback)
 
     def new_event(self, name: str, payload: dict, at_ms: int | None = None) -> int | None:
+        """Append one event; return its timestep, or None when a CHECK rejects
+        it or the call comes from inside a pass and is queued."""
+        return self._enter(self._event_step, name, dict(payload), at_ms)
+
+    def on_async_result(
+        self, view: str, rows: list[tuple], request_timestep: int, at_ms: int | None = None
+    ) -> int | None:
+        """Append one async result; return its timestep, or None when queued."""
+        return self._enter(self._result_step, view, rows, request_timestep, at_ms)
+
+    def admit(self, msg: Message) -> None:
+        """Admit a coordinator-bound transport message as the next event."""
+        if msg.kind != RESULT_ROWS:
+            raise EngineError("coordinator", f"unexpected message kind {msg.kind}")
+        self.on_async_result(msg.view, msg.rows or [], msg.request_timestep, at_ms=msg.deliver_ms)
+
+    def drain_inbox(self) -> None:
+        """Take every queued step, one timestep each, in arrival order. The
+        entry points already do this before they return."""
+        while self._inbox and not self._processing:
+            step, args = self._inbox.popleft()
+            step(*args)
+
+    def _enter(self, step, *args):
+        """The one way in. Inside a pass the step is queued, so no pass is
+        interrupted; outside one it is taken, and then everything it queued
+        (local results, cache hits, calls made from callbacks)."""
         if self._processing:
-            self._inbox.append(("event", name, dict(payload), at_ms))
+            self._inbox.append((step, args))
             return None
-        at_ms = int(time.time() * 1000) if at_ms is None else at_ms
-        self._advance_clock_ms(at_ms)
+        self.drain_inbox()  # steps left queued when an earlier one raised
+        result = step(*args)
+        self.drain_inbox()
+        return result
+
+    def _event_step(self, name: str, payload: dict, at_ms: int | None) -> int | None:
+        at_ms = self._advance_clock_ms(at_ms)
         rel = self.catalog.relations.get(name)
         if rel is None or rel.kind is not RelationKind.EVENT_TABLE:
             raise UnknownEventError(f"{name!r} is not an event table")
@@ -209,19 +244,12 @@ class Runtime:
         if not self._checks_pass(rel.name, values):
             self.ignored_events += 1
             return None
-        self.clock += 1
-        t = self.clock
-        self.engine.insert_rows(name, [values + (t, at_ms)], context=f"event {name}")
-        self.events.append(EventRecord(name, dict(payload), t, at_ms))
-        self._dispatch_async(name, values, t)
-        self._process_timestep(t, name, at_ms)
-        return t
+        return self._append(name, [values], at_ms, payload, params=values)
 
-    def on_async_result(
-        self, view: str, rows: list[tuple], request_timestep: int, at_ms: int | None = None
+    def _result_step(
+        self, view: str, rows: list[tuple], request_timestep: int, at_ms: int | None
     ) -> int:
-        at_ms = int(time.time() * 1000) if at_ms is None else at_ms
-        self._advance_clock_ms(at_ms)
+        at_ms = self._advance_clock_ms(at_ms)
         rel = self.catalog.relations.get(view)
         if rel is None or rel.kind is not RelationKind.ASYNC_VIEW:
             raise UnknownAsyncViewError(f"{view!r} is not an async view")
@@ -231,46 +259,34 @@ class Runtime:
                 raise SchemaMismatchError(
                     f"result row for {view!r} has {len(row)} values, expected {width}"
                 )
-        self.clock += 1
-        t = self.clock
-        self.engine.insert_rows(
-            view,
-            [tuple(row) + (t, at_ms, request_timestep) for row in rows],
-            context=f"result {view}",
-        )
-        self.events.append(
-            EventRecord(
-                relation=view,
-                payload={"rows": [list(r) for r in rows]},
-                timestep=t,
-                timestamp=at_ms,
-                request_timestep=request_timestep,
-            )
-        )
         pending = self._pending_params.pop((view, request_timestep), None)
         if pending is not None:
             self.cache.store(view, pending, rows)
-        self._dispatch_async(view, None, t)
-        self._process_timestep(t, view, at_ms)
+        payload = {"rows": [list(r) for r in rows]}
+        return self._append(view, rows, at_ms, payload, request_timestep=request_timestep)
+
+    def _append(
+        self,
+        relation: str,
+        rows: list[tuple],
+        at_ms: int,
+        payload: dict,
+        request_timestep: int | None = None,
+        params: tuple | None = None,
+    ) -> int:
+        """Take the next timestep: insert the rows with their system columns,
+        log the event, send the async requests it triggers, run the pass."""
+        self.clock += 1
+        t = self.clock
+        if request_timestep is None:
+            system, context = (t, at_ms), f"event {relation}"
+        else:
+            system, context = (t, at_ms, request_timestep), f"result {relation}"
+        self.engine.insert_rows(relation, [tuple(row) + system for row in rows], context=context)
+        self.events.append(EventRecord(relation, payload, t, at_ms, request_timestep))
+        self._dispatch_async(relation, params, t)
+        self._process_timestep(t, relation, at_ms)
         return t
-
-    def admit(self, msg: Message) -> None:
-        """Admit a coordinator-bound transport message as the next event."""
-        if msg.kind != RESULT_ROWS:
-            raise EngineError("coordinator", f"unexpected message kind {msg.kind}")
-        self.on_async_result(msg.view, msg.rows or [], msg.request_timestep, at_ms=msg.deliver_ms)
-        self.drain_inbox()
-
-    def drain_inbox(self) -> None:
-        """Deliver queued local results / re-entrant events, one timestep each."""
-        while self._inbox and not self._processing:
-            item = self._inbox.popleft()
-            if item[0] == "result":
-                _, view, rows, request_timestep, at_ms = item
-                self.on_async_result(view, rows, request_timestep, at_ms)
-            else:
-                _, name, payload, at_ms = item
-                self.new_event(name, payload, at_ms)
 
     def event_log(self) -> list[EventRecord]:
         return list(self.events)
@@ -284,7 +300,7 @@ class Runtime:
         return OutputFrame(name, self.clock, tuple(columns), tuple(rows))
 
     def summary(self) -> dict:
-        sent = self.federation.transport.sent_counts if self.federation else {}
+        sent = self.federation.transport.sent_counts
         remote = sum(sent.get(k, 0) for k in ("ShipData", "EvalRequest", "ResultRows"))
         return {
             "events": len(self.events),
@@ -348,12 +364,13 @@ class Runtime:
 
     def _dispatch_async(self, relation: str, params: tuple | None, t: int) -> None:
         evals: list[tuple[str, str]] = []  # (view, leader)
+        now = self.federation.transport.now
         for view in self._readers.get(relation, ()):
-            leader = self.plan.leaders[view]
+            leader = self.plan.placement[view]
             if view in self._cached_views:
                 cached = self.cache.lookup(view, params)
                 if cached is not None:
-                    self._inbox.append(("result", view, cached, t, self._now_ms()))
+                    self._inbox.append((self._result_step, (view, cached, t, now)))
                     continue
                 self._pending_params[(view, t)] = params
             if leader == self.plan.coordinator:
@@ -361,7 +378,7 @@ class Runtime:
                     self._local_eval_sql[view], context=f"async view {view}"
                 )
                 self.local_evals += 1
-                self._inbox.append(("result", view, rows, t, self._now_ms()))
+                self._inbox.append((self._result_step, (view, rows, t, now)))
             else:
                 evals.append((view, leader))
         for leader in sorted({leader for _, leader in evals}):
@@ -369,15 +386,12 @@ class Runtime:
         for view, leader in evals:
             self.federation.request_eval(leader, view, t)
 
-    def _advance_clock_ms(self, at_ms: int) -> None:
-        self.now_ms = max(self.now_ms, at_ms)
-        if self.federation is not None:
-            self.federation.transport.advance_to(at_ms)
-
-    def _now_ms(self) -> int:
-        if self.federation is not None:
-            return self.federation.transport.now
-        return self.now_ms
+    def _advance_clock_ms(self, at_ms: int | None) -> int:
+        """Move the transport's virtual clock to at_ms (the wall clock when
+        None) and return it."""
+        at_ms = int(time.time() * 1000) if at_ms is None else at_ms
+        self.federation.transport.advance_to(at_ms)
+        return at_ms
 
     def _ship_backlog(self, db_id: str, t: int) -> None:
         """Ship each relation the plan sends db_id as deltas: the rows not
@@ -450,8 +464,6 @@ class Runtime:
                 else:
                     columns, rows = self._evaluate_relation(name)
                     frame = OutputFrame(name, t, tuple(columns), tuple(rows))
-                if self.dedupe_frames and last is not None and last.rows == frame.rows:
-                    continue
                 frames.append(frame)
 
             # (4) NOT EMPTY debugging constraints, checked every timestep
@@ -489,7 +501,6 @@ def setup(
     bindings: dict | None = None,
     seed: int | None = None,
     cache_enabled: bool = True,
-    dedupe_frames: bool = False,
     udfs: dict | None = None,
     base_files: dict[str, Path] | None = None,
 ) -> Runtime:
@@ -547,9 +558,9 @@ def setup(
             rows = engine_of(plan.placement[spec.relation]).table_rows(spec.relation)
             instances[spec.destination].engine.insert_rows(spec.relation, rows)
 
-    federation = Federation(plan.coordinator, instances, links or {}) if instances else None
+    federation = Federation(plan.coordinator, instances, links or {})
 
-    runtime = Runtime(plan, engine, federation, mat_plan, bindings, cache_enabled, dedupe_frames)
+    runtime = Runtime(plan, engine, federation, mat_plan, bindings, cache_enabled)
     for view in mat_plan.tables:
         engine.execute(runtime._refresh_sql[view][1], context=f"init {view}")
     return runtime

@@ -82,7 +82,6 @@ class RunConfig:
     seed: int | None = 0
     cache: bool = True
     materialize: bool = True
-    dedupe_frames: bool = False
     udfs: dict | None = None  # name -> UdfDef, registered on every instance
 
 
@@ -187,7 +186,6 @@ class Session:
             bindings=bindings,
             seed=config.seed,
             cache_enabled=config.cache,
-            dedupe_frames=config.dedupe_frames,
             udfs=config.udfs,
             base_files=base_files,
         )
@@ -196,21 +194,14 @@ class Session:
     # -- drivers -----------------------------------------------------------------
 
     def deliver_due(self, until_ms: int) -> None:
-        if self.runtime.federation is None:
-            return
         # looked up on each call, so a caller may wrap `runtime.admit`
         self.runtime.federation.deliver(self.runtime.admit, until_ms)
 
     def inject(self, entry: TraceEntry) -> int | None:
         self.deliver_due(entry.at_ms)
-        timestep = self.runtime.new_event(entry.event, entry.payload, entry.at_ms)
-        self.runtime.drain_inbox()
-        return timestep
+        return self.runtime.new_event(entry.event, entry.payload, entry.at_ms)
 
     def run_quiescent(self, deadline_ms: int = 10**9) -> int:
-        self.runtime.drain_inbox()
-        if self.runtime.federation is None:
-            return self.runtime._now_ms()
         return run_until_quiescent(self.runtime.federation, self.runtime.admit, deadline_ms)
 
     def run_replay(self, trace: list[TraceEntry], deadline_ms: int = 10**9) -> list[OutputFrame]:

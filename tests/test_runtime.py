@@ -22,7 +22,14 @@ from diel.errors import (
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
 from conftest import FLIGHT_COLUMNS
-from listing_texts import ALL_LISTINGS, MULTI_SELECT, REACTION_TIME, SLIDER, UNDO
+from listing_texts import (
+    ALL_LISTINGS,
+    MULTI_SELECT,
+    REACTION_TIME,
+    SLIDER,
+    SLIDER_LATEST_REQUEST,
+    UNDO,
+)
 
 FLIGHT_ROWS = [
     ("LAX", "JFK", 1998, 5, 2475),
@@ -666,22 +673,6 @@ def test_event_tables_are_append_only():
 MULTI_SELECT_OUT = MULTI_SELECT + "CREATE OUTPUT selectedTweets AS SELECT tweetId FROM multiSelect;"
 
 
-def test_dedupe_frames_suppresses_identical_rows():
-    base = local_session(MULTI_SELECT_OUT)
-    deduped = local_session(MULTI_SELECT_OUT, dedupe_frames=True)
-    trace = [
-        TraceEntry(0, "resetItx", {}),
-        TraceEntry(1, "clickItx", {"tweetId": "a"}),
-        TraceEntry(2, "resetItx", {}),
-        TraceEntry(3, "resetItx", {}),  # output stays empty: identical frame
-    ]
-    for entry in trace:
-        base.inject(entry)
-        deduped.inject(entry)
-    assert len(base.runtime.frames) == 4
-    assert len(deduped.runtime.frames) == 3
-
-
 def test_reentrant_callback_is_queued_as_next_event():
     session = local_session(MULTI_SELECT_OUT)
 
@@ -691,10 +682,75 @@ def test_reentrant_callback_is_queued_as_next_event():
 
     session.runtime.bind_output("selectedTweets", chain)
     session.runtime.new_event("clickItx", {"tweetId": "first"}, at_ms=0)
-    session.runtime.drain_inbox()
     log = session.runtime.event_log()
     assert [r.timestep for r in log] == [1, 2]
     assert log[1].payload == {"tweetId": "chained"}
+
+
+PICKS_COUNT = PICKS + "CREATE OUTPUT n AS SELECT COUNT(*) FROM picks;\n"
+
+
+def picks_count_session(deliver_in_callback: bool) -> Session:
+    tables = {"t": (TWO_KEYS, TWO_KEY_ROWS)}
+    databases = [
+        DbConfig("main", "quick"),
+        DbConfig("r1", "remote", latency="fixed(0)", tables=tables),
+    ]
+    session = Session.build(RunConfig([TWO_EVENTS + PICKS_COUNT], databases, seed=1))
+    if deliver_in_callback:
+        transport = session.runtime.federation.transport
+        session.runtime.bind_output("o", lambda frame: session.deliver_due(transport.now))
+    session.run_replay(PICKS_TRACE)
+    return session
+
+
+def test_result_delivered_from_a_callback_waits_for_the_pass_to_end():
+    """A callback that delivers due messages admits o's result while pass 1
+    runs. The result is queued, so pass 1's staged picks row lands first and
+    the run is the same as without the callback."""
+    quiet = picks_count_session(deliver_in_callback=False)
+    busy = picks_count_session(deliver_in_callback=True)
+    assert busy.output_log_text() == quiet.output_log_text()
+    assert busy.runtime.event_log() == quiet.runtime.event_log()
+    assert [f.timestep for f in busy.runtime.frames if f.output == "n"] == [2, 4, 6]
+    steps = [f.timestep for f in busy.runtime.frames]
+    assert steps == sorted(steps)
+
+
+def test_new_event_alone_renders_a_coordinator_led_async_view():
+    """Embedding with new_event and bind_output only: the local result of
+    distDataEvent is taken before new_event returns."""
+    tables = {"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)}
+    session = local_session(SLIDER_LATEST_REQUEST, tables=tables)
+    assert session.plan.leaders["distDataEvent"] == "main"
+    rendered = []
+    session.runtime.bind_output("distData", rendered.append)
+    assert session.runtime.new_event("slideItx", {"flight_year": 1998}, at_ms=0) == 1
+    assert session.runtime.clock == 2
+    (frame,) = [f for f in rendered if f.timestep == 2]
+    assert sorted(row[:2] for row in frame.rows) == [("LAX", 1), ("SFO", 1)]
+    session.runtime.drain_inbox()
+    assert session.runtime.clock == 2  # nothing was left queued
+
+
+def test_steps_left_queued_by_an_error_are_taken_before_the_next_call():
+    """A callback queues a bad event and then a good one. The bad one raises
+    out of the outer call; the good one is taken before the next event."""
+    session = local_session(MULTI_SELECT_OUT)
+
+    def chain(frame):
+        if frame.timestep == 1:
+            session.runtime.new_event("nope", {}, at_ms=5)
+            session.runtime.new_event("clickItx", {"tweetId": "chained"}, at_ms=6)
+
+    session.runtime.bind_output("selectedTweets", chain)
+    with pytest.raises(UnknownEventError):
+        session.runtime.new_event("clickItx", {"tweetId": "first"}, at_ms=0)
+    assert session.runtime.new_event("resetItx", {}, at_ms=10) == 3
+    log = session.runtime.event_log()
+    assert [(r.relation, r.timestamp) for r in log] == [
+        ("clickItx", 0), ("clickItx", 6), ("resetItx", 10),
+    ]
 
 
 def test_interleaved_events_and_results_form_contiguous_timesteps():
