@@ -56,6 +56,7 @@ from .errors import (
 )
 from .optimizer import delta_paths
 from .printer import expr_sql, query_sql, quote_ident, statement_sql
+from .udfs import UdfDef
 
 KIND_QUICK = "quick"
 KIND_BACKGROUND = "background"
@@ -369,13 +370,16 @@ def _create_table_sql(name: str, columns: list[ColumnDef], system: tuple[str, ..
     return f"CREATE TABLE {quote_ident(name)} ({', '.join(decls)});"
 
 
-def _command_sql(command) -> list[str]:
+def _command_sql(command, udfs: dict[str, UdfDef]) -> list[str]:
     """What a state-program command runs: its SELECT, or one SELECT per VALUES row."""
     if not isinstance(command, InsertStatement):
-        return [query_sql(command, lower=True)]
+        return [query_sql(command, lower=True, udfs=udfs)]
     if command.select is not None:
-        return [query_sql(command.select, lower=True)]
-    return ["SELECT " + ", ".join(expr_sql(v) for v in row) for row in command.values or []]
+        return [query_sql(command.select, lower=True, udfs=udfs)]
+    return [
+        "SELECT " + ", ".join(expr_sql(v, lower=True, udfs=udfs) for v in row)
+        for row in command.values or []
+    ]
 
 
 def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None = None) -> dict[str, str]:
@@ -383,7 +387,9 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     reconstructs the federation (and re-executing them collides, by design).
 
     Every query is lowered to SQL once, here, and kept on the plan for the
-    runtime (`relation_sql`, `program_sql`). Every async-result table, and
+    runtime (`relation_sql`, `program_sql`, `delta_sql`); the lowering inlines
+    the built-in UDFs the catalog's registry leaves in place, so SQLite runs
+    them natively. Every async-result table, and
     every shadow of one, is indexed on request_timestep: each concurrency
     policy finds its rows by that column, and without the index SQLite builds
     an automatic one over the whole result history on every evaluation."""
@@ -401,12 +407,12 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
         )
 
     plan.relation_sql = lowered = {
-        rel.name: query_sql(rel.query, lower=True)
+        rel.name: query_sql(rel.query, lower=True, udfs=catalog.udfs)
         for rel in catalog.relations.values()
         if rel.query is not None
     }
     plan.program_sql = {
-        program.name: [_command_sql(command) for command in program.commands]
+        program.name: [_command_sql(command, catalog.udfs) for command in program.commands]
         for program in catalog.programs.values()
     }
 

@@ -5,12 +5,17 @@ yields a structurally equal AST. With `lower=True` a query prints as plain SQL
 that the embedded SQLite engines accept directly: each LATEST / LATEST_REQUEST
 reference prints bare and its MAX-subquery conjunct is appended to the WHERE
 of the query that holds it, byte for byte what printing the result of
-`compiler.desugar_latest` gives, without copying the AST.
+`compiler.desugar_latest` gives, without copying the AST. Lowering also
+inlines each call of a built-in UDF that the `udfs` registry leaves in place,
+as the built-in's SQL body, when every argument is a column reference or a
+literal; an argument that the body repeats then cannot run twice. Any other
+call stays a call into Python.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 
 from .ast_nodes import (
     BinaryOp,
@@ -41,6 +46,7 @@ from .ast_nodes import (
     UseTemplate,
 )
 from .parser import KEYWORDS
+from .udfs import BUILTIN_UDFS, UdfDef, native_sql
 
 _BARE_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -55,7 +61,7 @@ def quote_string(value: str) -> str:
     return "'" + value.replace("'", "''") + "'"
 
 
-def expr_sql(expr: Expr, lower: bool = False) -> str:
+def expr_sql(expr: Expr, lower: bool = False, udfs: Mapping[str, UdfDef] = BUILTIN_UDFS) -> str:
     if isinstance(expr, Literal):
         if expr.value is None:
             return "NULL"
@@ -70,27 +76,31 @@ def expr_sql(expr: Expr, lower: bool = False) -> str:
     if isinstance(expr, FuncCall):
         if expr.star:
             return f"{expr.name}(*)"
-        return f"{expr.name}({', '.join(expr_sql(a, lower) for a in expr.args)})"
+        args = [expr_sql(a, lower, udfs) for a in expr.args]
+        body = native_sql(udfs).get(expr.name) if lower else None
+        if body is not None and all(isinstance(a, (ColumnRef, Literal)) for a in expr.args):
+            return body(*args)
+        return f"{expr.name}({', '.join(args)})"
     if isinstance(expr, BinaryOp):
-        return f"({expr_sql(expr.left, lower)} {expr.op} {expr_sql(expr.right, lower)})"
+        return f"({expr_sql(expr.left, lower, udfs)} {expr.op} {expr_sql(expr.right, lower, udfs)})"
     if isinstance(expr, UnaryOp):
         if expr.op == "NOT":
-            return f"(NOT {expr_sql(expr.operand, lower)})"
-        return f"({expr.op}{expr_sql(expr.operand, lower)})"
+            return f"(NOT {expr_sql(expr.operand, lower, udfs)})"
+        return f"({expr.op}{expr_sql(expr.operand, lower, udfs)})"
     if isinstance(expr, IsNull):
-        return f"({expr_sql(expr.operand, lower)} IS {'NOT ' if expr.negated else ''}NULL)"
+        return f"({expr_sql(expr.operand, lower, udfs)} IS {'NOT ' if expr.negated else ''}NULL)"
     if isinstance(expr, CaseExpr):
         parts = ["CASE"]
         if expr.operand is not None:
-            parts.append(expr_sql(expr.operand, lower))
+            parts.append(expr_sql(expr.operand, lower, udfs))
         for cond, result in expr.whens:
-            parts.append(f"WHEN {expr_sql(cond, lower)} THEN {expr_sql(result, lower)}")
+            parts.append(f"WHEN {expr_sql(cond, lower, udfs)} THEN {expr_sql(result, lower, udfs)}")
         if expr.else_result is not None:
-            parts.append(f"ELSE {expr_sql(expr.else_result, lower)}")
+            parts.append(f"ELSE {expr_sql(expr.else_result, lower, udfs)}")
         parts.append("END")
         return " ".join(parts)
     if isinstance(expr, ScalarSubquery):
-        return f"({query_sql(expr.query, lower)})"
+        return f"({query_sql(expr.query, lower, udfs)})"
     raise TypeError(f"cannot print expression {expr!r}")
 
 
@@ -106,20 +116,20 @@ def _table_ref_sql(ref: TableRef, lower: bool) -> str:
     return " ".join(parts)
 
 
-def _join_sql(join: Join, lower: bool) -> str:
+def _join_sql(join: Join, lower: bool, udfs: Mapping[str, UdfDef]) -> str:
     if join.kind == "cross":
         return f", {_table_ref_sql(join.table, lower)}"
     head = "LEFT OUTER JOIN" if join.kind == "left" else "JOIN"
     text = f" {head} {_table_ref_sql(join.table, lower)}"
     if join.on is not None:
-        text += f" ON {expr_sql(join.on, lower)}"
+        text += f" ON {expr_sql(join.on, lower, udfs)}"
     return text
 
 
-def _where_sql(query: SelectQuery, lower: bool) -> str | None:
+def _where_sql(query: SelectQuery, lower: bool, udfs: Mapping[str, UdfDef]) -> str | None:
     """Lowered, the written predicate is ANDed with one conjunct per LATEST /
     LATEST_REQUEST reference, in FROM order: `binding.col = (SELECT MAX(col) FROM name)`."""
-    where = None if query.where is None else expr_sql(query.where, lower)
+    where = None if query.where is None else expr_sql(query.where, lower, udfs)
     for ref in query.table_refs() if lower else ():
         if not (ref.latest or ref.latest_request):
             continue
@@ -132,10 +142,10 @@ def _where_sql(query: SelectQuery, lower: bool) -> str | None:
     return where
 
 
-def query_sql(query: SelectQuery, lower: bool = False) -> str:
+def query_sql(query: SelectQuery, lower: bool = False, udfs: Mapping[str, UdfDef] = BUILTIN_UDFS) -> str:
     items = []
     for item in query.items:
-        text = expr_sql(item.expr, lower)
+        text = expr_sql(item.expr, lower, udfs)
         if item.alias:
             text += f" AS {quote_ident(item.alias)}"
         items.append(text)
@@ -143,19 +153,19 @@ def query_sql(query: SelectQuery, lower: bool = False) -> str:
     if query.table is not None:
         sql += " FROM " + _table_ref_sql(query.table, lower)
         for join in query.joins:
-            sql += _join_sql(join, lower)
-    where = _where_sql(query, lower)
+            sql += _join_sql(join, lower, udfs)
+    where = _where_sql(query, lower, udfs)
     if where is not None:
         sql += " WHERE " + where
     if query.group_by:
-        sql += " GROUP BY " + ", ".join(expr_sql(e, lower) for e in query.group_by)
+        sql += " GROUP BY " + ", ".join(expr_sql(e, lower, udfs) for e in query.group_by)
     if query.having is not None:
-        sql += " HAVING " + expr_sql(query.having, lower)
+        sql += " HAVING " + expr_sql(query.having, lower, udfs)
     if query.order_by:
-        parts = [expr_sql(o.expr, lower) + (" DESC" if o.descending else "") for o in query.order_by]
+        parts = [expr_sql(o.expr, lower, udfs) + (" DESC" if o.descending else "") for o in query.order_by]
         sql += " ORDER BY " + ", ".join(parts)
     if query.limit is not None:
-        sql += " LIMIT " + expr_sql(query.limit, lower)
+        sql += " LIMIT " + expr_sql(query.limit, lower, udfs)
     return sql
 
 

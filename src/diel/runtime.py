@@ -118,6 +118,8 @@ class Runtime:
         for spec in plan.shipments:
             if not spec.snapshot:
                 self._deltas.setdefault(spec.destination, []).append(spec.relation)
+        # each output's columns, one tuple that all of its frames share
+        self._output_columns: dict[str, tuple[str, ...]] = {}
         # per-event statements, formatted once: output evaluation, NOT EMPTY
         # probes (view, SQL), mat-view refresh (DELETE, INSERT) and the
         # evaluation query of each coordinator-led async view
@@ -182,12 +184,14 @@ class Runtime:
     def _output_query(self, name: str) -> str:
         """Without its own ORDER BY, an output is read in canonical order: NULL,
         numbers by value (integer before real on a tie), text by code point,
-        blobs. The view's own column names are used, so duplicates are x, x:1."""
+        blobs. The view's own column names are used, so duplicates are x, x:1;
+        they are also the columns of every frame of the output."""
+        info = self.engine.conn.execute(f"PRAGMA table_info({quote_ident(name)})")
+        self._output_columns[name] = names = tuple(row[1] for row in info)
         sql = f"SELECT * FROM {quote_ident(name)}"
         if self.catalog.relations[name].query.order_by:
             return sql
-        info = self.engine.conn.execute(f"PRAGMA table_info({quote_ident(name)})")
-        columns = ['"' + row[1].replace('"', '""') + '"' for row in info]
+        columns = ['"' + c.replace('"', '""') + '"' for c in names]
         return sql + " ORDER BY " + ", ".join(f"{c}, typeof({c})" for c in columns)
 
     # -- API ------------------------------------------------------------------
@@ -262,8 +266,7 @@ class Runtime:
         pending = self._pending_params.pop((view, request_timestep), None)
         if pending is not None:
             self.cache.store(view, pending, rows)
-        payload = {"rows": [list(r) for r in rows]}
-        return self._append(view, rows, at_ms, payload, request_timestep=request_timestep)
+        return self._append(view, rows, at_ms, {"rows": rows}, request_timestep=request_timestep)
 
     def _append(
         self,
@@ -296,8 +299,7 @@ class Runtime:
         if rel is None or rel.kind is not RelationKind.OUTPUT:
             known = ", ".join(sorted(self._outputs)) or "(none)"
             raise UnknownOutputError(f"unknown output {name!r}; known outputs: {known}")
-        columns, rows = self._evaluate_relation(name)
-        return OutputFrame(name, self.clock, tuple(columns), tuple(rows))
+        return OutputFrame(name, self.clock, self._output_columns[name], self._evaluate_relation(name))
 
     def summary(self) -> dict:
         sent = self.federation.transport.sent_counts
@@ -411,8 +413,8 @@ class Runtime:
 
     # -- the processing pass ----------------------------------------------------------
 
-    def _evaluate_relation(self, name: str) -> tuple[list[str], list[tuple]]:
-        return self.engine.run_query(self._output_sql[name], context=f"output {name}")
+    def _evaluate_relation(self, name: str) -> tuple[tuple, ...]:
+        return tuple(self.engine.run_query(self._output_sql[name], context=f"output {name}")[1])
 
     def _process_timestep(self, t: int, triggering: str, at_ms: int) -> list[OutputFrame]:
         self._processing = True
@@ -462,8 +464,7 @@ class Runtime:
                 ):
                     frame = OutputFrame(name, t, last.columns, last.rows)
                 else:
-                    columns, rows = self._evaluate_relation(name)
-                    frame = OutputFrame(name, t, tuple(columns), tuple(rows))
+                    frame = OutputFrame(name, t, self._output_columns[name], self._evaluate_relation(name))
                 frames.append(frame)
 
             # (4) NOT EMPTY debugging constraints, checked every timestep

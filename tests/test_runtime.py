@@ -862,3 +862,48 @@ def test_output_with_order_by_keeps_engine_order():
     for v in (1, 3, 2):
         session.runtime.new_event("pick", {"v": v}, at_ms=0)
     assert session.runtime.frames[-1].rows == ((3,), (2,), (1,))
+
+
+def test_frames_of_an_output_share_one_columns_tuple():
+    """The columns come from the view once, with or without its own ORDER BY,
+    and are the names a query over the view reports, duplicates included."""
+    session = local_session(
+        "CREATE EVENT TABLE pick(v INT);"
+        "CREATE OUTPUT ordered AS SELECT v, v * 2 FROM pick ORDER BY v DESC;"
+        "CREATE OUTPUT pairs AS SELECT a.v, b.v FROM pick a, pick b;"
+    )
+    for v in (1, 3, 2):
+        session.runtime.new_event("pick", {"v": v}, at_ms=0)
+    for output in ("ordered", "pairs"):
+        frames = [f for f in session.runtime.frames if f.output == output]
+        frames.append(session.runtime.current_output(output))
+        reported = session.runtime.engine.run_query(f"SELECT * FROM {output}")[0]
+        assert frames[0].columns == tuple(reported)
+        assert all(f.columns is frames[0].columns for f in frames)
+    assert frames[0].columns == ("v", "v:1")
+
+
+def test_a_result_event_keeps_the_admitted_rows():
+    session = local_session(
+        "CREATE EVENT TABLE pick(v INT);"
+        "CREATE ASYNC VIEW av AS SELECT v FROM LATEST pick;"
+        "CREATE OUTPUT o AS SELECT v FROM LATEST_REQUEST av;"
+    )
+    session.runtime.new_event("pick", {"v": 4}, at_ms=0)
+    assert session.runtime.event_log()[-1].payload == {"rows": [(4,)]}
+    rows = [(5,)]
+    session.runtime.on_async_result("av", rows, request_timestep=1, at_ms=0)
+    assert session.runtime.event_log()[-1].payload["rows"] is rows
+
+
+def test_latest_in_a_subquery_of_a_program_values_row():
+    """A VALUES row is lowered like every other query, so LATEST inside one
+    reads the newest event instead of a table named LATEST."""
+    session = local_session(
+        "CREATE EVENT TABLE e(v INT); CREATE TABLE h(v INT);"
+        "CREATE PROGRAM AFTER (e) BEGIN INSERT INTO h VALUES ((SELECT v FROM LATEST e)); END;"
+        "CREATE OUTPUT o AS SELECT v FROM h;"
+    )
+    for v in (3, 4, 5):
+        session.runtime.new_event("e", {"v": v}, at_ms=0)
+    assert session.runtime.frames[-1].rows == ((3,), (4,))
