@@ -62,6 +62,9 @@ from .printer import query_sql
 from .udfs import BUILTIN_UDFS, ENGINE_FUNCTIONS, UdfDef
 
 SYSTEM_COLUMNS = ("timestep", "timestamp", "request_timestep")
+# SQLite's names for a table's rowid; a declared column of the same name
+# (matched case-insensitively) would take the name over
+ROWID_NAMES = ("rowid", "_rowid_", "oid")
 
 
 class RelationKind(Enum):
@@ -327,6 +330,14 @@ def augment_system_columns(catalog: Catalog) -> Catalog:
                 if col.name in SYSTEM_COLUMNS:
                     raise ReservedColumnNameError(
                         f"{rel.name!r}: column {col.name!r} shadows a system column"
+                    )
+        if rel.kind in TABLE_KINDS and not rel.is_base:
+            # the shipping cursor and the strict policy's newest-row read use
+            # the rowid of these tables
+            for col in rel.columns:
+                if col.name.lower() in ROWID_NAMES:
+                    raise ReservedColumnNameError(
+                        f"{rel.name!r}: column {col.name!r} shadows the rowid"
                     )
         rel.system_columns = system
     return catalog

@@ -75,7 +75,8 @@ class LatestOnNonEventError(CompileError):
 
 
 class ReservedColumnNameError(CompileError):
-    """A user column would shadow timestep / timestamp / request_timestep."""
+    """A user column would shadow timestep / timestamp / request_timestep, or
+    a table's rowid (rowid / _rowid_ / oid)."""
 
 
 class CyclicDependencyError(CompileError):

@@ -30,7 +30,8 @@ from .ast_nodes import (
     CreateProgram,
     FuncCall,
     InsertStatement,
-    Join,
+    Literal,
+    OrderItem,
     ScalarSubquery,
     SelectItem,
     SelectQuery,
@@ -252,31 +253,25 @@ def rewrite_remote_output(
             )
     items = [SelectItem(ColumnRef(column=c.name, table="e")) for c in output.columns]
     coord_query = SelectQuery(items=items, table=TableRef(name=async_name, alias="e"))
-    event_tables = collect_latest_event_tables(output.name, catalog)
-    if len(event_tables) == 1:
-        coord_query.joins.append(
-            Join(
-                kind="inner",
-                table=TableRef(name=event_tables[0], latest=True),
-                on=BinaryOp(
-                    "=",
-                    ColumnRef(column="timestep", table=event_tables[0]),
-                    ColumnRef(column="request_timestep", table="e"),
-                ),
-            )
-        )
-    elif event_tables:
-        # two tables never share a timestep: render the answer to the newest
-        # interaction, using SQLite's multi-argument scalar MAX
-        newest = [
-            ScalarSubquery(SelectQuery(
-                items=[SelectItem(FuncCall("MAX", [ColumnRef(column="timestep")]))],
-                table=TableRef(name=table),
-            ))
-            for table in event_tables
-        ]
+    # an event table is append-only and each row's timestep rises with its
+    # rowid, so its newest timestep is its last row's, read from the end of
+    # the rowid b-tree; NULL while it is empty. Two tables never share a
+    # timestep: the newest interaction is the greatest of their newest, by
+    # SQLite's multi-argument scalar MAX, NULL while any of them is empty
+    newest = [
+        ScalarSubquery(SelectQuery(
+            items=[SelectItem(ColumnRef(column="timestep"))],
+            table=TableRef(name=table),
+            order_by=[OrderItem(ColumnRef(column="rowid"), descending=True)],
+            limit=Literal(1),
+        ))
+        for table in collect_latest_event_tables(output.name, catalog)
+    ]
+    if newest:
         coord_query.where = BinaryOp(
-            "=", ColumnRef(column="request_timestep", table="e"), FuncCall("MAX", newest)
+            "=",
+            ColumnRef(column="request_timestep", table="e"),
+            newest[0] if len(newest) == 1 else FuncCall("MAX", newest),
         )
     coord_output = RelationDef(
         name=output.name, kind=RelationKind.OUTPUT, columns=output.columns, query=coord_query
@@ -422,10 +417,16 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     # the delta statement shadows E, and the views between the output and E
     # (each reads the next, so reversed they are in dependency order), with
     # common table expressions; E's rows at t are read from E itself, so
-    # column affinity applies as in the full query
+    # column affinity applies as in the full query. E holds one row per
+    # timestep and changes only in the pass its own event triggers, so that
+    # row is its last one, found by rowid without a scan
     plan.delta_sql = {}
     for output, (event, views) in delta_paths(catalog, mat_views).items():
-        ctes = [f"{quote_ident(event)} AS (SELECT * FROM main.{quote_ident(event)} WHERE timestep = ?)"]
+        table = f"main.{quote_ident(event)}"
+        ctes = [
+            f"{quote_ident(event)} AS (SELECT * FROM {table} WHERE timestep = ? "
+            f"AND _rowid_ = (SELECT MAX(_rowid_) FROM {table}))"
+        ]
         ctes += [f"{quote_ident(view)} AS ({lowered[view]})" for view in reversed(views)]
         plan.delta_sql[output] = (
             event, f"WITH {', '.join(ctes)} SELECT 1 FROM ({lowered[output]}) LIMIT 1"

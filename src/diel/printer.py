@@ -8,8 +8,8 @@ of the query that holds it, byte for byte what printing the result of
 `compiler.desugar_latest` gives, without copying the AST. Lowering also
 inlines each call of a built-in UDF that the `udfs` registry leaves in place,
 as the built-in's SQL body, when every argument is a column reference or a
-literal; an argument that the body repeats then cannot run twice. Any other
-call stays a call into Python.
+literal (a negated number counts as one); an argument that the body repeats
+then cannot run twice. Any other call stays a call into Python.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def expr_sql(expr: Expr, lower: bool = False, udfs: Mapping[str, UdfDef] = BUILT
             return f"{expr.name}(*)"
         args = [expr_sql(a, lower, udfs) for a in expr.args]
         body = native_sql(udfs).get(expr.name) if lower else None
-        if body is not None and all(isinstance(a, (ColumnRef, Literal)) for a in expr.args):
+        if body is not None and all(_inlinable(a) for a in expr.args):
             return body(*args)
         return f"{expr.name}({', '.join(args)})"
     if isinstance(expr, BinaryOp):
@@ -102,6 +102,15 @@ def expr_sql(expr: Expr, lower: bool = False, udfs: Mapping[str, UdfDef] = BUILT
     if isinstance(expr, ScalarSubquery):
         return f"({query_sql(expr.query, lower, udfs)})"
     raise TypeError(f"cannot print expression {expr!r}")
+
+
+def _inlinable(arg: Expr) -> bool:
+    """A column reference or a literal, a negated number included: a body may
+    repeat it without running anything twice."""
+    if isinstance(arg, UnaryOp) and arg.op == "-":
+        arg = arg.operand
+        return isinstance(arg, Literal) and isinstance(arg.value, (int, float))
+    return isinstance(arg, (ColumnRef, Literal))
 
 
 def _table_ref_sql(ref: TableRef, lower: bool) -> str:

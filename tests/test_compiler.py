@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from diel.ast_nodes import CreateOutput
+from diel.ast_nodes import ColumnDef, CreateOutput
 from diel.compiler import (
     Catalog,
     RelationKind,
@@ -175,6 +175,28 @@ def test_augmentation_is_idempotent():
 def test_reserved_column_name_rejected():
     with pytest.raises(ReservedColumnNameError):
         compile_listing("CREATE EVENT TABLE bad(timestep INT);")
+
+
+@pytest.mark.parametrize("column", ["rowid", "_rowid_", "oid", "RowId", "_ROWID_", "OID"])
+@pytest.mark.parametrize("declaration", [
+    "CREATE EVENT TABLE bad({column} INT, x INT);",
+    "CREATE TABLE bad({column} INT, x INT);",
+    "CREATE EVENT TABLE e(x INT);\nCREATE TABLE bad({column} INT, x INT);\n"
+    "CREATE PROGRAM AFTER (e) BEGIN INSERT INTO bad SELECT x, x FROM LATEST e; END;",
+], ids=["event", "plain", "history"])
+def test_a_column_may_not_take_a_rowid_name(declaration, column):
+    """SQLite's rowid names refer to a declared column of that name, case
+    folded, and the runtime reads these tables' rowids."""
+    with pytest.raises(ReservedColumnNameError, match="shadows the rowid"):
+        compile_listing(declaration.format(column=column), base_schemas={})
+
+
+def test_a_base_table_keeps_a_rowid_named_column():
+    catalog = compile_listing(
+        "CREATE OUTPUT o AS SELECT oid FROM places;",
+        base_schemas={"places": [ColumnDef("oid", "INT")]},
+    )
+    assert [c.name for c in catalog.relations["places"].columns] == ["oid"]
 
 
 # --- LATEST desugaring -------------------------------------------------------------

@@ -72,7 +72,10 @@ CREATE OUTPUT o AS SELECT n.tId, p.name FROM north n JOIN places p ON 1;
 """)
     event, sql = session.plan.delta_sql["o"]
     assert event == "tweets"
-    assert sql.startswith("WITH tweets AS (SELECT * FROM main.tweets WHERE timestep = ?), hits AS (")
+    assert sql.startswith(
+        "WITH tweets AS (SELECT * FROM main.tweets WHERE timestep = ? "
+        "AND _rowid_ = (SELECT MAX(_rowid_) FROM main.tweets)), hits AS ("
+    )
     assert "), north AS (SELECT tId FROM hits WHERE (lat > 0)) SELECT 1 FROM (" in sql
     assert sql.endswith(") LIMIT 1")
 
@@ -119,7 +122,8 @@ CREATE OUTPUT o AS SELECT tId FROM north WHERE lat < 3;
 """)
     assert delta_pairs(session) == {("north", "tweets"), ("o", "tweets")}
     assert session.plan.delta_sql["o"][1] == (
-        "WITH tweets AS (SELECT * FROM main.tweets WHERE timestep = ?), "
+        "WITH tweets AS (SELECT * FROM main.tweets WHERE timestep = ? "
+        "AND _rowid_ = (SELECT MAX(_rowid_) FROM main.tweets)), "
         "north AS (SELECT tId, lat FROM tweets WHERE (lat > 0)) "
         "SELECT 1 FROM (SELECT tId FROM north WHERE (lat < 3)) LIMIT 1"
     )

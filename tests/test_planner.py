@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from diel.planner import (
 )
 from diel.printer import query_sql
 from diel.engine import SqlEngine
-from diel.session import DbConfig, RunConfig, Session
+from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
 from conftest import FLIGHT_COLUMNS
 from listing_texts import SLIDER, SLIDER_LATEST_REQUEST
@@ -158,10 +159,12 @@ def test_rewrite_produces_async_view_and_recheck_join():
     assert async_view.kind is RelationKind.ASYNC_VIEW
     assert "flights" in query_sql(async_view.query)
     coord = plan.catalog.relations["distData"]
-    coord_sql = query_sql(coord.query)
-    assert "distDataEvent" in coord_sql
-    assert "slideItx.timestep = e.request_timestep" in coord_sql
-    assert coord.query.joins[0].table.latest
+    # the newest interaction is the event table's last row
+    assert query_sql(coord.query) == (
+        "SELECT e.origin, e.count FROM distDataEvent AS e WHERE (e.request_timestep = "
+        "(SELECT timestep FROM slideItx ORDER BY rowid DESC LIMIT 1))"
+    )
+    assert not coord.query.joins
 
 
 def test_rewrite_skipped_for_local_output():
@@ -190,9 +193,9 @@ def test_rewrite_with_two_latest_event_tables():
     catalog = compile_program(parse_diel(text), base_schemas_of(dbs))
     plan = plan_federation(catalog, dbs)
     coord_sql = query_sql(plan.catalog.relations["picked"].query)
-    # two tables never share a timestep: the newest of their latest ones is awaited
-    assert "e.request_timestep = MAX((SELECT MAX(timestep) FROM yearItx), " in coord_sql
-    assert "(SELECT MAX(timestep) FROM originItx))" in coord_sql
+    # two tables never share a timestep: the newest of their last rows is awaited
+    assert "e.request_timestep = MAX((SELECT timestep FROM yearItx ORDER BY rowid DESC LIMIT 1), " in coord_sql
+    assert "(SELECT timestep FROM originItx ORDER BY rowid DESC LIMIT 1))" in coord_sql
 
 
 # --- emit_per_db_sql -----------------------------------------------------------------
@@ -364,21 +367,28 @@ def test_corpus_policy_outputs_use_the_request_timestep_index():
     }
 
 
-def test_benchmark_policy_outputs_use_the_request_timestep_index(monkeypatch):
+def remote_benchmark_sessions(monkeypatch) -> dict[str, Session]:
+    """The two remote benchmark programs at seed 1, built without files."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     workloads = importlib.import_module("workloads")
-    expected = {
-        "remote_brush": ["brushedTweets", "followerAgeDist"],
-        "remote_reorder_cached": ["distData", "distStrict"],
-    }
-    for name, outputs in expected.items():
+    sessions = {}
+    for name in ("remote_brush", "remote_reorder_cached"):
         workload = workloads.WORKLOADS[name](1, scale=0.2)
         databases = [
             DbConfig(inst.name, inst.kind, latency=inst.latency, tables=dict(inst.tables))
             for inst in workload.instances
         ]
-        session = Session.build(RunConfig([workload.program], databases, seed=1))
-        assert sorted(assert_async_reads_use_planned_index(session, "main")) == outputs
+        sessions[name] = Session.build(RunConfig([workload.program], databases, seed=1))
+    return sessions
+
+
+def test_benchmark_policy_outputs_use_the_request_timestep_index(monkeypatch):
+    expected = {
+        "remote_brush": ["brushedTweets", "followerAgeDist"],
+        "remote_reorder_cached": ["distData", "distStrict"],
+    }
+    for name, session in remote_benchmark_sessions(monkeypatch).items():
+        assert sorted(assert_async_reads_use_planned_index(session, "main")) == expected[name]
 
 
 def test_shipped_async_results_are_indexed_on_the_instance():
@@ -414,3 +424,120 @@ CREATE OUTPUT regions AS SELECT region, count FROM LATEST_REQUEST perRegion;
     ]
     assert assert_async_reads_use_planned_index(session, "r2") == ["perRegion"]
     assert assert_async_reads_use_planned_index(session, "main") == ["regions"]
+
+
+# --- the strict policy's newest interaction -----------------------------------------
+
+
+def tail_reads_only(session: Session) -> list[str]:
+    """Every rewritten output scans an event table only in the read of its
+    last row, `(SELECT timestep FROM T ORDER BY rowid DESC LIMIT 1)`, which
+    walks the rowid b-tree backwards and stops at one row; nothing is sorted.
+    Returns the outputs checked."""
+    plan = session.plan
+    events = {r.name for r in plan.catalog.by_kind(RelationKind.EVENT_TABLE)}
+    for output in plan.rewritten_outputs:
+        sql = plan.relation_sql[output]
+        details = [
+            row[3] for row in session.runtime.engine.conn.execute("EXPLAIN QUERY PLAN " + sql)
+        ]
+        scanned = Counter(d[len("SCAN "):] for d in details if d.startswith("SCAN "))
+        for table in events & set(scanned):
+            tails = sql.count(f"(SELECT timestep FROM {table} ORDER BY rowid DESC LIMIT 1)")
+            assert scanned[table] <= tails, (output, details)
+        assert not [d for d in details if "TEMP B-TREE" in d], (output, details)
+    return sorted(plan.rewritten_outputs)
+
+
+def test_strict_outputs_read_the_newest_interaction_without_a_scan(monkeypatch):
+    checked = {}
+    for name, example in load_examples().items():
+        outputs = tail_reads_only(Session.build(example.config()))
+        if outputs:
+            checked[name] = outputs
+    for name, session in remote_benchmark_sessions(monkeypatch).items():
+        checked[name] = tail_reads_only(session)
+    assert checked == {
+        "slider_remote": ["distData"],
+        "slider_reordered": ["distData"],
+        "remote_brush": ["brushedTweets", "followerAgeDist"],
+        "remote_reorder_cached": ["distStrict"],
+    }
+
+
+def vm_steps(engine: SqlEngine, sql: str, params: tuple = ()) -> int:
+    """SQLite virtual-machine instructions one run of `sql` takes."""
+    steps = 0
+
+    def count() -> int:
+        nonlocal steps
+        steps += 1
+        return 0
+
+    engine.conn.set_progress_handler(count, 1)
+    try:
+        engine.conn.execute(sql, params).fetchall()
+    finally:
+        engine.conn.set_progress_handler(None, 1)
+    return steps
+
+
+def steps_at_50_and_2000(session: Session, trace: list[TraceEntry], sql, params=lambda t: ()) -> list[int]:
+    """VM steps of one run of `sql` after the first 50 of the 2000 trace
+    entries (and their results) are in, and again after all of them."""
+    counts = []
+    for part in (trace[:50], trace[50:]):
+        for entry in part:
+            session.inject(entry)
+        session.run_quiescent()
+        counts.append(vm_steps(session.runtime.engine, sql, params(session.runtime.clock)))
+    return counts
+
+
+# t on r1 picks rows by k and k2; v = 10 * k + k2
+PICK_COLUMNS = [ColumnDef("k", "INT"), ColumnDef("k2", "INT"), ColumnDef("v", "INT")]
+PICK_ROWS = [(1, 1, 11), (1, 2, 12), (2, 1, 21), (2, 2, 22)]
+
+
+@pytest.mark.parametrize("joins, events", [
+    ("JOIN LATEST aItx ON t.k = aItx.x", ["aItx"]),
+    ("JOIN LATEST aItx ON t.k = aItx.x JOIN LATEST bItx ON t.k2 = bItx.x", ["aItx", "bItx"]),
+], ids=["one-latest-table", "two-latest-tables"])
+def test_a_strict_output_costs_the_same_as_history_grows(joins, events):
+    program = (
+        "CREATE EVENT TABLE aItx(x INT);\nCREATE EVENT TABLE bItx(x INT);\n"
+        f"CREATE OUTPUT o AS SELECT t.v FROM t {joins};\n"
+    )
+    tables = {"t": (PICK_COLUMNS, PICK_ROWS)}
+    session = Session.build(RunConfig([program], [
+        DbConfig("main", "quick"), DbConfig("r1", "remote", latency="fixed(0)", tables=tables),
+    ], seed=1))
+    assert session.plan.rewritten_outputs == {"o": "oEvent"}
+    trace = [
+        TraceEntry(10 * i, events[i % len(events)], {"x": 1 + i // len(events) % 2})
+        for i in range(2000)
+    ]
+    first, last = steps_at_50_and_2000(session, trace, session.plan.relation_sql["o"])
+    assert session.runtime.frames[-1].rows
+    assert first == last
+
+
+def test_a_delta_probe_costs_the_same_as_history_grows():
+    program = (
+        "CREATE EVENT TABLE tweets(tId INT, lat REAL);\n"
+        "CREATE OUTPUT o AS SELECT t.tId, p.name FROM tweets t JOIN places p ON t.lat = p.lat;\n"
+    )
+    places = ([ColumnDef("name", "TEXT"), ColumnDef("lat", "REAL")], [("north", 1.0)])
+    session = Session.build(RunConfig(
+        [program], [DbConfig("main", "quick", tables={"places": places})], seed=1,
+    ))
+    event, sql = session.plan.delta_sql["o"]
+    assert event == "tweets"
+    # every 50th tweet is at lat 1, the 50th and the 2000th among them
+    trace = [
+        TraceEntry(10 * i, "tweets", {"tId": i, "lat": 1.0 if i % 50 == 49 else 0.0})
+        for i in range(2000)
+    ]
+    first, last = steps_at_50_and_2000(session, trace, sql, params=lambda t: (t,))
+    assert len(session.runtime.frames[-1].rows) == 40
+    assert first == last

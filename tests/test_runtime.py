@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from diel.ast_nodes import ColumnDef
 from diel.corpus import load_examples, run_example
 from diel.errors import (
+    ReservedColumnNameError,
     SchemaMismatchError,
     SetupError,
     TypeMismatchError,
@@ -452,6 +453,21 @@ def test_history_row_stamped_t_ships_with_the_next_request():
     ships = [(t, rows) for kind, rel, t, rows in sent_to(session, "r1")
              if kind == "ShipData" and rel == "picks"]
     assert ships == [(3, [(1, 1)]), (5, [(2, 3)])]
+
+
+def test_an_event_table_may_not_declare_a_rowid_column():
+    """The shipping cursor reads aItx's _rowid_. A declared _rowid_ column
+    took its place, so a row whose value was below the cursor never reached
+    r1: over this trace the local run ended on 13, and every result the
+    remote run admitted showed 11."""
+    program = """\
+CREATE EVENT TABLE aItx(_rowid_ INT, x INT);
+CREATE OUTPUT o AS SELECT t.v FROM t JOIN LATEST aItx ON t.k = aItx.x;
+"""
+    tables = {"t": ([ColumnDef("k", "INT"), ColumnDef("v", "INT")], [(1, 11), (2, 12), (3, 13)])}
+    databases = [DbConfig("main", "quick"), DbConfig("r1", "remote", latency="fixed(0)", tables=tables)]
+    with pytest.raises(ReservedColumnNameError, match="'_rowid_' shadows the rowid"):
+        Session.build(RunConfig([program], databases, seed=1))
 
 
 def test_one_leader_gets_a_shipment_per_relation_with_new_rows_in_plan_order():

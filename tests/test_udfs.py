@@ -137,9 +137,19 @@ def test_column_and_literal_arguments_are_inlined():
     assert brush(session) == ((1,), (2,))
 
 
+def test_a_negated_number_is_inlined_like_a_literal():
+    session = pts_session("point_in_box(t.lat, t.lon, -10, 0, 6, 20)")
+    assert session.plan.relation_sql["o"].startswith(
+        "SELECT t.id FROM pts AS t JOIN brushItx AS b ON COALESCE(((-10) <= t.lat AND t.lat <= 6 "
+        "AND 0 <= t.lon AND t.lon <= 20), 0)"
+    )
+    assert brush(session) == ((1,), (2,))
+
+
 @pytest.mark.parametrize("argument, call", [
     ("t.lat + 0", "point_in_box((t.lat + 0), t.lon, "),
     ("RANDOM()", "point_in_box(RANDOM(), t.lon, "),
+    ("-t.lat", "point_in_box((-t.lat), t.lon, "),
 ])
 def test_calls_with_other_arguments_stay_python(argument, call):
     session = pts_session(f"point_in_box({argument}, t.lon, b.*)")
@@ -236,7 +246,8 @@ def test_realtime_tweets_delta_probe_is_lowered():
     plan = Session.build(load_examples()["realtime_tweets"].config()).plan
     assert plan.delta_sql["tweetsInBrush"] == (
         "tweets",
-        "WITH tweets AS (SELECT * FROM main.tweets WHERE timestep = ?), fixedBrushTweets AS "
+        "WITH tweets AS (SELECT * FROM main.tweets WHERE timestep = ? "
+        "AND _rowid_ = (SELECT MAX(_rowid_) FROM main.tweets)), fixedBrushTweets AS "
         f"(SELECT t.tId, t.lat, t.lon FROM tweets AS t JOIN brushItx AS b ON ({BOX} "
         "AND (t.timestep < b.timestep)) WHERE (b.timestep = (SELECT MAX(timestep) FROM brushItx))) "
         "SELECT 1 FROM (SELECT tId, lat, lon FROM fixedBrushTweets) LIMIT 1",
