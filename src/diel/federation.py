@@ -212,15 +212,23 @@ class SimInstance:
     EvalRequests of t, so release order alone evaluates requests in ascending
     timestep against exactly the state as of t, however deliveries reorder.
     Setup snapshots are written by `setup` before any message is sent.
+
+    So the tables change only when a ShipData is applied, and views of one
+    evaluation group (`eval_groups`: view -> the group's first view, the
+    plan's record) run the same SQL: the first request of a group after a
+    shipment is evaluated, and the group's later requests reuse its rows
+    until the next shipment.
     """
 
-    def __init__(self, db_id: str, engine: SqlEngine):
+    def __init__(self, db_id: str, engine: SqlEngine, eval_groups: dict[str, str] | None = None):
         self.db_id = db_id
         self.engine = engine
-        self.evaluated: list[int] = []  # request_timestep of each evaluation, in order
+        self.evaluated: list[int] = []  # request_timestep of each answered request, in order
         self._channel_buffer: dict[int, Message] = {}  # link_seq -> early arrival
         self._next_link_seq = 1
         self._view_sql: dict[str, str] = {}  # view -> its evaluation query
+        self._eval_groups = {} if eval_groups is None else eval_groups
+        self._group_rows: dict[str, list[tuple]] = {}  # group -> rows since the last shipment
 
     def receive(self, msg: Message, now_ms: int) -> list[Message]:
         """Buffer one delivery, apply every message it releases, and return
@@ -240,11 +248,17 @@ class SimInstance:
             t = item.request_timestep
             if item.kind == SHIP_DATA:
                 self.engine.insert_rows(item.relation, item.rows or [], context=f"shipment t={t}")
+                self._group_rows.clear()
             elif item.kind == EVAL_REQUEST:
-                sql = self._view_sql.get(item.view)
-                if sql is None:
-                    sql = self._view_sql[item.view] = f"SELECT * FROM {quote_ident(item.view)}"
-                _, rows = self.engine.run_query(sql, context=f"async view {item.view}")
+                group = self._eval_groups.get(item.view)
+                rows = self._group_rows.get(group)
+                if rows is None:
+                    sql = self._view_sql.get(item.view)
+                    if sql is None:
+                        sql = self._view_sql[item.view] = f"SELECT * FROM {quote_ident(item.view)}"
+                    _, rows = self.engine.run_query(sql, context=f"async view {item.view}")
+                    if group is not None:
+                        self._group_rows[group] = rows
                 out.append(
                     Message(
                         kind=RESULT_ROWS,

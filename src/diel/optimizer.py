@@ -86,7 +86,8 @@ def cacheable_views(catalog: Catalog) -> set[str]:
     the ones the request cache serves: the only changing relation in the view's
     dependency closure is one event table, every reference to it is LATEST,
     no query reads its timestep or timestamp (the cache key is the payload),
-    and everything else the view reads is a base or plain table."""
+    nothing calls RANDOM(), and everything else the view reads is a base or
+    plain table."""
     views = set()
     for view in catalog.by_kind(RelationKind.ASYNC_VIEW):
         changing = [
@@ -98,9 +99,24 @@ def cacheable_views(catalog: Catalog) -> set[str]:
         event = changing[0]
         if not all(ref.latest for ref in closure_table_refs(view.name, catalog) if ref.name == event):
             continue
-        if not any(_reads_system_columns(q, event) for q in closure_queries(view.name, catalog)):
+        if any(_reads_system_columns(q, event) for q in closure_queries(view.name, catalog)):
+            continue
+        if not calls_random(view.name, catalog):
             views.add(view.name)
     return views
+
+
+def calls_random(name: str, catalog: Catalog) -> bool:
+    """Whether a query in `name`'s dependency closure calls RANDOM(). Its
+    result is then not a function of the state it runs on, and each
+    evaluation moves the engine's seeded generator: such a relation must be
+    evaluated exactly as often as it is asked for, never served from an
+    earlier evaluation or skipped."""
+    return any(
+        isinstance(node, FuncCall) and node.name.upper() == "RANDOM"
+        for query in closure_queries(name, catalog)
+        for node in _nodes(all_queries(query))
+    )
 
 
 def _reads_system_columns(query: SelectQuery, event: str) -> bool:
@@ -136,8 +152,8 @@ def delta_paths(
     reads E through exactly one plain reference, never through LATEST or a
     scalar subquery (any view or output that reads E counts as reading it),
     and no view on the way is materialized. Nothing in the
-    closure calls RANDOM(), since skipping an evaluation would shift the
-    engine's seeded generator, or reads `rowid`, which E's delta lacks."""
+    closure calls RANDOM() (see `calls_random`) or reads `rowid`, which E's
+    delta lacks."""
     paths = {}
     for output in catalog.by_kind(RelationKind.OUTPUT):
         found = {}
@@ -146,9 +162,8 @@ def delta_paths(
                 path = _delta_path(output.name, name, catalog, materialized)
                 if path is not None:
                     found[name] = path
-        if len(found) == 1 and not any(
-            (isinstance(node, FuncCall) and node.name.upper() == "RANDOM")
-            or (isinstance(node, ColumnRef) and node.column == "rowid")
+        if len(found) == 1 and not calls_random(output.name, catalog) and not any(
+            isinstance(node, ColumnRef) and node.column == "rowid"
             for query in closure_queries(output.name, catalog)
             for node in _nodes(all_queries(query))
         ):

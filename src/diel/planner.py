@@ -55,7 +55,7 @@ from .errors import (
     DuplicateRelationError,
     UnknownRelationError,
 )
-from .optimizer import delta_paths
+from .optimizer import calls_random, delta_paths
 from .printer import expr_sql, query_sql, quote_ident, statement_sql
 from .udfs import UdfDef
 
@@ -98,6 +98,11 @@ class FederationPlan:
     # output -> (event table E, delta statement): one row iff the output's
     # query over E's rows at timestep ? is non-empty; set by emit_per_db_sql
     delta_sql: dict[str, tuple[str, str]] = field(default_factory=dict)
+    # async view -> the first view of its evaluation group: two or more async
+    # views on one leader with byte-identical relation_sql and no RANDOM() in
+    # their closure, evaluated once per leader state; a view evaluated alone
+    # has no entry. Set by emit_per_db_sql
+    eval_groups: dict[str, str] = field(default_factory=dict)
 
     @property
     def leaders(self) -> dict[str, str]:
@@ -382,7 +387,7 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     reconstructs the federation (and re-executing them collides, by design).
 
     Every query is lowered to SQL once, here, and kept on the plan for the
-    runtime (`relation_sql`, `program_sql`, `delta_sql`); the lowering inlines
+    runtime (`relation_sql`, `program_sql`, `delta_sql`, `eval_groups`); the lowering inlines
     the built-in UDFs the catalog's registry leaves in place, so SQLite runs
     them natively. Every async-result table, and
     every shadow of one, is indexed on request_timestep: each concurrency
@@ -409,6 +414,20 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     plan.program_sql = {
         program.name: [_command_sql(command, catalog.udfs) for command in program.commands]
         for program in catalog.programs.values()
+    }
+
+    # async views that would run the same SQL on the same leader answer from
+    # one evaluation while the leader's tables stay as they are; the same SQL
+    # reads the same relations, so one view shows whether the group's
+    # closure calls RANDOM()
+    same_sql: dict[tuple[str, str], list[str]] = {}
+    for view, leader in sorted(plan.leaders.items()):
+        same_sql.setdefault((leader, lowered[view]), []).append(view)
+    plan.eval_groups = {
+        view: group[0]
+        for group in same_sql.values()
+        if len(group) > 1 and not calls_random(group[0], catalog)
+        for view in group
     }
 
     def topo_sorted(names: set[str]) -> list[str]:
@@ -525,6 +544,13 @@ def dump_plan(plan: FederationPlan) -> str:
         lines.append("== indexes ==")
         for table, column, db_id in plan.indexes:
             lines.append(f"{table} ({column}) @ {db_id}")
+    if plan.eval_groups:
+        lines.append("== shared evaluations ==")
+        groups: dict[str, list[str]] = {}
+        for view, first in sorted(plan.eval_groups.items()):
+            groups.setdefault(first, []).append(view)
+        for first, views in groups.items():
+            lines.append(f"{plan.placement[first]}: {', '.join(views)}")
     if plan.delta_sql:
         lines.append("== delta ==")
         for output in sorted(plan.delta_sql):

@@ -367,6 +367,9 @@ class Runtime:
     def _dispatch_async(self, relation: str, params: tuple | None, t: int) -> None:
         evals: list[tuple[str, str]] = []  # (view, leader)
         now = self.federation.transport.now
+        # the coordinator's tables do not change within one dispatch, so an
+        # evaluation group is evaluated here at most once
+        group_rows: dict[str, list[tuple]] = {}
         for view in self._readers.get(relation, ()):
             leader = self.plan.placement[view]
             if view in self._cached_views:
@@ -376,9 +379,14 @@ class Runtime:
                     continue
                 self._pending_params[(view, t)] = params
             if leader == self.plan.coordinator:
-                _, rows = self.engine.run_query(
-                    self._local_eval_sql[view], context=f"async view {view}"
-                )
+                group = self.plan.eval_groups.get(view)
+                rows = group_rows.get(group)
+                if rows is None:
+                    _, rows = self.engine.run_query(
+                        self._local_eval_sql[view], context=f"async view {view}"
+                    )
+                    if group is not None:
+                        group_rows[group] = rows
                 self.local_evals += 1
                 self._inbox.append((self._result_step, (view, rows, t, now)))
             else:
@@ -528,7 +536,7 @@ def setup(
             inst_engine.execute_script(plan.programs[db_id])
         except EngineError as exc:
             raise SetupError(db_id, str(exc)) from exc
-        instances[db_id] = SimInstance(db_id, inst_engine)
+        instances[db_id] = SimInstance(db_id, inst_engine, plan.eval_groups)
 
     def engine_of(db_id: str) -> SqlEngine:
         return engine if db_id == plan.coordinator else instances[db_id].engine

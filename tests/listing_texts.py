@@ -35,6 +35,15 @@ CREATE OUTPUT distData AS
   SELECT * FROM LATEST_REQUEST distDataEvent;
 """
 
+# one remote query behind two policies: the latest-request output above and
+# its strict twin, which the planner rewrites into an async view of the same SQL
+SLIDER_TWINS = SLIDER_LATEST_REQUEST + """\
+CREATE OUTPUT distStrict AS
+ SELECT origin, COUNT()
+ FROM flights JOIN LATEST slideItx ON flight_year
+ GROUP BY origin;
+"""
+
 BRUSH = """\
 CREATE EVENT TABLE brushItx (
   latMin REAL, lonMin REAL, latMax REAL, lonMax REAL

@@ -26,7 +26,7 @@ from diel.engine import SqlEngine
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
 from conftest import FLIGHT_COLUMNS
-from listing_texts import SLIDER, SLIDER_LATEST_REQUEST
+from listing_texts import SLIDER, SLIDER_LATEST_REQUEST, SLIDER_TWINS
 
 
 def quick(name="main", tables=None):
@@ -280,8 +280,13 @@ def test_dump_plan_lists_sections():
     assert "slideItx -> r1 (deltas)" in text
     assert "== indexes ==\ndistDataEvent (request_timestep) @ main" in text
     assert "== delta ==" not in text  # distData reads slideItx only through LATEST
+    assert "== shared evaluations ==" not in text
     session = Session.build(load_examples()["realtime_tweets"].config())
     assert dump_plan(session.plan).endswith("== delta ==\ntweetsInBrush on tweets")
+    dbs = [quick(), remote("r1", {"flights": FLIGHT_COLUMNS})]
+    twins = plan_federation(compile_program(parse_diel(SLIDER_TWINS), base_schemas_of(dbs)), dbs)
+    emit_per_db_sql(twins)
+    assert dump_plan(twins).endswith("== shared evaluations ==\nr1: distDataEvent, distStrictEvent")
 
 
 def test_planning_leaves_the_compiled_catalog_untouched():

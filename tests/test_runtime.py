@@ -397,6 +397,31 @@ def test_request_cache_skips_views_that_read_the_event_timestep(view):
     assert cached.summary()["cache_hits"] == 0
 
 
+@pytest.mark.parametrize("flights_on", ["main", "r1"])
+def test_request_cache_skips_views_that_call_random(flights_on):
+    """A sample drawn with RANDOM() is not a function of the size it was
+    drawn for: the repeated sizes must draw again, as they do uncached."""
+    program = """\
+CREATE EVENT TABLE sizeItx(size INT);
+CREATE ASYNC VIEW sampleEvent AS
+  SELECT origin, delay FROM flights ORDER BY RANDOM() LIMIT (SELECT size FROM LATEST sizeItx);
+CREATE OUTPUT sample AS SELECT * FROM LATEST_REQUEST sampleEvent;
+"""
+    trace = [TraceEntry(10 * i, "sizeItx", {"size": n}) for i, n in enumerate([3, 4, 3, 4, 3])]
+    logs = []
+    for cache in (True, False):
+        if flights_on == "main":
+            session = local_session(
+                program, {"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)}, cache=cache
+            )
+        else:
+            session = remote_session(program, latency="fixed(5)", cache=cache)
+        session.run_replay(trace)
+        assert session.summary()["cache_hits"] == 0
+        logs.append(session.output_log_text())
+    assert logs[0] == logs[1]
+
+
 def test_strict_rewrite_over_two_latest_event_tables_renders_like_local():
     program = """\
 CREATE OUTPUT o AS SELECT t.v FROM t
