@@ -112,6 +112,10 @@ class UnknownAsyncViewError(RuntimeDielError):
     pass
 
 
+class UnknownRequestError(RuntimeDielError):
+    """An async result answers a request timestep the clock has not reached."""
+
+
 class TypeMismatchError(RuntimeDielError):
     pass
 

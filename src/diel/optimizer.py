@@ -9,8 +9,7 @@ misses alike, and an output whose delta is provably empty keeps its rows.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import marshal
 from collections.abc import Container
 from dataclasses import dataclass, field
 
@@ -226,14 +225,16 @@ class RequestCache:
     The key is the tuple itself: params are validated payload values, and a
     REAL column stores 2000 and 2000.0 alike, so equal params give equal rows.
     Identical row sets share one dataId, so repeated results cost a pointer,
-    not a copy; row sets are compared by a digest that keeps 1 and 1.0 apart,
-    so a hit replays exactly the values that were stored.
+    not a copy. Row sets are compared by their marshal encoding (version 2,
+    which writes no back-references), exact on type and value: it keeps 1 and
+    1.0, -0.0 and 0.0, and a TEXT and a BLOB apart, so a hit replays exactly
+    the values that were stored.
     """
 
     def __init__(self) -> None:
         self.rows: dict[tuple, RequestCacheRow] = {}
         self.data: dict[int, list[tuple]] = {}
-        self._by_digest: dict[str, int] = {}
+        self._by_encoding: dict[bytes, int] = {}
         self._next_data_id = 1
         self.hits = 0
         self.misses = 0
@@ -247,15 +248,14 @@ class RequestCache:
         return self.data[row.dataId]
 
     def store(self, view: str, params: tuple, rows: list[tuple]) -> int:
-        digest = hashlib.sha256(
-            json.dumps([list(r) for r in rows], separators=(",", ":"), default=str).encode()
-        ).hexdigest()
-        data_id = self._by_digest.get(digest)
+        rows = list(map(tuple, rows))
+        encoding = marshal.dumps(rows, 2)
+        data_id = self._by_encoding.get(encoding)
         if data_id is None:
             data_id = self._next_data_id
             self._next_data_id += 1
-            self._by_digest[digest] = data_id
-            self.data[data_id] = [tuple(r) for r in rows]
+            self._by_encoding[encoding] = data_id
+            self.data[data_id] = rows
         key = (view, params)
         if key not in self.rows:
             self.rows[key] = RequestCacheRow(key=key, dataId=data_id, viewName=view)

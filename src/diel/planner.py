@@ -14,7 +14,8 @@ is evaluated; emission, materialization and NOT EMPTY probes read it:
 Outputs that read off-coordinator data are rewritten into an async view that
 runs at a leader instance plus a coordination output implementing the strict
 default policy: result rows render only when their request_timestep equals
-the newest timestep of the interaction tables the original query read.
+the newest timestep of the interaction tables the original query read
+(`FederationPlan.waits_on`).
 Explicitly declared async views are never touched, so custom policies stay
 exactly as written.
 """
@@ -88,6 +89,11 @@ class FederationPlan:
     placement: dict[str, str]
     shipments: list[ShipmentSpec]
     rewritten_outputs: dict[str, str] = field(default_factory=dict)  # output -> async view
+    # rewritten output -> the LATEST event tables whose newest interaction its
+    # strict tail awaits; an output with none (it reads no LATEST event table)
+    # has no entry. In the pass of an event on one of them the output has no
+    # rows: the answer to that request enters later, as a timestep of its own
+    waits_on: dict[str, list[str]] = field(default_factory=dict)
     programs: dict[str, str] = field(default_factory=dict)
     # (table, column, instance) of every index the programs create
     indexes: list[tuple[str, str, str]] = field(default_factory=list)
@@ -235,8 +241,9 @@ def collect_latest_event_tables(name: str, catalog: Catalog) -> list[str]:
 
 def rewrite_remote_output(
     output: RelationDef, catalog: Catalog
-) -> tuple[RelationDef, RelationDef]:
-    """Split a remote-spanning output into (async view, coordination output)."""
+) -> tuple[RelationDef, RelationDef, list[str]]:
+    """Split a remote-spanning output into (async view, coordination output,
+    the event tables whose newest interaction the coordination output awaits)."""
     base = f"{output.name}Event"
     async_name = base
     n = 2
@@ -263,6 +270,7 @@ def rewrite_remote_output(
     # the rowid b-tree; NULL while it is empty. Two tables never share a
     # timestep: the newest interaction is the greatest of their newest, by
     # SQLite's multi-argument scalar MAX, NULL while any of them is empty
+    waits_on = collect_latest_event_tables(output.name, catalog)
     newest = [
         ScalarSubquery(SelectQuery(
             items=[SelectItem(ColumnRef(column="timestep"))],
@@ -270,7 +278,7 @@ def rewrite_remote_output(
             order_by=[OrderItem(ColumnRef(column="rowid"), descending=True)],
             limit=Literal(1),
         ))
-        for table in collect_latest_event_tables(output.name, catalog)
+        for table in waits_on
     ]
     if newest:
         coord_query.where = BinaryOp(
@@ -281,7 +289,7 @@ def rewrite_remote_output(
     coord_output = RelationDef(
         name=output.name, kind=RelationKind.OUTPUT, columns=output.columns, query=coord_query
     )
-    return async_view, coord_output
+    return async_view, coord_output, waits_on
 
 
 # --- plan driver ------------------------------------------------------------------
@@ -297,6 +305,7 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
     bases = locate_bases(catalog, dbs)
 
     rewritten: dict[str, str] = {}
+    waits_on: dict[str, list[str]] = {}
     for name in list(catalog.relations):
         rel = catalog.relations[name]
         if rel.kind is not RelationKind.OUTPUT or not remote_bases(name, catalog, bases, coordinator):
@@ -309,10 +318,12 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         if reads_async:
             # the developer wrote an explicit async view + policy; leave it alone
             continue
-        async_view, coord_output = rewrite_remote_output(rel, catalog)
+        async_view, coord_output, tables = rewrite_remote_output(rel, catalog)
         catalog.relations[async_view.name] = async_view
         catalog.relations[name] = coord_output
         rewritten[name] = async_view.name
+        if tables:
+            waits_on[name] = tables
 
     catalog.graph = build_dependency_graph(catalog)
     for name in rewritten.values():
@@ -343,6 +354,7 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         placement=placement,
         shipments=sorted(shipments, key=lambda s: (s.relation, s.destination)),
         rewritten_outputs=rewritten,
+        waits_on=waits_on,
     )
     return plan
 
@@ -534,7 +546,10 @@ def dump_plan(plan: FederationPlan) -> str:
     if plan.rewritten_outputs:
         lines.append("== rewritten outputs ==")
         for output in sorted(plan.rewritten_outputs):
-            lines.append(f"{output} via {plan.rewritten_outputs[output]}")
+            line = f"{output} via {plan.rewritten_outputs[output]}"
+            if output in plan.waits_on:
+                line += f", waits on {', '.join(plan.waits_on[output])}"
+            lines.append(line)
     if plan.shipments:
         lines.append("== shipments ==")
         for spec in plan.shipments:

@@ -5,7 +5,8 @@ with its timestep and timestamp, ships deltas to the instances that need
 them, and drives one atomic processing pass: state programs run first (their
 inserts are staged), materialized shared views refresh, outputs whose
 dependency closure changed re-evaluate (or keep their rows, when only an event
-table they are monotone in changed and its new rows add none), NOT EMPTY
+table they are monotone in changed and its new rows add none; or show none,
+when they render only the answer to the event that triggered the pass), NOT EMPTY
 constraints are checked, callbacks fire, and finally the staged history-table
 inserts are applied so they become visible from the next timestep onward.
 Async results, including request-cache hits, come back as ordinary events of
@@ -37,6 +38,7 @@ from .errors import (
     UnknownAsyncViewError,
     UnknownEventError,
     UnknownOutputError,
+    UnknownRequestError,
 )
 from .federation import Federation, Message, RESULT_ROWS, SimInstance
 from .optimizer import MaterializationPlan, RequestCache, cacheable_views
@@ -121,9 +123,15 @@ class Runtime:
         # each output's columns, one tuple that all of its frames share
         self._output_columns: dict[str, tuple[str, ...]] = {}
         # per-event statements, formatted once: output evaluation, NOT EMPTY
-        # probes (view, SQL), mat-view refresh (DELETE, INSERT) and the
-        # evaluation query of each coordinator-led async view
+        # probes (view, SQL), mat-view refresh (DELETE, INSERT), the
+        # evaluation query of each coordinator-led async view and the backlog
+        # read of each relation shipped as deltas
         self._output_sql = {name: self._output_query(name) for name in self._outputs}
+        self._backlog_sql = {
+            relation: f"SELECT _rowid_, * FROM {quote_ident(relation)} WHERE _rowid_ > ?"
+            for relations in self._deltas.values()
+            for relation in relations
+        }
         self._probes = []
         for c in self.catalog.constraints:
             rel = self.catalog.relations.get(c.view)
@@ -263,6 +271,13 @@ class Runtime:
                 raise SchemaMismatchError(
                     f"result row for {view!r} has {len(row)} values, expected {width}"
                 )
+        if request_timestep > self.clock:
+            # an answer always takes a later timestep than its request; the
+            # strict outputs' skip in _process_timestep relies on it
+            raise UnknownRequestError(
+                f"result for {view!r} answers request {request_timestep}, but the "
+                f"clock is at {self.clock}"
+            )
         pending = self._pending_params.pop((view, request_timestep), None)
         if pending is not None:
             self.cache.store(view, pending, rows)
@@ -411,7 +426,7 @@ class Runtime:
         for relation in self._deltas.get(db_id, ()):
             cursor = self._ship_cursor.get((relation, db_id), 0)
             _, rows = self.engine.run_query(
-                f"SELECT _rowid_, * FROM {quote_ident(relation)} WHERE _rowid_ > ?",
+                self._backlog_sql[relation],
                 (cursor,),
                 context=f"backlog of {relation}",
             )
@@ -456,8 +471,11 @@ class Runtime:
                 changed.add(view)
 
             # (3) re-evaluate outputs whose dependency closure changed, unless
-            # only an event table E changed and the output's query over E's
-            # new rows is empty: then the last rendered rows still hold
+            # the output is rewritten and waits on the triggering event table:
+            # it shows only the answer to request t, which enters later as a
+            # timestep of its own, so it has no rows; or only an event table E
+            # changed and the output's query over E's new rows is empty: then
+            # the last rendered rows still hold
             frames: list[OutputFrame] = []
             for name in self._outputs:
                 touched = ({name} | self._closures[name]) & changed
@@ -465,7 +483,9 @@ class Runtime:
                     continue
                 last = self._last_rendered.get(name)
                 event, delta_sql = self.plan.delta_sql.get(name, (None, None))
-                if (
+                if triggering in self.plan.waits_on.get(name, ()):
+                    frame = OutputFrame(name, t, self._output_columns[name], ())
+                elif (
                     last is not None
                     and touched == {event}
                     and not self.engine.run_query(delta_sql, (t,), context=f"output {name}")[1]

@@ -44,6 +44,17 @@ CREATE OUTPUT distStrict AS
  GROUP BY origin;
 """
 
+# a strict output over two LATEST event tables: it awaits the newest
+# interaction on either, and the plan dump says so
+PICKED = """\
+CREATE EVENT TABLE yearItx(flight_year INT);
+CREATE EVENT TABLE originItx(origin TEXT);
+CREATE OUTPUT picked AS SELECT delay FROM flights
+ JOIN LATEST yearItx ON flight_year JOIN LATEST originItx ON origin;
+"""
+PICKED_REWRITTEN = "== rewritten outputs ==\npicked via pickedEvent, waits on yearItx, originItx"
+SLIDER_REWRITTEN = "== rewritten outputs ==\ndistData via distDataEvent, waits on slideItx"
+
 BRUSH = """\
 CREATE EVENT TABLE brushItx (
   latMin REAL, lonMin REAL, latMax REAL, lonMax REAL

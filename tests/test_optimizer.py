@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from diel.compiler import compile_program
 from diel.optimizer import RequestCache, materialize_shared_views
 from diel.parser import parse_diel
@@ -124,6 +126,28 @@ def test_row_set_digest_keeps_int_and_real_apart():
     cache = RequestCache()
     assert cache.store("v", (1,), [(1,)]) != cache.store("v", (2,), [(1.0,)])
     assert [type(x) for (x,) in cache.lookup("v", (2,))] == [float]
+
+
+@pytest.mark.parametrize("first, second", [
+    (0.0, -0.0),
+    (b"\x00", "b'\\x00'"),  # a BLOB and the TEXT of its str()
+    (b"x", "x"),
+    (None, "None"),
+], ids=["signed-zero", "blob-vs-its-str", "blob-vs-text", "null-vs-text"])
+def test_row_set_key_keeps_types_and_zero_signs_apart(first, second):
+    cache = RequestCache()
+    assert cache.store("v", (1,), [(first,)]) != cache.store("v", (2,), [(second,)])
+    assert [repr(x) for (x,) in cache.lookup("v", (1,))] == [repr(first)]
+    assert [repr(x) for (x,) in cache.lookup("v", (2,))] == [repr(second)]
+
+
+def test_row_sets_equal_in_type_and_value_share_one_data_id():
+    cache = RequestCache()
+    rows = [("LAX", 1, 2.5, None, b"\x01"), ("", -0.0, 2**62, "x", b"")]
+    copied = [tuple(list(r)) for r in rows]
+    assert cache.store("v", (1,), rows) == cache.store("v", (2,), copied)
+    assert cache.store("v", (3,), [list(r) for r in rows]) == cache.store("v", (1,), rows)
+    assert len(cache.data) == 1
 
 
 def test_cache_hit_count_equals_repeated_pairs():

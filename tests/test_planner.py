@@ -26,7 +26,14 @@ from diel.engine import SqlEngine
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
 from conftest import FLIGHT_COLUMNS
-from listing_texts import SLIDER, SLIDER_LATEST_REQUEST, SLIDER_TWINS
+from listing_texts import (
+    PICKED,
+    PICKED_REWRITTEN,
+    SLIDER,
+    SLIDER_LATEST_REQUEST,
+    SLIDER_REWRITTEN,
+    SLIDER_TWINS,
+)
 
 
 def quick(name="main", tables=None):
@@ -155,6 +162,7 @@ def test_leader_minimizes_shipped_rows_exhaustively():
 def test_rewrite_produces_async_view_and_recheck_join():
     plan, _ = slider_plan()
     assert plan.rewritten_outputs == {"distData": "distDataEvent"}
+    assert plan.waits_on == {"distData": ["slideItx"]}
     async_view = plan.catalog.relations["distDataEvent"]
     assert async_view.kind is RelationKind.ASYNC_VIEW
     assert "flights" in query_sql(async_view.query)
@@ -170,6 +178,7 @@ def test_rewrite_produces_async_view_and_recheck_join():
 def test_rewrite_skipped_for_local_output():
     plan, _ = slider_plan(remote_flights=False)
     assert plan.rewritten_outputs == {}
+    assert plan.waits_on == {}
     assert "distDataEvent" not in plan.catalog.relations
 
 
@@ -178,20 +187,17 @@ def test_explicit_async_view_never_rewritten():
     catalog = compile_program(parse_diel(SLIDER_LATEST_REQUEST), base_schemas_of(dbs))
     plan = plan_federation(catalog, dbs)
     assert plan.rewritten_outputs == {}
+    assert plan.waits_on == {}  # a custom policy is never skipped
     sql = query_sql(plan.catalog.relations["distData"].query)
     assert "LATEST_REQUEST" in sql or "request_timestep" in sql
 
 
 def test_rewrite_with_two_latest_event_tables():
     dbs = [quick(), remote("r1", {"flights": FLIGHT_COLUMNS}, {"flights": 10_000})]
-    text = (
-        "CREATE EVENT TABLE yearItx(flight_year INT);"
-        "CREATE EVENT TABLE originItx(origin TEXT);"
-        "CREATE OUTPUT picked AS SELECT delay FROM flights"
-        " JOIN LATEST yearItx ON flight_year JOIN LATEST originItx ON origin;"
-    )
-    catalog = compile_program(parse_diel(text), base_schemas_of(dbs))
+    catalog = compile_program(parse_diel(PICKED), base_schemas_of(dbs))
     plan = plan_federation(catalog, dbs)
+    assert plan.waits_on == {"picked": ["yearItx", "originItx"]}
+    assert PICKED_REWRITTEN in dump_plan(plan)
     coord_sql = query_sql(plan.catalog.relations["picked"].query)
     # two tables never share a timestep: the newest of their last rows is awaited
     assert "e.request_timestep = MAX((SELECT timestep FROM yearItx ORDER BY rowid DESC LIMIT 1), " in coord_sql
@@ -278,6 +284,7 @@ def test_dump_plan_lists_sections():
     assert "flights @ r1" in text
     assert "distDataEvent -> r1" in text
     assert "slideItx -> r1 (deltas)" in text
+    assert SLIDER_REWRITTEN + "\n== shipments ==" in text
     assert "== indexes ==\ndistDataEvent (request_timestep) @ main" in text
     assert "== delta ==" not in text  # distData reads slideItx only through LATEST
     assert "== shared evaluations ==" not in text
