@@ -34,7 +34,7 @@ from .federation import (
     parse_latency_spec,
     run_until_quiescent,
 )
-from .optimizer import MaterializationPlan, RequestCache, RequestCacheRow, materialize_shared_views
+from .optimizer import RequestCache, materialize_shared_views
 from .parser import parse_diel, parse_query
 from .planner import (
     DbDescriptor,
@@ -64,7 +64,6 @@ __all__ = [
     "Federation",
     "FederationPlan",
     "LatencySpec",
-    "MaterializationPlan",
     "Message",
     "OutputFrame",
     "ParseError",
@@ -72,7 +71,6 @@ __all__ = [
     "RelationDef",
     "RelationKind",
     "RequestCache",
-    "RequestCacheRow",
     "RunConfig",
     "Runtime",
     "SelectQuery",

@@ -70,14 +70,13 @@ class Example:
     def golden_text(self) -> str:
         return self._file(GOLDEN_NAME, "golden log").read_text(encoding="utf-8")
 
-    def config(self, cache: bool | None = None, materialize: bool | None = None) -> RunConfig:
-        flags = self.manifest.get("flags", {})
+    def config(self, cache: bool = True, materialize: bool = True) -> RunConfig:
         return RunConfig(
             diel_sources=self.diel_sources(),
             databases=self.databases(),
             seed=self.manifest.get("seed", 0),
-            cache=flags.get("cache", True) if cache is None else cache,
-            materialize=flags.get("materialize", True) if materialize is None else materialize,
+            cache=cache,
+            materialize=materialize,
         )
 
 
@@ -96,9 +95,7 @@ def load_examples() -> dict[str, Example]:
     return examples
 
 
-def run_example(
-    example: Example, cache: bool | None = None, materialize: bool | None = None
-) -> Session:
+def run_example(example: Example, cache: bool = True, materialize: bool = True) -> Session:
     config = example.config(cache=cache, materialize=materialize)
     session = Session.build(config)
     session.run_replay(example.trace())

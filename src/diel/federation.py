@@ -305,28 +305,25 @@ class Federation:
         return self._link_seq[db_id]
 
     def ship(self, db_id: str, relation: str, rows: list[tuple], request_timestep: int) -> None:
-        self.transport.send(
-            Message(
-                kind=SHIP_DATA,
-                from_db=self.coordinator_id,
-                to_db=db_id,
-                send_ms=self.transport.now,
-                relation=relation,
-                rows=rows,
-                request_timestep=request_timestep,
-                link_seq=self._next_link_seq(db_id),
-            ),
-            self.links[db_id].up,
-        )
+        self._send_up(db_id, SHIP_DATA, request_timestep, relation=relation, rows=rows)
 
     def request_eval(self, db_id: str, view: str, request_timestep: int) -> None:
+        self._send_up(db_id, EVAL_REQUEST, request_timestep, view=view)
+
+    def _send_up(
+        self, db_id: str, kind: str, request_timestep: int,
+        view: str | None = None, relation: str | None = None, rows: list[tuple] | None = None,
+    ) -> None:
+        """Send one message on db_id's coordinator->instance channel, at its next position."""
         self.transport.send(
             Message(
-                kind=EVAL_REQUEST,
+                kind=kind,
                 from_db=self.coordinator_id,
                 to_db=db_id,
                 send_ms=self.transport.now,
                 view=view,
+                relation=relation,
+                rows=rows,
                 request_timestep=request_timestep,
                 link_seq=self._next_link_seq(db_id),
             ),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import marshal
 from collections.abc import Container
-from dataclasses import dataclass, field
 
 from .ast_nodes import ColumnRef, Expr, FuncCall, InsertStatement, SelectQuery, Star, walk
 from .compiler import (
@@ -34,19 +33,14 @@ def _nodes(queries: list[SelectQuery]) -> list[Expr]:
     return [node for q in queries for clause in q.clauses() for node in walk(clause)]
 
 
-@dataclass
-class MaterializationPlan:
-    # view name -> relations whose change forces a refresh, in refresh order
-    # (dependencies first)
-    tables: dict[str, frozenset[str]] = field(default_factory=dict)
-
-
 def materialize_shared_views(
     catalog: Catalog,
     graph: DependencyGraph,
     evaluable: set[str] | None = None,
-) -> MaterializationPlan:
-    """Plan table-backed storage for every view with two or more consumers.
+) -> dict[str, frozenset[str]]:
+    """Plan table-backed storage for every view with two or more consumers:
+    view -> the relations whose change forces its refresh, in refresh order
+    (dependencies first).
 
     `evaluable` restricts candidates to views placed on the coordinator (a
     view over remote base data exists only at the leaders that read it).
@@ -64,7 +58,7 @@ def materialize_shared_views(
         for dep in seen:
             consumers[dep] = consumers.get(dep, 0) + 1
 
-    plan = MaterializationPlan()
+    materialized: dict[str, frozenset[str]] = {}
     for name in graph.topological_order():
         rel = catalog.relations.get(name)
         if rel is None or rel.kind is not RelationKind.VIEW:
@@ -73,8 +67,8 @@ def materialize_shared_views(
             continue
         if evaluable is not None and name not in evaluable:
             continue
-        plan.tables[name] = dependency_closure(name, catalog)
-    return plan
+        materialized[name] = dependency_closure(name, catalog)
+    return materialized
 
 
 # --- request cache ---------------------------------------------------------------
@@ -212,19 +206,12 @@ def _select_project_join(query: SelectQuery) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RequestCacheRow:
-    key: tuple  # (view, params)
-    dataId: int
-    viewName: str
-
-
 class RequestCache:
     """Maps (async view, triggering parameters) to stored result row sets.
 
     The key is the tuple itself: params are validated payload values, and a
     REAL column stores 2000 and 2000.0 alike, so equal params give equal rows.
-    Identical row sets share one dataId, so repeated results cost a pointer,
+    Identical row sets share one data id, so repeated results cost a pointer,
     not a copy. Row sets are compared by their marshal encoding (version 2,
     which writes no back-references), exact on type and value: it keeps 1 and
     1.0, -0.0 and 0.0, and a TEXT and a BLOB apart, so a hit replays exactly
@@ -232,7 +219,7 @@ class RequestCache:
     """
 
     def __init__(self) -> None:
-        self.rows: dict[tuple, RequestCacheRow] = {}
+        self.rows: dict[tuple, int] = {}  # (view, params) -> data id
         self.data: dict[int, list[tuple]] = {}
         self._by_encoding: dict[bytes, int] = {}
         self._next_data_id = 1
@@ -240,12 +227,12 @@ class RequestCache:
         self.misses = 0
 
     def lookup(self, view: str, params: tuple) -> list[tuple] | None:
-        row = self.rows.get((view, params))
-        if row is None:
+        data_id = self.rows.get((view, params))
+        if data_id is None:
             self.misses += 1
             return None
         self.hits += 1
-        return self.data[row.dataId]
+        return self.data[data_id]
 
     def store(self, view: str, params: tuple, rows: list[tuple]) -> int:
         rows = list(map(tuple, rows))
@@ -256,9 +243,7 @@ class RequestCache:
             self._next_data_id += 1
             self._by_encoding[encoding] = data_id
             self.data[data_id] = rows
-        key = (view, params)
-        if key not in self.rows:
-            self.rows[key] = RequestCacheRow(key=key, dataId=data_id, viewName=view)
+        self.rows.setdefault((view, params), data_id)
         return data_id
 
     def stats(self) -> dict[str, int]:

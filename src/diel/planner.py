@@ -56,7 +56,7 @@ from .errors import (
     DuplicateRelationError,
     UnknownRelationError,
 )
-from .optimizer import calls_random, delta_paths
+from .optimizer import cacheable_views, calls_random, delta_paths
 from .printer import expr_sql, query_sql, quote_ident, statement_sql
 from .udfs import UdfDef
 
@@ -94,11 +94,16 @@ class FederationPlan:
     # has no entry. In the pass of an event on one of them the output has no
     # rows: the answer to that request enters later, as a timestep of its own
     waits_on: dict[str, list[str]] = field(default_factory=dict)
+    # shared view -> the relations whose change forces its refresh, for each
+    # view the coordinator keeps as a table (`materialize_shared_views`), in
+    # refresh order; set before emit_per_db_sql, which reads it
+    materialized: dict[str, frozenset[str]] = field(default_factory=dict)
     programs: dict[str, str] = field(default_factory=dict)
     # (table, column, instance) of every index the programs create
     indexes: list[tuple[str, str, str]] = field(default_factory=list)
-    # lowered SELECT of every query relation, and the statements each state
-    # program command runs (one per VALUES row); set by emit_per_db_sql
+    # lowered SELECT of every query relation (a coordinator-led async view
+    # runs its own on each request), and the statements each state program
+    # command runs (one per VALUES row); set by emit_per_db_sql
     relation_sql: dict[str, str] = field(default_factory=dict)
     program_sql: dict[str, list[list[str]]] = field(default_factory=dict)
     # output -> (event table E, delta statement): one row iff the output's
@@ -109,6 +114,9 @@ class FederationPlan:
     # their closure, evaluated once per leader state; a view evaluated alone
     # has no entry. Set by emit_per_db_sql
     eval_groups: dict[str, str] = field(default_factory=dict)
+    # async views the request cache serves (`cacheable_views`); set by
+    # emit_per_db_sql
+    cached_views: set[str] = field(default_factory=set)
 
     @property
     def leaders(self) -> dict[str, str]:
@@ -362,10 +370,6 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
 # --- SQL emission -------------------------------------------------------------------
 
 
-def local_eval_name(async_view: str) -> str:
-    return f"__eval_{async_view}"
-
-
 def index_name(table: str, column: str) -> str:
     return f"__idx_{table}_{column}"
 
@@ -394,19 +398,21 @@ def _command_sql(command, udfs: dict[str, UdfDef]) -> list[str]:
     ]
 
 
-def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None = None) -> dict[str, str]:
+def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     """DDL + named queries per instance; executing them on fresh engines
     reconstructs the federation (and re-executing them collides, by design).
 
+    Each view in `plan.materialized` becomes a table on the coordinator.
     Every query is lowered to SQL once, here, and kept on the plan for the
-    runtime (`relation_sql`, `program_sql`, `delta_sql`, `eval_groups`); the lowering inlines
-    the built-in UDFs the catalog's registry leaves in place, so SQLite runs
-    them natively. Every async-result table, and
-    every shadow of one, is indexed on request_timestep: each concurrency
-    policy finds its rows by that column, and without the index SQLite builds
-    an automatic one over the whole result history on every evaluation."""
+    runtime (`relation_sql`, `program_sql`, `delta_sql`), next to the async
+    views that share one evaluation (`eval_groups`) and those the request
+    cache serves (`cached_views`). The lowering inlines the built-in UDFs the
+    catalog's registry leaves in place, so SQLite runs them natively. Every
+    async-result table, and every shadow of one, is indexed on
+    request_timestep: each concurrency policy finds its rows by that column,
+    and without the index SQLite builds an automatic one over the whole
+    result history on every evaluation."""
     catalog = plan.catalog
-    mat_views = mat_views or {}
     order = catalog.graph.topological_order()
     programs: dict[str, str] = {}
     plan.indexes = []
@@ -441,6 +447,7 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
         if len(group) > 1 and not calls_random(group[0], catalog)
         for view in group
     }
+    plan.cached_views = cacheable_views(catalog)
 
     def topo_sorted(names: set[str]) -> list[str]:
         return [n for n in order if n in names]
@@ -452,7 +459,7 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     # timestep and changes only in the pass its own event triggers, so that
     # row is its last one, found by rowid without a scan
     plan.delta_sql = {}
-    for output, (event, views) in delta_paths(catalog, mat_views).items():
+    for output, (event, views) in delta_paths(catalog, plan.materialized).items():
         table = f"main.{quote_ident(event)}"
         ctes = [
             f"{quote_ident(event)} AS (SELECT * FROM {table} WHERE timestep = ? "
@@ -484,16 +491,11 @@ def emit_per_db_sql(plan: FederationPlan, mat_views: dict[str, list[str]] | None
     }
     for name in topo_sorted(view_names):
         rel = catalog.relations[name]
-        if name in mat_views:
+        if name in plan.materialized:
             cols = [ColumnDef(c.name, None) for c in rel.columns]
             lines.append(_create_table_sql(name, cols, ()))
         else:
             lines.append(f"CREATE VIEW {quote_ident(name)} AS {lowered[name]};")
-    for view, leader in sorted(plan.leaders.items()):
-        if leader == plan.coordinator:
-            # async view led by the coordinator: the result table keeps the view's
-            # name, so its evaluation query lives under a reserved name
-            lines.append(f"CREATE VIEW {quote_ident(local_eval_name(view))} AS {lowered[view]};")
     for program in catalog.programs.values():
         stmt = CreateProgram(name=program.name, triggers=program.triggers, commands=program.commands)
         lines.append("-- state program (runtime-executed): " + statement_sql(stmt))

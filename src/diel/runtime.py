@@ -41,8 +41,8 @@ from .errors import (
     UnknownRequestError,
 )
 from .federation import Federation, Message, RESULT_ROWS, SimInstance
-from .optimizer import MaterializationPlan, RequestCache, cacheable_views
-from .planner import FederationPlan, local_eval_name
+from .optimizer import RequestCache
+from .planner import FederationPlan
 from .printer import expr_sql, query_sql, quote_ident  # noqa: F401 (bench/tracing.py wraps query_sql here)
 
 
@@ -80,15 +80,12 @@ class Runtime:
         plan: FederationPlan,
         engine: SqlEngine,
         federation: Federation,
-        mat_plan: MaterializationPlan,
         bindings: dict[str, object] | None = None,
-        cache_enabled: bool = True,
     ):
         self.plan = plan
         self.catalog: Catalog = plan.catalog
         self.engine = engine
         self.federation = federation
-        self.mat_plan = mat_plan
         self.bindings: dict[str, list] = {}
         for output, callback in (bindings or {}).items():
             self.bind_output(output, callback)
@@ -123,9 +120,8 @@ class Runtime:
         # each output's columns, one tuple that all of its frames share
         self._output_columns: dict[str, tuple[str, ...]] = {}
         # per-event statements, formatted once: output evaluation, NOT EMPTY
-        # probes (view, SQL), mat-view refresh (DELETE, INSERT), the
-        # evaluation query of each coordinator-led async view and the backlog
-        # read of each relation shipped as deltas
+        # probes (view, SQL), mat-view refresh (DELETE, INSERT) and the
+        # backlog read of each relation shipped as deltas
         self._output_sql = {name: self._output_query(name) for name in self._outputs}
         self._backlog_sql = {
             relation: f"SELECT _rowid_, * FROM {quote_ident(relation)} WHERE _rowid_ > ?"
@@ -144,19 +140,12 @@ class Runtime:
                     f"NOT EMPTY on {c.view} is not checked: the view reads data "
                     "off the coordinator"
                 )
-        # async views the request cache serves
-        self._cached_views = cacheable_views(self.catalog) if cache_enabled else set()
         self._refresh_sql = {
             view: (
                 f"DELETE FROM {quote_ident(view)}",
                 f"INSERT INTO {quote_ident(view)} {plan.relation_sql[view]}",
             )
-            for view in mat_plan.tables
-        }
-        self._local_eval_sql = {
-            view: f"SELECT * FROM {quote_ident(local_eval_name(view))}"
-            for view in self._async_views
-            if plan.placement[view] == plan.coordinator
+            for view in plan.materialized
         }
         # program -> (statements, staged history INSERT or None) per command
         self._program_sql: dict[str, list[tuple[list[str], str | None]]] = {}
@@ -188,6 +177,9 @@ class Runtime:
             ]
             if checks:
                 self._check_sql[rel.name] = checks
+        # materialized views start filled; each pass refreshes the changed ones
+        for view, (_, insert) in self._refresh_sql.items():
+            self.engine.execute(insert, context=f"init {view}")
 
     def _output_query(self, name: str) -> str:
         """Without its own ORDER BY, an output is read in canonical order: NULL,
@@ -387,7 +379,7 @@ class Runtime:
         group_rows: dict[str, list[tuple]] = {}
         for view in self._readers.get(relation, ()):
             leader = self.plan.placement[view]
-            if view in self._cached_views:
+            if view in self.plan.cached_views:
                 cached = self.cache.lookup(view, params)
                 if cached is not None:
                     self._inbox.append((self._result_step, (view, cached, t, now)))
@@ -398,7 +390,7 @@ class Runtime:
                 rows = group_rows.get(group)
                 if rows is None:
                     _, rows = self.engine.run_query(
-                        self._local_eval_sql[view], context=f"async view {view}"
+                        self.plan.relation_sql[view], context=f"async view {view}"
                     )
                     if group is not None:
                         group_rows[group] = rows
@@ -462,7 +454,7 @@ class Runtime:
                         staged.append((command.table, insert, rows))
 
             # (2) refresh materialized shared views whose dependencies changed
-            for view, reads in self.mat_plan.tables.items():
+            for view, reads in self.plan.materialized.items():
                 if not (reads & changed):
                     continue
                 delete, insert = self._refresh_sql[view]
@@ -525,25 +517,28 @@ class Runtime:
 def setup(
     plan: FederationPlan,
     base_rows: dict[str, list[tuple]],
-    mat_plan: MaterializationPlan,
     links=None,
     bindings: dict | None = None,
     seed: int | None = None,
-    cache_enabled: bool = True,
-    udfs: dict | None = None,
     base_files: dict[str, Path] | None = None,
 ) -> Runtime:
     """Execute per-instance programs, load base data, apply setup snapshots,
-    open shipping channels, and return the runtime at clock 0.
+    open shipping channels, and return the runtime at clock 0, its
+    materialized views filled.
 
-    `base_rows` maps a base table to its rows as Python values; `base_files`
-    maps a base table to the SQLite file it is copied from."""
+    Every decision made at plan time is read from `plan`: the per-instance
+    programs, the UDF registry every engine registers (`catalog.udfs`), the
+    materialized views (`materialized`), the async views the request cache
+    serves (`cached_views`) and those evaluated once per group
+    (`eval_groups`). `base_rows` maps a base table to its rows as Python
+    values; `base_files` maps a base table to the SQLite file it is copied
+    from."""
     remote_ids = sorted(set(plan.programs) - {plan.coordinator})
     for db_id in remote_ids:
         if links is None or db_id not in links:
             raise SetupError(db_id, "no latency link configured for this instance")
 
-    engine = SqlEngine(plan.coordinator, seed=seed, udfs=udfs)
+    engine = SqlEngine(plan.coordinator, seed=seed, udfs=plan.catalog.udfs)
     try:
         engine.execute_script(plan.programs[plan.coordinator])
     except EngineError as exc:
@@ -551,7 +546,7 @@ def setup(
 
     instances: dict[str, SimInstance] = {}
     for db_id in remote_ids:
-        inst_engine = SqlEngine(db_id, seed=seed, udfs=udfs)
+        inst_engine = SqlEngine(db_id, seed=seed, udfs=plan.catalog.udfs)
         try:
             inst_engine.execute_script(plan.programs[db_id])
         except EngineError as exc:
@@ -589,7 +584,4 @@ def setup(
 
     federation = Federation(plan.coordinator, instances, links or {})
 
-    runtime = Runtime(plan, engine, federation, mat_plan, bindings, cache_enabled)
-    for view in mat_plan.tables:
-        engine.execute(runtime._refresh_sql[view][1], context=f"init {view}")
-    return runtime
+    return Runtime(plan, engine, federation, bindings)

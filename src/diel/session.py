@@ -18,7 +18,7 @@ from .compiler import Catalog, compile_program
 from .engine import introspect_sqlite, read_csv_table
 from .errors import ConfigError, TraceParseError
 from .federation import Link, LatencySpec, parse_latency_spec, run_until_quiescent
-from .optimizer import MaterializationPlan, materialize_shared_views
+from .optimizer import materialize_shared_views
 from .parser import parse_diel
 from .planner import (
     DbDescriptor,
@@ -121,13 +121,11 @@ class Session:
         config: RunConfig,
         catalog: Catalog,
         plan: FederationPlan,
-        mat_plan: MaterializationPlan,
         runtime: Runtime,
     ):
         self.config = config
         self.catalog = catalog
         self.plan = plan
-        self.mat_plan = mat_plan
         self.runtime = runtime
 
     @classmethod
@@ -152,11 +150,12 @@ class Session:
         catalog = compile_program(parse_diel(source), base_schemas_of(descriptors), config.udfs)
         plan = plan_federation(catalog, descriptors)
 
-        mat_plan = MaterializationPlan()
         if config.materialize:
             local = {name for name, db_id in plan.placement.items() if db_id == plan.coordinator}
-            mat_plan = materialize_shared_views(plan.catalog, plan.catalog.graph, local)
-        emit_per_db_sql(plan, mat_plan.tables)
+            plan.materialized = materialize_shared_views(plan.catalog, plan.catalog.graph, local)
+        emit_per_db_sql(plan)
+        if not config.cache:
+            plan.cached_views = set()
 
         base_rows = {}
         base_files = {}
@@ -181,15 +180,12 @@ class Session:
         runtime = setup(
             plan,
             base_rows,
-            mat_plan,
             links=links,
             bindings=bindings,
             seed=config.seed,
-            cache_enabled=config.cache,
-            udfs=config.udfs,
             base_files=base_files,
         )
-        return cls(config, catalog, plan, mat_plan, runtime)
+        return cls(config, catalog, plan, runtime)
 
     # -- drivers -----------------------------------------------------------------
 

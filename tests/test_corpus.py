@@ -43,7 +43,7 @@ def test_lowered_sql_equals_printed_desugared_ast(name):
     plan, catalog = session.plan, session.plan.catalog
     queries = {rel.name: rel.query for rel in catalog.relations.values() if rel.query is not None}
     assert set(plan.relation_sql) == set(queries)
-    assert set(session.mat_plan.tables) <= set(queries)
+    assert set(plan.materialized) <= set(queries)
     for relation, query in queries.items():
         assert plan.relation_sql[relation] == query_sql(desugar_latest(query, catalog), lower=True), relation
     assert set(plan.program_sql) == set(catalog.programs)
@@ -161,7 +161,7 @@ def test_trace_events_name_declared_event_tables():
 
 def test_connect_templates_materializes_the_shared_view():
     session = run_example(EXAMPLES["connect_templates"])
-    assert "filteredFlights" in session.mat_plan.tables
+    assert "filteredFlights" in session.plan.materialized
 
 
 def test_undo_example_documents_the_formula_choice():

@@ -135,7 +135,7 @@ CREATE VIEW v AS SELECT tId, lat FROM tweets;
 CREATE OUTPUT o AS SELECT tId FROM v;
 CREATE OUTPUT o2 AS SELECT lat FROM v;
 """
-    assert list(local(program).mat_plan.tables) == ["v"]
+    assert list(local(program).plan.materialized) == ["v"]
     assert local(program).plan.delta_sql == {}
     assert delta_pairs(local(program, materialize=False)) == {("o", "tweets"), ("o2", "tweets")}
 

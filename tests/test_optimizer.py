@@ -31,21 +31,21 @@ CREATE VIEW single AS SELECT delay FROM filtered;
 
 def test_view_with_two_consumers_is_materialized():
     catalog = compile_program(parse_diel(SHARED_VIEW), {"flights": FLIGHT_COLUMNS})
-    plan = materialize_shared_views(catalog, catalog.graph)
-    assert "filtered" in plan.tables
-    assert plan.tables["filtered"] == {"flights", "yearItx"}
+    materialized = materialize_shared_views(catalog, catalog.graph)
+    assert "filtered" in materialized
+    assert materialized["filtered"] == {"flights", "yearItx"}
 
 
 def test_view_with_one_consumer_stays_virtual():
     catalog = compile_program(parse_diel(SHARED_VIEW), {"flights": FLIGHT_COLUMNS})
-    plan = materialize_shared_views(catalog, catalog.graph)
-    assert "single" not in plan.tables
+    materialized = materialize_shared_views(catalog, catalog.graph)
+    assert "single" not in materialized
 
 
 def test_materialization_respects_evaluable_filter():
     catalog = compile_program(parse_diel(SHARED_VIEW), {"flights": FLIGHT_COLUMNS})
-    plan = materialize_shared_views(catalog, catalog.graph, evaluable=set())
-    assert plan.tables == {}
+    materialized = materialize_shared_views(catalog, catalog.graph, evaluable=set())
+    assert materialized == {}
 
 
 def test_materialization_is_transparent_end_to_end():
@@ -68,13 +68,51 @@ def test_materialization_is_transparent_end_to_end():
 
     on = run(True)
     off = run(False)
-    assert on.mat_plan.tables and not off.mat_plan.tables
+    assert on.plan.materialized and not off.plan.materialized
     assert on.output_log_text() == off.output_log_text()
     # the engine really holds a table for the shared view when materializing
     _, kinds = on.runtime.engine.run_query(
         "SELECT type FROM sqlite_master WHERE name = 'filtered'"
     )
     assert kinds == [("table",)]
+
+
+CACHED_AND_SHARED = SHARED_VIEW + """\
+CREATE ASYNC VIEW delays AS
+  SELECT origin, delay FROM flights JOIN LATEST yearItx ON flight_year;
+CREATE OUTPUT delayed AS SELECT * FROM LATEST_REQUEST delays;
+"""
+
+
+@pytest.mark.parametrize("off", ["cache", "materialize"])
+def test_an_optimization_switched_off_leaves_its_plan_field_empty(off):
+    trace = [
+        TraceEntry(10 * i, "yearItx", {"flight_year": year})
+        for i, year in enumerate([1998, 2000, 1998])
+    ]
+
+    def run(**flags):
+        config = RunConfig(
+            diel_sources=[CACHED_AND_SHARED],
+            databases=[DbConfig("main", "quick", tables={"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)})],
+            seed=3,
+            **flags,
+        )
+        session = Session.build(config)
+        session.run_replay(trace)
+        return session
+
+    default = run()
+    assert default.plan.cached_views == {"delays"} and default.summary()["cache_hits"] == 1
+    assert set(default.plan.materialized) == {"filtered"}
+    session = run(**{off: False})
+    if off == "cache":
+        assert session.plan.cached_views == set() and session.summary()["cache_hits"] == 0
+        assert session.plan.materialized == default.plan.materialized
+    else:
+        assert session.plan.materialized == {}
+        assert session.plan.cached_views == default.plan.cached_views
+    assert session.output_log_text() == default.output_log_text()
 
 
 # --- request cache ----------------------------------------------------------------
@@ -102,7 +140,7 @@ def test_identical_rows_share_one_data_id():
     assert a == b != c
     assert len(cache.rows) == 3  # three hash rows ...
     assert len(cache.data) == 2  # ... sharing two stored row sets
-    by_view = {row.viewName for row in cache.rows.values()}
+    by_view = {view for view, _params in cache.rows}
     assert by_view == {"v"}
 
 

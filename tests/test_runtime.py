@@ -95,8 +95,23 @@ def test_setup_failure_names_instance():
     # program surfaces as a SetupError naming the instance
     session.plan.programs["r1"] += "\nCREATE TABLE flights (x INTEGER);"
     with pytest.raises(SetupError) as exc_info:
-        setup(session.plan, {}, session.mat_plan, links={"r1": None})
+        setup(session.plan, {}, links={"r1": None})
     assert "r1" in str(exc_info.value)
+
+
+def test_coordinator_led_async_view_leaves_every_view_name_free():
+    # the view runs its planned query directly, under no name of its own
+    program = """\
+CREATE EVENT TABLE pick(k INT);
+CREATE VIEW __eval_hits AS SELECT v FROM t;
+CREATE ASYNC VIEW hits AS SELECT t.v FROM t JOIN LATEST pick ON t.k = pick.k;
+CREATE OUTPUT o AS SELECT v FROM LATEST_REQUEST hits;
+"""
+    columns = [ColumnDef("k", "INT"), ColumnDef("v", "INT")]
+    session = local_session(program, tables={"t": (columns, [(1, 11), (2, 12)])})
+    assert session.plan.placement["hits"] == session.plan.coordinator
+    session.run_replay([TraceEntry(0, "pick", {"k": 1}), TraceEntry(10, "pick", {"k": 2})])
+    assert [[list(row) for row in f.rows] for f in session.runtime.frames] == [[[11]], [[12]]]
 
 
 # --- new_event ---------------------------------------------------------------------

@@ -232,7 +232,7 @@ CREATE OUTPUT ob AS SELECT * FROM b;
             local.plan.eval_groups.clear()
         else:
             assert groups(local.plan) == {("main", frozenset({"a", "b"}))}
-        seen = statements(local.runtime.engine, "__eval_")
+        seen = statements(local.runtime.engine, local.plan.relation_sql["a"])
         local.run_replay(SLIDES)
         runs.append((len(seen), local.output_log_text(), local.summary()))
     (grouped, log, summary), (plain, plain_log, plain_summary) = runs
