@@ -690,22 +690,24 @@ def build_dependency_graph(catalog: Catalog) -> DependencyGraph:
 
 def check_constraints_wellformed(catalog: Catalog) -> list[str]:
     diagnostics: list[str] = []
+    known = ENGINE_FUNCTIONS | {name.upper() for name in catalog.udfs}  # SQLite ignores case
     for rel in catalog.relations.values():
         for col in rel.columns:
             if col.check is None:
                 continue
             own = {c.name for c in rel.columns}
-            for ref in walk(col.check):
-                if not isinstance(ref, ColumnRef):
+            where = f"{rel.name}.{col.name}: CHECK"
+            for node in walk(col.check):
+                if isinstance(node, ScalarSubquery):
+                    diagnostics.append(f"{where} has a subquery; it may read only its own row")
+                elif isinstance(node, FuncCall) and node.name.upper() not in known:
+                    diagnostics.append(f"{where} calls unknown function {node.name!r}")
+                elif not isinstance(node, ColumnRef):
                     continue
-                if ref.table is not None and ref.table != rel.name:
-                    diagnostics.append(
-                        f"{rel.name}.{col.name}: CHECK references other relation {ref.table!r}"
-                    )
-                elif ref.column not in own:
-                    diagnostics.append(
-                        f"{rel.name}.{col.name}: CHECK references unknown column {ref.column!r}"
-                    )
+                elif node.table is not None and node.table != rel.name:
+                    diagnostics.append(f"{where} references other relation {node.table!r}")
+                elif node.column not in own:
+                    diagnostics.append(f"{where} references unknown column {node.column!r}")
     for constraint in catalog.constraints:
         rel = catalog.relations.get(constraint.view)
         if rel is None:

@@ -100,9 +100,6 @@ class SqlEngine:
     def table_rows(self, table: str) -> list[tuple]:
         return self.run_query(f'SELECT * FROM "{table}"')[1]
 
-    def count(self, table: str) -> int:
-        return self.run_query(f'SELECT COUNT(*) FROM "{table}"')[1][0][0]
-
     def close(self) -> None:
         self.conn.close()
 

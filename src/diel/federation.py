@@ -30,7 +30,6 @@ from .errors import (
     EngineError,
     ScriptExhaustedError,
 )
-from .printer import quote_ident
 
 SHIP_DATA = "ShipData"
 EVAL_REQUEST = "EvalRequest"
@@ -202,6 +201,28 @@ class Transport:
 # --- database instances ----------------------------------------------------------------
 
 
+class AsyncViewEvaluator:
+    """Runs async views on one engine by their lowered queries (`relation_sql`).
+    Views of one evaluation group (the plan's own `eval_groups`) run the same
+    SQL: the first is evaluated, the others reuse its shared rows, which the
+    owner clears whenever the engine's tables may change."""
+
+    def __init__(self, engine: SqlEngine, relation_sql: dict[str, str], eval_groups: dict[str, str]):
+        self.engine = engine
+        self.relation_sql = relation_sql
+        self.eval_groups = eval_groups
+        self.shared_rows: dict[str, list[tuple]] = {}  # group -> its rows
+
+    def evaluate(self, view: str) -> list[tuple]:
+        group = self.eval_groups.get(view)
+        rows = self.shared_rows.get(group)
+        if rows is None:
+            _, rows = self.engine.run_query(self.relation_sql[view], context=f"async view {view}")
+            if group is not None:
+                self.shared_rows[group] = rows
+        return rows
+
+
 class SimInstance:
     """A Worker/Remote instance: an embedded engine behind an ordered channel.
 
@@ -213,22 +234,19 @@ class SimInstance:
     timestep against exactly the state as of t, however deliveries reorder.
     Setup snapshots are written by `setup` before any message is sent.
 
-    So the tables change only when a ShipData is applied, and views of one
-    evaluation group (`eval_groups`: view -> the group's first view, the
-    plan's record) run the same SQL: the first request of a group after a
-    shipment is evaluated, and the group's later requests reuse its rows
-    until the next shipment.
+    So the tables change only when a ShipData is applied, and each applied
+    one clears the shared rows of the `AsyncViewEvaluator` that answers requests.
     """
 
-    def __init__(self, db_id: str, engine: SqlEngine, eval_groups: dict[str, str] | None = None):
+    def __init__(
+        self, db_id: str, engine: SqlEngine, relation_sql: dict[str, str], eval_groups: dict[str, str]
+    ):
         self.db_id = db_id
         self.engine = engine
+        self.evaluator = AsyncViewEvaluator(engine, relation_sql, eval_groups)
         self.evaluated: list[int] = []  # request_timestep of each answered request, in order
         self._channel_buffer: dict[int, Message] = {}  # link_seq -> early arrival
         self._next_link_seq = 1
-        self._view_sql: dict[str, str] = {}  # view -> its evaluation query
-        self._eval_groups = {} if eval_groups is None else eval_groups
-        self._group_rows: dict[str, list[tuple]] = {}  # group -> rows since the last shipment
 
     def receive(self, msg: Message, now_ms: int) -> list[Message]:
         """Buffer one delivery, apply every message it releases, and return
@@ -248,17 +266,9 @@ class SimInstance:
             t = item.request_timestep
             if item.kind == SHIP_DATA:
                 self.engine.insert_rows(item.relation, item.rows or [], context=f"shipment t={t}")
-                self._group_rows.clear()
+                self.evaluator.shared_rows.clear()
             elif item.kind == EVAL_REQUEST:
-                group = self._eval_groups.get(item.view)
-                rows = self._group_rows.get(group)
-                if rows is None:
-                    sql = self._view_sql.get(item.view)
-                    if sql is None:
-                        sql = self._view_sql[item.view] = f"SELECT * FROM {quote_ident(item.view)}"
-                    _, rows = self.engine.run_query(sql, context=f"async view {item.view}")
-                    if group is not None:
-                        self._group_rows[group] = rows
+                rows = self.evaluator.evaluate(item.view)
                 out.append(
                     Message(
                         kind=RESULT_ROWS,

@@ -101,8 +101,8 @@ class FederationPlan:
     programs: dict[str, str] = field(default_factory=dict)
     # (table, column, instance) of every index the programs create
     indexes: list[tuple[str, str, str]] = field(default_factory=list)
-    # lowered SELECT of every query relation (a coordinator-led async view
-    # runs its own on each request), and the statements each state program
+    # lowered SELECT of every query relation (each async view's leader runs
+    # its own on each request), and the statements each state program
     # command runs (one per VALUES row); set by emit_per_db_sql
     relation_sql: dict[str, str] = field(default_factory=dict)
     program_sql: dict[str, list[list[str]]] = field(default_factory=dict)
@@ -349,7 +349,7 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
             continue
         for leaf in base_closure(view, catalog):
             rel = catalog.relations[leaf]
-            if placement.get(leaf) == leader:
+            if bases.get(leaf, coordinator) == leader:  # choose_leader's rule
                 continue
             if rel.kind in GROWING_KINDS:  # ships as deltas
                 shipments.add(ShipmentSpec(relation=leaf, destination=leader))
@@ -399,8 +399,9 @@ def _command_sql(command, udfs: dict[str, UdfDef]) -> list[str]:
 
 
 def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
-    """DDL + named queries per instance; executing them on fresh engines
+    """DDL and views per instance; executing them on fresh engines
     reconstructs the federation (and re-executing them collides, by design).
+    No engine has a view of an async view: its leader runs its `relation_sql`.
 
     Each view in `plan.materialized` becomes a table on the coordinator.
     Every query is lowered to SQL once, here, and kept on the plan for the
@@ -501,7 +502,7 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
         lines.append("-- state program (runtime-executed): " + statement_sql(stmt))
     programs[plan.coordinator] = "\n".join(lines)
 
-    # -- other instances: resident bases, shadows, duplicated views, queries --
+    # -- other instances: resident bases, shadows and duplicated views ------
     for db_id in sorted(set(plan.placement.values())):
         if db_id == plan.coordinator:
             continue
@@ -529,8 +530,6 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
                     local_views.add(name)
         for name in topo_sorted(local_views):
             lines.append(f"CREATE VIEW {quote_ident(name)} AS {lowered[name]};")
-        for view in sorted(v for v, leader in plan.leaders.items() if leader == db_id):
-            lines.append(f"CREATE VIEW {quote_ident(view)} AS {lowered[view]};")
         programs[db_id] = "\n".join(lines)
 
     plan.programs = programs

@@ -40,7 +40,7 @@ from .errors import (
     UnknownOutputError,
     UnknownRequestError,
 )
-from .federation import Federation, Message, RESULT_ROWS, SimInstance
+from .federation import RESULT_ROWS, AsyncViewEvaluator, Federation, Message, SimInstance
 from .optimizer import RequestCache
 from .planner import FederationPlan
 from .printer import expr_sql, query_sql, quote_ident  # noqa: F401 (bench/tracing.py wraps query_sql here)
@@ -97,6 +97,7 @@ class Runtime:
         self.ignored_events = 0
         self.local_evals = 0
         self.cache = RequestCache()
+        self.evaluator = AsyncViewEvaluator(engine, plan.relation_sql, plan.eval_groups)
         self._pending_params: dict[tuple[str, int], tuple] = {}
         self._ship_cursor: dict[tuple[str, str], int] = {}
         self._dirty_next: set[str] = set()
@@ -295,7 +296,7 @@ class Runtime:
         self.engine.insert_rows(relation, [tuple(row) + system for row in rows], context=context)
         self.events.append(EventRecord(relation, payload, t, at_ms, request_timestep))
         self._dispatch_async(relation, params, t)
-        self._process_timestep(t, relation, at_ms)
+        self._process_timestep(t, relation)
         return t
 
     def event_log(self) -> list[EventRecord]:
@@ -376,7 +377,7 @@ class Runtime:
         now = self.federation.transport.now
         # the coordinator's tables do not change within one dispatch, so an
         # evaluation group is evaluated here at most once
-        group_rows: dict[str, list[tuple]] = {}
+        self.evaluator.shared_rows.clear()
         for view in self._readers.get(relation, ()):
             leader = self.plan.placement[view]
             if view in self.plan.cached_views:
@@ -386,16 +387,8 @@ class Runtime:
                     continue
                 self._pending_params[(view, t)] = params
             if leader == self.plan.coordinator:
-                group = self.plan.eval_groups.get(view)
-                rows = group_rows.get(group)
-                if rows is None:
-                    _, rows = self.engine.run_query(
-                        self.plan.relation_sql[view], context=f"async view {view}"
-                    )
-                    if group is not None:
-                        group_rows[group] = rows
                 self.local_evals += 1
-                self._inbox.append((self._result_step, (view, rows, t, now)))
+                self._inbox.append((self._result_step, (view, self.evaluator.evaluate(view), t, now)))
             else:
                 evals.append((view, leader))
         for leader in sorted({leader for _, leader in evals}):
@@ -431,7 +424,7 @@ class Runtime:
     def _evaluate_relation(self, name: str) -> tuple[tuple, ...]:
         return tuple(self.engine.run_query(self._output_sql[name], context=f"output {name}")[1])
 
-    def _process_timestep(self, t: int, triggering: str, at_ms: int) -> list[OutputFrame]:
+    def _process_timestep(self, t: int, triggering: str) -> None:
         self._processing = True
         try:
             changed = {triggering} | self._dirty_next
@@ -506,7 +499,6 @@ class Runtime:
                     self.engine.execute(insert, row + (t,), context=f"history insert {table}")
                 if rows:
                     self._dirty_next.add(table)
-            return frames
         finally:
             self._processing = False
 
@@ -551,7 +543,7 @@ def setup(
             inst_engine.execute_script(plan.programs[db_id])
         except EngineError as exc:
             raise SetupError(db_id, str(exc)) from exc
-        instances[db_id] = SimInstance(db_id, inst_engine, plan.eval_groups)
+        instances[db_id] = SimInstance(db_id, inst_engine, plan.relation_sql, plan.eval_groups)
 
     def engine_of(db_id: str) -> SqlEngine:
         return engine if db_id == plan.coordinator else instances[db_id].engine

@@ -219,14 +219,11 @@ def test_c05_adversarial_queue_schedules():
     schedules = 0
     for _ in range(500):
         engine = SqlEngine("r1")
-        engine.execute_script(
-            "CREATE TABLE ev(x INTEGER, timestep INTEGER, timestamp INTEGER);"
-            "CREATE VIEW v AS SELECT x FROM ev WHERE timestep ="
-            " (SELECT MAX(timestep) FROM ev);"
-        )
+        engine.execute_script("CREATE TABLE ev(x INTEGER, timestep INTEGER, timestamp INTEGER);")
         from diel.federation import SimInstance
 
-        instance = SimInstance("r1", engine)
+        v_sql = "SELECT x FROM ev WHERE timestep = (SELECT MAX(timestep) FROM ev)"
+        instance = SimInstance("r1", engine, {"v": v_sql}, {})
         up = ScriptedLatency([rng.randint(0, 60) for _ in range(64)])
         federation = Federation(
             "main", {"r1": instance}, {"r1": Link(up=up, down=FixedLatency(0))}

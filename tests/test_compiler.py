@@ -338,11 +338,18 @@ def test_check_constraint_ok():
 
 
 def test_check_referencing_other_column_is_diagnosed():
-    catalog = compile_listing(
-        "CREATE EVENT TABLE e(size INT CHECK other > 0);", base_schemas={}
-    )
-    diagnostics = check_constraints_wellformed(catalog)
-    assert len(diagnostics) == 1 and "other" in diagnostics[0]
+    # a subquery or an unknown function would fail on every event at run time
+    for check, named in [
+        ("other > 0", "other"),
+        ("(size <= (SELECT m FROM LATEST lim))", "subquery"),
+        ("frob(size) > 0", "frob"),
+    ]:
+        catalog = compile_listing(
+            f"CREATE TABLE lim(m INT); CREATE EVENT TABLE e(size INT CHECK {check});",
+            base_schemas={},
+        )
+        diagnostics = check_constraints_wellformed(catalog)
+        assert len(diagnostics) == 1 and named in diagnostics[0], check
 
 
 def test_not_empty_on_unknown_view_is_diagnosed():

@@ -214,13 +214,15 @@ def test_emitted_programs_rebuild_fresh_instances():
     remote_sql = programs["r1"]
     assert "CREATE TABLE flights" in remote_sql
     assert "CREATE TABLE slideItx" in remote_sql and "timestep INTEGER" in remote_sql
-    assert "CREATE VIEW distDataEvent" in remote_sql
+    assert "distDataEvent" not in remote_sql  # r1 runs its lowered query instead
     coordinator_sql = programs["main"]
     assert "CREATE TABLE distDataEvent" in coordinator_sql
     assert "request_timestep INTEGER" in coordinator_sql
-    for sql in programs.values():
+    for db_id, sql in programs.items():
         engine = SqlEngine("fresh")
         engine.execute_script(sql)  # must execute cleanly on an empty engine
+        if db_id == "r1":
+            engine.run_query(plan.relation_sql["distDataEvent"])
         with pytest.raises(EngineError):
             engine.execute_script(sql)  # no IF NOT EXISTS: setup is once per run
 
@@ -436,6 +438,53 @@ CREATE OUTPUT regions AS SELECT region, count FROM LATEST_REQUEST perRegion;
     ]
     assert assert_async_reads_use_planned_index(session, "r2") == ["perRegion"]
     assert assert_async_reads_use_planned_index(session, "main") == ["regions"]
+
+
+def test_an_async_view_reads_another_of_its_leader_as_results():
+    """b reads a on their common leader as a's result history, shipped there
+    as deltas, exactly as the coordinator reads it when all data is local."""
+    text = """\
+CREATE EVENT TABLE slideItx(flight_year INT);
+CREATE ASYNC VIEW a AS
+  SELECT origin, COUNT() AS n FROM flights JOIN LATEST slideItx ON flight_year GROUP BY origin;
+CREATE ASYNC VIEW b AS
+  SELECT f.origin, a.n, a.request_timestep AS rq FROM flights f JOIN a ON f.origin = a.origin;
+CREATE OUTPUT ob AS SELECT origin, n, rq FROM b;
+"""
+    flights = {"flights": (FLIGHT_COLUMNS, [
+        ("LAX", "JFK", 1998, 5, 2475), ("LAX", "ORD", 1999, -2, 1744), ("SFO", "JFK", 1998, 11, 2586),
+    ])}
+    trace = [TraceEntry(0, "slideItx", {"flight_year": 1998}),
+             TraceEntry(100, "slideItx", {"flight_year": 1999})]
+    finals = []
+    for databases in (
+        [DbConfig("main", "quick", tables=flights)],
+        [DbConfig("main", "quick"), DbConfig("r1", "remote", latency="fixed(5)", tables=flights)],
+    ):
+        session = Session.build(RunConfig([text], databases, seed=1))
+        session.run_replay(trace)
+        finals.append({f.output: f.rows for f in session.runtime.frames})
+    assert session.plan.leaders == {"a": "r1", "b": "r1"}
+    plan_text = dump_plan(session.plan).splitlines()
+    assert "a -> r1 (deltas)" in plan_text and "a (request_timestep) @ r1" in plan_text
+    assert finals[0] == finals[1]
+    assert finals[1]["ob"] == (("LAX", 1, 1), ("LAX", 1, 1), ("LAX", 1, 1), ("LAX", 1, 1),
+                               ("LAX", 1, 4), ("LAX", 1, 4), ("SFO", 1, 1), ("SFO", 1, 1))
+
+
+def test_no_program_declares_an_async_view_as_a_view(monkeypatch):
+    """Each async view's leader runs its lowered query; every engine reads it
+    as its result table or a shadow of that, never as a view."""
+    sessions = {name: Session.build(example.config()) for name, example in load_examples().items()}
+    sessions.update(remote_benchmark_sessions(monkeypatch))
+    remote_led = set()
+    for name, session in sessions.items():
+        plan = session.plan
+        remote_led |= {view for view, leader in plan.leaders.items() if leader != plan.coordinator}
+        for db_id, program in plan.programs.items():
+            for view in plan.leaders:
+                assert f"CREATE VIEW {view} " not in program, (name, db_id, view)
+    assert {"distDataEvent", "brushedTweetsEvent", "followerAgeDistEvent"} <= remote_led
 
 
 # --- the strict policy's newest interaction -----------------------------------------

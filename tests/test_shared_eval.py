@@ -79,10 +79,12 @@ def bench_sessions(monkeypatch):
             yield name, seed, workload.trace, partial(Session.build, config)
 
 
-def statements(engine: SqlEngine, marker: str) -> list[str]:
-    """Every statement the engine runs from now on that contains `marker`."""
+def statements(engine: SqlEngine, *markers: str) -> list[str]:
+    """Every statement the engine runs from now on that contains a marker."""
     seen: list[str] = []
-    engine.conn.set_trace_callback(lambda sql: seen.append(sql) if marker in sql else None)
+    engine.conn.set_trace_callback(
+        lambda sql: seen.append(sql) if any(m in sql for m in markers) else None
+    )
     return seen
 
 
@@ -144,14 +146,13 @@ def test_views_on_different_leaders_are_not_grouped():
 # --- one evaluation per instance state ---------------------------------------------------
 
 
+TWIN_SQL = "SELECT x FROM ev WHERE timestep = (SELECT MAX(timestep) FROM ev)"
+
+
 def twin_instance() -> SimInstance:
     engine = SqlEngine("r1")
-    engine.execute_script(
-        "CREATE TABLE ev(x INTEGER, timestep INTEGER, timestamp INTEGER);"
-        "CREATE VIEW v AS SELECT x FROM ev WHERE timestep = (SELECT MAX(timestep) FROM ev);"
-        "CREATE VIEW w AS SELECT x FROM ev WHERE timestep = (SELECT MAX(timestep) FROM ev);"
-    )
-    return SimInstance("r1", engine, {"v": "v", "w": "v"})
+    engine.execute_script("CREATE TABLE ev(x INTEGER, timestep INTEGER, timestamp INTEGER);")
+    return SimInstance("r1", engine, {"v": TWIN_SQL, "w": TWIN_SQL}, {"v": "v", "w": "v"})
 
 
 def message(kind: str, t: int, link_seq: int, **fields) -> Message:
@@ -161,7 +162,7 @@ def message(kind: str, t: int, link_seq: int, **fields) -> Message:
 
 def test_a_group_is_evaluated_once_per_shipment_position():
     instance = twin_instance()
-    seen = statements(instance.engine, "SELECT * FROM")
+    seen = statements(instance.engine, TWIN_SQL)
     out = []
     for msg in [
         message(SHIP_DATA, 1, 1, relation="ev", rows=[(10, 1, 0)]),
@@ -177,13 +178,13 @@ def test_a_group_is_evaluated_once_per_shipment_position():
         ("v", 1, [(10,)]), ("w", 1, [(10,)]), ("v", 2, [(10,)]),
         ("w", 3, [(30,)]), ("v", 3, [(30,)]),
     ]
-    assert seen == ["SELECT * FROM v", "SELECT * FROM w"]
+    assert seen == [TWIN_SQL, TWIN_SQL]
     assert instance.evaluated == [1, 1, 2, 3, 3]
 
 
 def test_a_shipment_between_two_requests_forces_a_second_evaluation():
     instance = twin_instance()
-    seen = statements(instance.engine, "SELECT * FROM")
+    seen = statements(instance.engine, TWIN_SQL)
     out = []
     # delivered out of order; the channel releases them by link_seq
     for msg in [
@@ -194,12 +195,13 @@ def test_a_shipment_between_two_requests_forces_a_second_evaluation():
     ]:
         out += instance.receive(msg, 0)
     assert [(m.view, m.rows) for m in out] == [("v", [(10,)]), ("w", [(20,)])]
-    assert seen == ["SELECT * FROM v", "SELECT * FROM w"]
+    assert seen == [TWIN_SQL, TWIN_SQL]
 
 
 def test_r1_runs_one_statement_per_group_and_shipment_position():
     grouped = session(SLIDER_TWINS)
-    seen = statements(grouped.runtime.federation.instances["r1"].engine, "SELECT * FROM")
+    twin_sql = grouped.plan.relation_sql["distDataEvent"]
+    seen = statements(grouped.runtime.federation.instances["r1"].engine, twin_sql)
     grouped.run_replay(SLIDES)
     positions, shipped, requests = set(), 0, 0
     log = grouped.runtime.federation.transport.log
@@ -213,7 +215,7 @@ def test_r1_runs_one_statement_per_group_and_shipment_position():
 
     plain = session(SLIDER_TWINS)
     plain.plan.eval_groups.clear()
-    seen = statements(plain.runtime.federation.instances["r1"].engine, "SELECT * FROM")
+    seen = statements(plain.runtime.federation.instances["r1"].engine, twin_sql)
     plain.run_replay(SLIDES)
     assert len(seen) == requests
     assert plain.output_log_text() == grouped.output_log_text()
@@ -247,7 +249,8 @@ def test_groups_never_change_a_log_a_summary_or_a_message(monkeypatch):
             run.plan.eval_groups.clear()
         federation = run.runtime.federation
         instances = federation.instances.values() if federation else ()
-        seen = [statements(inst.engine, "SELECT * FROM") for inst in instances]
+        queries = [run.plan.relation_sql[view] for view in run.plan.leaders]
+        seen = [statements(inst.engine, *queries) for inst in instances]
         run.run_replay(trace)
         messages = [encode_message(m) for m in federation.transport.log] if federation else []
         return (run.output_log_text(), run.summary(), messages), sum(map(len, seen))

@@ -232,14 +232,18 @@ def test_brush_select_async_view_is_lowered():
     example = load_examples()["brush_select"]
     tweets = [(f"t{i}", "u", "", float(i), float(i)) for i in range(8)]
     databases = [DbConfig("main", "quick"), DbConfig("r1", "remote", tables={"tweets": (TWEET_COLUMNS, tweets)})]
-    plan = Session.build(RunConfig(example.diel_sources(), databases, seed=1)).plan
+    session = Session.build(RunConfig(example.diel_sources(), databases, seed=1))
+    plan = session.plan
     assert plan.leaders == {"brushedTweetsEvent": "r1"}
     sql = (
         f"SELECT t.tId, t.lat, t.lon FROM tweets AS t JOIN brushItx AS b ON {BOX} "
         "WHERE (b.timestep = (SELECT MAX(timestep) FROM brushItx))"
     )
     assert plan.relation_sql["brushedTweetsEvent"] == sql
-    assert f"CREATE VIEW brushedTweetsEvent AS {sql};" in plan.programs["r1"].splitlines()
+    seen: list[str] = []
+    session.runtime.federation.instances["r1"].engine.conn.set_trace_callback(seen.append)
+    session.run_replay(example.trace()[:1])
+    assert sql in seen
 
 
 def test_realtime_tweets_delta_probe_is_lowered():
