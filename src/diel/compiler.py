@@ -420,8 +420,8 @@ class _Scope:
     def column_names(self, binding: str) -> set[str]:
         relation = self.catalog.relation(self.bindings[binding])
         names = {c.name for c in relation.physical_columns}
-        if relation.kind in TABLE_KINDS:
-            names.add("rowid")  # implicit engine column on physical tables
+        if relation.kind in TABLE_KINDS or relation.kind is RelationKind.ASYNC_VIEW:
+            names.add("rowid")  # implicit engine column on tables and result tables
         return names
 
     def resolve(self, ref: ColumnRef, allow_alias: bool) -> None:
@@ -741,10 +741,10 @@ def compile_program(
         rel.columns = infer_output_columns(rel.query, catalog)
         if rel.kind is RelationKind.ASYNC_VIEW:
             for col in rel.columns:
-                if col.name in SYSTEM_COLUMNS:
+                if col.name in SYSTEM_COLUMNS or col.name.lower() in ROWID_NAMES:
                     raise ReservedColumnNameError(
                         f"async view {rel.name!r} result column {col.name!r} "
-                        "shadows a system column"
+                        "shadows the rowid or a system column"
                     )
     for rel in catalog.relations.values():
         if rel.query is not None:

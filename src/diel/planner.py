@@ -11,13 +11,13 @@ is evaluated; emission, materialization and NOT EMPTY probes read it:
   by another instance. Otherwise it has no entry: it exists only inside the
   programs of the leaders whose async views read it.
 
-Outputs that read off-coordinator data are rewritten into an async view that
-runs at a leader instance plus a coordination output implementing the strict
-default policy: result rows render only when their request_timestep equals
-the newest timestep of the interaction tables the original query read
-(`FederationPlan.waits_on`).
-Explicitly declared async views are never touched, so custom policies stay
-exactly as written.
+Every output that reads a base table off the coordinator is rewritten into
+an async view that runs at a leader instance plus a coordination output
+implementing the strict default policy: result rows render, in the order of
+the output's own ORDER BY, only when their request_timestep equals the newest
+timestep of the event tables and async views the original query read; the
+event tables are the ones it waits on (`FederationPlan.waits_on`). Declared
+async views are never touched, so custom policies stay exactly as written.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .ast_nodes import (
 )
 from .compiler import (
     GROWING_KINDS,
+    ROWID_NAMES,
     SYSTEM_COLUMNS,
     Catalog,
     RelationDef,
@@ -89,9 +90,9 @@ class FederationPlan:
     placement: dict[str, str]
     shipments: list[ShipmentSpec]
     rewritten_outputs: dict[str, str] = field(default_factory=dict)  # output -> async view
-    # rewritten output -> the LATEST event tables whose newest interaction its
-    # strict tail awaits; an output with none (it reads no LATEST event table)
-    # has no entry. In the pass of an event on one of them the output has no
+    # rewritten output -> the event tables whose newest interaction its strict
+    # tail awaits, read with or without LATEST; an output that reads none has
+    # no entry. In the pass of an event on one of them the output has no
     # rows: the answer to that request enters later, as a timestep of its own
     waits_on: dict[str, list[str]] = field(default_factory=dict)
     # shared view -> the relations whose change forces its refresh, for each
@@ -238,20 +239,12 @@ def choose_leader(
 # --- output rewriting ------------------------------------------------------------
 
 
-def collect_latest_event_tables(name: str, catalog: Catalog) -> list[str]:
-    """Event tables a query relation reads with LATEST, itself or through views."""
-    return list(dict.fromkeys(
-        ref.name
-        for ref in closure_table_refs(name, catalog)
-        if ref.latest and catalog.relations[ref.name].kind is RelationKind.EVENT_TABLE
-    ))
-
-
 def rewrite_remote_output(
     output: RelationDef, catalog: Catalog
 ) -> tuple[RelationDef, RelationDef, list[str]]:
     """Split a remote-spanning output into (async view, coordination output,
-    the event tables whose newest interaction the coordination output awaits)."""
+    the event tables whose newest interaction the coordination output awaits:
+    only an event table surely gets a row in the pass of its own event)."""
     base = f"{output.name}Event"
     async_name = base
     n = 2
@@ -266,19 +259,28 @@ def rewrite_remote_output(
         system_columns=("timestep", "timestamp", "request_timestep"),
     )
     for col in output.columns:
-        if col.name in SYSTEM_COLUMNS:
+        if col.name in SYSTEM_COLUMNS or col.name.lower() in ROWID_NAMES:
             raise CompileError(
                 f"output {output.name!r} spans remote data but selects a column "
                 f"named {col.name!r}; alias it so the async result schema is valid"
             )
     items = [SelectItem(ColumnRef(column=c.name, table="e")) for c in output.columns]
     coord_query = SelectQuery(items=items, table=TableRef(name=async_name, alias="e"))
-    # an event table is append-only and each row's timestep rises with its
-    # rowid, so its newest timestep is its last row's, read from the end of
-    # the rowid b-tree; NULL while it is empty. Two tables never share a
-    # timestep: the newest interaction is the greatest of their newest, by
+    if output.query.order_by:
+        # the result table holds the leader's rows in the output's own order
+        coord_query.order_by = [OrderItem(ColumnRef(column="rowid", table="e"))]
+    # the answer shown is the one to the newest request, made by a new row in
+    # an event table or async view the output reads, with or without LATEST.
+    # Those tables are append-only, and each row's timestep rises with its
+    # rowid, so a table's newest timestep is its last row's, read from the
+    # end of the rowid b-tree; NULL while it is empty. Two tables never share
+    # a timestep: the newest request is the greatest of their newest, by
     # SQLite's multi-argument scalar MAX, NULL while any of them is empty
-    waits_on = collect_latest_event_tables(output.name, catalog)
+    requesting = list(dict.fromkeys(
+        ref.name
+        for ref in closure_table_refs(output.name, catalog)
+        if catalog.relations[ref.name].kind in (RelationKind.EVENT_TABLE, RelationKind.ASYNC_VIEW)
+    ))
     newest = [
         ScalarSubquery(SelectQuery(
             items=[SelectItem(ColumnRef(column="timestep"))],
@@ -286,7 +288,7 @@ def rewrite_remote_output(
             order_by=[OrderItem(ColumnRef(column="rowid"), descending=True)],
             limit=Literal(1),
         ))
-        for table in waits_on
+        for table in requesting
     ]
     if newest:
         coord_query.where = BinaryOp(
@@ -297,6 +299,7 @@ def rewrite_remote_output(
     coord_output = RelationDef(
         name=output.name, kind=RelationKind.OUTPUT, columns=output.columns, query=coord_query
     )
+    waits_on = [r for r in requesting if catalog.relations[r].kind is RelationKind.EVENT_TABLE]
     return async_view, coord_output, waits_on
 
 
@@ -317,14 +320,6 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
     for name in list(catalog.relations):
         rel = catalog.relations[name]
         if rel.kind is not RelationKind.OUTPUT or not remote_bases(name, catalog, bases, coordinator):
-            continue
-        reads_async = any(
-            catalog.relations.get(r) is not None
-            and catalog.relations[r].kind is RelationKind.ASYNC_VIEW
-            for r in catalog.graph.reads.get(name, ())
-        )
-        if reads_async:
-            # the developer wrote an explicit async view + policy; leave it alone
             continue
         async_view, coord_output, tables = rewrite_remote_output(rel, catalog)
         catalog.relations[async_view.name] = async_view
@@ -453,6 +448,11 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     def topo_sorted(names: set[str]) -> list[str]:
         return [n for n in order if n in names]
 
+    def create_view_sql(name: str) -> str:
+        # the compiler's column names, the ones tables of the view's rows use
+        columns = ", ".join(quote_ident(c.name) for c in catalog.relations[name].columns)
+        return f"CREATE VIEW {quote_ident(name)}({columns}) AS {lowered[name]};"
+
     # the delta statement shadows E, and the views between the output and E
     # (each reads the next, so reversed they are in dependency order), with
     # common table expressions; E's rows at t are read from E itself, so
@@ -496,7 +496,7 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
             cols = [ColumnDef(c.name, None) for c in rel.columns]
             lines.append(_create_table_sql(name, cols, ()))
         else:
-            lines.append(f"CREATE VIEW {quote_ident(name)} AS {lowered[name]};")
+            lines.append(create_view_sql(name))
     for program in catalog.programs.values():
         stmt = CreateProgram(name=program.name, triggers=program.triggers, commands=program.commands)
         lines.append("-- state program (runtime-executed): " + statement_sql(stmt))
@@ -529,7 +529,7 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
                 if rel is not None and rel.kind is RelationKind.VIEW:
                     local_views.add(name)
         for name in topo_sorted(local_views):
-            lines.append(f"CREATE VIEW {quote_ident(name)} AS {lowered[name]};")
+            lines.append(create_view_sql(name))
         programs[db_id] = "\n".join(lines)
 
     plan.programs = programs

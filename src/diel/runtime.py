@@ -2,8 +2,8 @@
 
 Each accepted event advances the logical clock by exactly one, is inserted
 with its timestep and timestamp, ships deltas to the instances that need
-them, and drives one atomic processing pass: state programs run first (their
-inserts are staged), materialized shared views refresh, outputs whose
+them, and drives one atomic processing pass: materialized shared views
+refresh first, state programs run (their inserts are staged), outputs whose
 dependency closure changed re-evaluate (or keep their rows, when only an event
 table they are monotone in changed and its new rows add none; or show none,
 when they render only the answer to the event that triggered the pass), NOT EMPTY
@@ -118,8 +118,10 @@ class Runtime:
         for spec in plan.shipments:
             if not spec.snapshot:
                 self._deltas.setdefault(spec.destination, []).append(spec.relation)
-        # each output's columns, one tuple that all of its frames share
-        self._output_columns: dict[str, tuple[str, ...]] = {}
+        # each output's columns, the compiler's: one tuple all of its frames share
+        self._output_columns = {
+            name: tuple(c.name for c in self.catalog.relations[name].columns) for name in self._outputs
+        }
         # per-event statements, formatted once: output evaluation, NOT EMPTY
         # probes (view, SQL), mat-view refresh (DELETE, INSERT) and the
         # backlog read of each relation shipped as deltas
@@ -185,14 +187,11 @@ class Runtime:
     def _output_query(self, name: str) -> str:
         """Without its own ORDER BY, an output is read in canonical order: NULL,
         numbers by value (integer before real on a tie), text by code point,
-        blobs. The view's own column names are used, so duplicates are x, x:1;
-        they are also the columns of every frame of the output."""
-        info = self.engine.conn.execute(f"PRAGMA table_info({quote_ident(name)})")
-        self._output_columns[name] = names = tuple(row[1] for row in info)
+        blobs."""
         sql = f"SELECT * FROM {quote_ident(name)}"
         if self.catalog.relations[name].query.order_by:
             return sql
-        columns = ['"' + c.replace('"', '""') + '"' for c in names]
+        columns = ['"' + c.replace('"', '""') + '"' for c in self._output_columns[name]]
         return sql + " ORDER BY " + ", ".join(f"{c}, typeof({c})" for c in columns)
 
     # -- API ------------------------------------------------------------------
@@ -430,7 +429,17 @@ class Runtime:
             changed = {triggering} | self._dirty_next
             self._dirty_next = set()
 
-            # (1) state programs; inserts are staged until the end of the pass
+            # (1) refresh materialized shared views whose dependencies changed,
+            # so that programs and outputs read them as of t
+            for view, reads in self.plan.materialized.items():
+                if not (reads & changed):
+                    continue
+                delete, insert = self._refresh_sql[view]
+                self.engine.execute(delete, context=f"refresh {view}")
+                self.engine.execute(insert, context=f"refresh {view}")
+                changed.add(view)
+
+            # (2) state programs; inserts are staged until the end of the pass
             staged: list[tuple[str, str, list[tuple]]] = []  # (table, INSERT, rows)
             for program in self.catalog.programs.values():
                 if triggering not in program.triggers:
@@ -445,15 +454,6 @@ class Runtime:
                     ]
                     if insert is not None:
                         staged.append((command.table, insert, rows))
-
-            # (2) refresh materialized shared views whose dependencies changed
-            for view, reads in self.plan.materialized.items():
-                if not (reads & changed):
-                    continue
-                delete, insert = self._refresh_sql[view]
-                self.engine.execute(delete, context=f"refresh {view}")
-                self.engine.execute(insert, context=f"refresh {view}")
-                changed.add(view)
 
             # (3) re-evaluate outputs whose dependency closure changed, unless
             # the output is rewritten and waits on the triggering event table:

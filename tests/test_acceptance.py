@@ -175,13 +175,14 @@ def test_c03_slider_local_matches_sql_oracle():
 def test_c04_location_transparency_and_policies():
     local = slider_session(remote=False)
     local.run_replay(SLIDER_TRACE)
-    local_final = sorted(local.runtime.frames[-1].rows)
+    local_final = local.runtime.frames[-1]
 
-    # in-order remote: the final frame matches the local run exactly
+    # in-order remote: the final frame matches the local run exactly, rows in
+    # order and columns by name
     remote = slider_session(remote=True, latency="fixed(0)")
     remote.run_replay(SLIDER_TRACE)
-    remote_final = sorted(remote.runtime.frames[-1].rows)
-    assert remote_final == local_final
+    remote_final = remote.runtime.frames[-1]
+    assert (remote_final.columns, remote_final.rows) == (local_final.columns, local_final.rows)
 
     # scripted reordering: responses arrive as 1999, 1998, 2000
     reordered = slider_session(remote=True, latency="fixed(0)/scripted(1300,600,800)")
@@ -191,7 +192,7 @@ def test_c04_location_transparency_and_policies():
     non_empty = [f for f in reordered.runtime.frames if f.rows]
     assert len(non_empty) == 1
     assert non_empty[0].timestep == 6  # only 2000's response renders
-    assert sorted(non_empty[0].rows) == local_final
+    assert (non_empty[0].columns, non_empty[0].rows) == (local_final.columns, local_final.rows)
 
     # LATEST_REQUEST: rendered request timesteps are monotone; 1998 never
     # shows after 1999

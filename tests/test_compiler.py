@@ -183,10 +183,12 @@ def test_reserved_column_name_rejected():
     "CREATE TABLE bad({column} INT, x INT);",
     "CREATE EVENT TABLE e(x INT);\nCREATE TABLE bad({column} INT, x INT);\n"
     "CREATE PROGRAM AFTER (e) BEGIN INSERT INTO bad SELECT x, x FROM LATEST e; END;",
-], ids=["event", "plain", "history"])
+    "CREATE EVENT TABLE e(x INT);\nCREATE ASYNC VIEW bad AS SELECT x AS {column}, x FROM e;",
+], ids=["event", "plain", "history", "async"])
 def test_a_column_may_not_take_a_rowid_name(declaration, column):
     """SQLite's rowid names refer to a declared column of that name, case
-    folded, and the runtime reads these tables' rowids."""
+    folded, and the runtime reads these tables' rowids (an async view's in
+    its result table)."""
     with pytest.raises(ReservedColumnNameError, match="shadows the rowid"):
         compile_listing(declaration.format(column=column), base_schemas={})
 

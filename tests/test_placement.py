@@ -1,0 +1,125 @@
+"""Placement transparency of outputs: a program renders the same final frames,
+rows in order and columns by name, whether its data is on the coordinator or
+on a remote instance, and the same log with materialization on and off."""
+
+from __future__ import annotations
+
+import pytest
+
+from diel.ast_nodes import ColumnDef
+from diel.errors import ReservedColumnNameError
+from diel.session import DbConfig, RunConfig, Session, TraceEntry
+
+T = {"t": ([ColumnDef("k", "INT"), ColumnDef("v", "INT")], [(1, 10), (2, 20), (3, 30)])}
+PICKS = [TraceEntry(30 * i, "pick", {"k": k}) for i, k in enumerate((1, 2, 3))]
+CLICKS = [TraceEntry(30 * i, "clickItx", {"v": v}) for i, v in enumerate((1, 2, 3))]
+REMOTE_RUNS = [(latency, seed) for latency in ("fixed(5)", "uniform(0,40)") for seed in (1, 2, 3)]
+
+# name -> (program, trace, the error every placement raises or None)
+CASES = {
+    # reads an async view and a remote base table
+    "async_view_and_remote_table": (
+        "CREATE EVENT TABLE pick(k INT);"
+        "CREATE ASYNC VIEW a AS SELECT t.k, t.v FROM t JOIN LATEST pick ON t.k = pick.k;"
+        "CREATE OUTPUT o AS SELECT t.v, a.v AS av FROM t JOIN LATEST_REQUEST a ON t.k = a.k;",
+        PICKS, None,
+    ),
+    # reads an event table without LATEST: every pick requests the output
+    "plain_event_table": (
+        "CREATE EVENT TABLE pick(k INT);"
+        "CREATE OUTPUT o AS SELECT t.v FROM t JOIN pick ON t.k = pick.k;",
+        PICKS, None,
+    ),
+    "order_by": (
+        "CREATE EVENT TABLE pick(k INT);"
+        "CREATE OUTPUT o AS SELECT t.v FROM t JOIN LATEST pick ON t.k <= pick.k ORDER BY t.v DESC;",
+        PICKS, None,
+    ),
+    # unaliased duplicates and calls take the compiler's names everywhere
+    "column_names": (
+        "CREATE EVENT TABLE pick(k INT);"
+        "CREATE OUTPUT o AS SELECT a.v, b.v, COUNT(*) FROM t a JOIN t b ON a.k = b.k "
+        "JOIN LATEST pick ON a.k <= pick.k GROUP BY a.v, b.v;",
+        PICKS, None,
+    ),
+    # a view's duplicate column is x_2 whether or not it is materialized
+    "duplicate_view_column": (
+        "CREATE EVENT TABLE pick(k INT);"
+        "CREATE VIEW pairs AS SELECT a.k, b.k FROM pick a, pick b;"
+        "CREATE OUTPUT o AS SELECT k_2 FROM pairs;"
+        "CREATE OUTPUT n AS SELECT COUNT(*) AS n FROM pairs;",
+        PICKS, None,
+    ),
+    # a state program reads a materialized view as of its own timestep
+    "program_reads_materialized_view": (
+        "CREATE EVENT TABLE clickItx(v INT);"
+        "CREATE TABLE picks(v INT);"
+        "CREATE VIEW cur AS SELECT v FROM LATEST clickItx;"
+        "CREATE PROGRAM AFTER (clickItx) BEGIN INSERT INTO picks SELECT v FROM cur; END;"
+        "CREATE OUTPUT o AS SELECT v FROM picks;"
+        "CREATE OUTPUT shown AS SELECT v FROM cur;",
+        CLICKS, None,
+    ),
+    # a result column named like the rowid would break reads by rowid
+    "rowid_named_result_column": (
+        "CREATE EVENT TABLE pick(k INT);"
+        "CREATE ASYNC VIEW a AS SELECT t.v AS _rowid_, t.k FROM t JOIN LATEST pick ON t.k <= pick.k;"
+        "CREATE ASYNC VIEW b AS SELECT t.v, a.k FROM t JOIN a ON t.k = a.k;"
+        "CREATE OUTPUT ob AS SELECT v, k FROM b;",
+        PICKS, ReservedColumnNameError,
+    ),
+}
+
+
+def build(program: str, latency: str | None = None, seed: int = 1, materialize: bool = True) -> Session:
+    """All tables on the coordinator when latency is None, else t on r1."""
+    databases = [DbConfig("main", "quick", tables={} if latency else T)]
+    if latency:
+        databases.append(DbConfig("r1", "remote", latency=latency, tables=T))
+    return Session.build(RunConfig([program], databases, seed=seed, materialize=materialize))
+
+
+def final_frames(program: str, trace, latency: str | None = None, seed: int = 1) -> dict:
+    """The last frame of each output, as (columns, rows); the log must not
+    depend on materialization."""
+    logs = []
+    for materialize in (True, False):
+        session = build(program, latency, seed, materialize)
+        session.run_replay(trace)
+        logs.append(session.output_log_text())
+    assert logs[0] == logs[1]
+    return {f.output: (f.columns, f.rows) for f in session.runtime.frames}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_remote_outputs_render_the_all_local_final_frames(case):
+    program, trace, error = CASES[case]
+    if error is not None:
+        for latency in (None, "fixed(5)"):
+            with pytest.raises(error):
+                build(program, latency)
+        return
+    local = final_frames(program, trace)
+    assert local and all(rows for _, rows in local.values())
+    for latency, seed in REMOTE_RUNS:
+        assert final_frames(program, trace, latency, seed) == local, (latency, seed)
+
+
+def test_one_rewrite_rule_for_every_remote_output():
+    """Every relation whose new rows request the rewritten view bounds the
+    re-check; only event tables are waited on; the output's order is kept."""
+    plans = {
+        case: build(CASES[case][0], "fixed(5)").plan
+        for case in ("async_view_and_remote_table", "plain_event_table", "order_by", "column_names")
+    }
+    newest = "(e.request_timestep = (SELECT timestep FROM {} ORDER BY rowid DESC LIMIT 1))"
+    plan = plans["async_view_and_remote_table"]
+    assert plan.rewritten_outputs == {"o": "oEvent"} and plan.waits_on == {}
+    assert plan.relation_sql["o"] == "SELECT e.v, e.av FROM oEvent AS e WHERE " + newest.format("a")
+    plan = plans["plain_event_table"]
+    assert plan.waits_on == {"o": ["pick"]}
+    assert plan.relation_sql["o"] == "SELECT e.v FROM oEvent AS e WHERE " + newest.format("pick")
+    plan = plans["order_by"]
+    assert plan.relation_sql["o"].endswith(newest.format("pick") + " ORDER BY e.rowid")
+    # every engine names a view's columns as the compiler does
+    assert "CREATE VIEW o(v, v_2, count) AS " in plans["column_names"].programs["main"]

@@ -10,7 +10,7 @@ import pytest
 from diel.ast_nodes import ColumnDef
 from diel.compiler import RelationKind, compile_program
 from diel.corpus import load_examples
-from diel.errors import DuplicateRelationError, EngineError, UnknownRelationError
+from diel.errors import CompileError, DuplicateRelationError, EngineError, UnknownRelationError
 from diel.parser import parse_diel
 from diel.planner import (
     DbDescriptor,
@@ -202,6 +202,31 @@ def test_rewrite_with_two_latest_event_tables():
     # two tables never share a timestep: the newest of their last rows is awaited
     assert "e.request_timestep = MAX((SELECT timestep FROM yearItx ORDER BY rowid DESC LIMIT 1), " in coord_sql
     assert "(SELECT timestep FROM originItx ORDER BY rowid DESC LIMIT 1))" in coord_sql
+
+
+def test_rewritten_async_view_takes_the_next_free_name():
+    dbs = [quick(), remote("r1", {"flights": FLIGHT_COLUMNS}, {"flights": 10_000})]
+    program = SLIDER + "CREATE EVENT TABLE distDataEvent(x INT);"
+    plan = plan_federation(compile_program(parse_diel(program), base_schemas_of(dbs)), dbs)
+    assert plan.rewritten_outputs == {"distData": "distDataEvent2"}
+    assert plan.catalog.relations["distDataEvent"].kind is RelationKind.EVENT_TABLE
+
+
+@pytest.mark.parametrize("column", ["timestep", "request_timestep", "rowid", "_ROWID_", "oid"])
+def test_an_output_over_remote_data_may_not_select_a_reserved_column(column):
+    """Its rows become an async view's result table, which has the system
+    columns and is read by rowid; on the coordinator the name is free."""
+    program = (
+        "CREATE EVENT TABLE slideItx(flight_year INT);"
+        f"CREATE OUTPUT o AS SELECT delay AS {column} FROM flights JOIN LATEST slideItx ON flight_year;"
+    )
+    dbs = [quick(), remote("r1", {"flights": FLIGHT_COLUMNS}, {"flights": 10_000})]
+    catalog = compile_program(parse_diel(program), base_schemas_of(dbs))
+    with pytest.raises(CompileError, match=f"named {column!r}"):
+        plan_federation(catalog, dbs)
+    local = [quick(tables={"flights": FLIGHT_COLUMNS})]
+    plan = plan_federation(compile_program(parse_diel(program), base_schemas_of(local)), local)
+    assert plan.rewritten_outputs == {}
 
 
 # --- emit_per_db_sql -----------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from diel.ast_nodes import ColumnDef
 from diel.corpus import load_examples, run_example
 from diel.errors import (
+    EngineError,
     ReservedColumnNameError,
     SchemaMismatchError,
     SetupError,
@@ -21,6 +22,7 @@ from diel.errors import (
     UnknownOutputError,
 )
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
+from diel.udfs import UdfDef
 
 from conftest import FLIGHT_COLUMNS
 from listing_texts import (
@@ -153,6 +155,31 @@ def test_check_violation_ignores_event_and_keeps_clock():
     assert session.runtime.new_event("sampleSizeItx", {"size": 2}, at_ms=1) == 1
 
 
+def test_check_whose_udf_raises_ignores_the_event_and_keeps_the_clock():
+    def fails(size):
+        raise ValueError("no verdict")
+
+    session = local_session(
+        "CREATE EVENT TABLE sampleSizeItx (size INT CHECK fails(size));"
+        "CREATE OUTPUT sizes AS SELECT size FROM sampleSizeItx;",
+        udfs={"fails": UdfDef("fails", 1, fails)},
+    )
+    assert session.runtime.new_event("sampleSizeItx", {"size": 2}, at_ms=0) is None
+    assert session.runtime.clock == 0
+    assert session.runtime.ignored_events == 1
+    assert session.runtime.frames == []
+    assert session.runtime.diagnostics[-1].startswith("check on sampleSizeItx.size failed to run: ")
+
+
+def test_a_null_payload_value_is_stored_as_null():
+    session = local_session(
+        "CREATE EVENT TABLE pick(k INT CHECK k > 0, label TEXT);"
+        "CREATE OUTPUT picked AS SELECT k, label FROM LATEST pick;"
+    )
+    assert session.runtime.new_event("pick", {"k": None, "label": "a"}, at_ms=0) == 1
+    assert session.runtime.frames[-1].rows == ((None, "a"),)
+
+
 def test_unknown_event_and_type_mismatch():
     session = local_session(SLIDER, tables={"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)})
     with pytest.raises(UnknownEventError):
@@ -219,6 +246,22 @@ def test_program_insert_visible_from_next_timestep():
     _, rows = session.runtime.engine.run_query("SELECT id, timestep FROM allSels")
     assert rows == [(7, 1)]
     assert session.runtime.frames[-1].rows == ((7,),)
+
+
+def test_a_program_reads_a_materialized_view_as_of_its_timestep():
+    session = local_session(
+        "CREATE EVENT TABLE clickItx(v INT);"
+        "CREATE TABLE picks(v INT);"
+        "CREATE VIEW cur AS SELECT v FROM LATEST clickItx;"
+        "CREATE PROGRAM AFTER (clickItx) BEGIN INSERT INTO picks SELECT v FROM cur; END;"
+        "CREATE OUTPUT o AS SELECT v FROM picks;"
+        "CREATE OUTPUT shown AS SELECT v FROM cur;"
+    )
+    assert "cur" in session.plan.materialized  # the program and `shown` read it
+    for v in (1, 2, 3):
+        session.runtime.new_event("clickItx", {"v": v}, at_ms=v)
+    frames = [f.rows for f in session.runtime.frames if f.output == "o"]
+    assert frames[-1] == ((1,), (2,))
 
 
 def test_undo_trace_matches_formula():
@@ -906,8 +949,17 @@ def test_canonical_order_with_duplicate_column_names():
         {"t": ([ColumnDef("x", "INT")], [(2,), (1,)])},
     )
     frame = session.runtime.current_output("pairs")
-    assert frame.columns == ("x", "x:1")
+    assert frame.columns == ("x", "x_2")
     assert frame.rows == ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def test_an_output_sqlite_rejects_fails_with_a_typed_error():
+    with pytest.raises(EngineError, match="misuse of aggregate"):
+        session = local_session(
+            "CREATE EVENT TABLE e(x INT);"
+            "CREATE OUTPUT o AS SELECT x FROM e WHERE COUNT(x) > 1;"
+        )
+        session.runtime.new_event("e", {"x": 1}, at_ms=0)
 
 
 def test_output_with_order_by_keeps_engine_order():
@@ -921,8 +973,8 @@ def test_output_with_order_by_keeps_engine_order():
 
 
 def test_frames_of_an_output_share_one_columns_tuple():
-    """The columns come from the view once, with or without its own ORDER BY,
-    and are the names a query over the view reports, duplicates included."""
+    """The columns are the compiler's, taken once, with or without the output's
+    own ORDER BY, and are the names a query over the view reports."""
     session = local_session(
         "CREATE EVENT TABLE pick(v INT);"
         "CREATE OUTPUT ordered AS SELECT v, v * 2 FROM pick ORDER BY v DESC;"
@@ -936,7 +988,7 @@ def test_frames_of_an_output_share_one_columns_tuple():
         reported = session.runtime.engine.run_query(f"SELECT * FROM {output}")[0]
         assert frames[0].columns == tuple(reported)
         assert all(f.columns is frames[0].columns for f in frames)
-    assert frames[0].columns == ("v", "v:1")
+    assert frames[0].columns == ("v", "v_2")
 
 
 def test_a_result_event_keeps_the_admitted_rows():
