@@ -33,6 +33,7 @@ class SqlEngine:
         self.conn = sqlite3.connect(":memory:", uri=True)  # uri: ATTACH of read-only files
         self.conn.isolation_level = None  # autocommit; the runtime owns atomicity
         self._rng = random.Random(f"{seed}/engine/{db_id}")
+        self._inserts: dict[tuple[str, int], str] = {}  # (table, width) -> INSERT text
         self.conn.create_function("random", 0, lambda: self._rng.getrandbits(63))
         for udf in {**BUILTIN_UDFS, **(udfs or {})}.values():
             self.conn.create_function(udf.name, udf.arity, udf.fn)
@@ -63,8 +64,10 @@ class SqlEngine:
         """Insert a batch atomically: all rows land, or none do."""
         if not rows:
             return
-        placeholders = ", ".join("?" * len(rows[0]))
-        sql = f'INSERT INTO "{table}" VALUES ({placeholders})'
+        key = (table, len(rows[0]))
+        sql = self._inserts.get(key) or self._inserts.setdefault(
+            key, f'INSERT INTO "{table}" VALUES ({", ".join("?" * key[1])})'
+        )
         try:
             if len(rows) == 1:  # one statement is its own transaction
                 self.conn.execute(sql, rows[0])

@@ -36,6 +36,7 @@ from .ast_nodes import (
     ScalarSubquery,
     SelectItem,
     SelectQuery,
+    Star,
     TableRef,
 )
 from .compiler import (
@@ -59,7 +60,6 @@ from .errors import (
 )
 from .optimizer import cacheable_views, calls_random, delta_paths
 from .printer import expr_sql, query_sql, quote_ident, statement_sql
-from .udfs import UdfDef
 
 KIND_QUICK = "quick"
 KIND_BACKGROUND = "background"
@@ -103,10 +103,14 @@ class FederationPlan:
     # (table, column, instance) of every index the programs create
     indexes: list[tuple[str, str, str]] = field(default_factory=list)
     # lowered SELECT of every query relation (each async view's leader runs
-    # its own on each request), and the statements each state program
-    # command runs (one per VALUES row); set by emit_per_db_sql
+    # its own on each request), each output's read (`output_read_sql`), the
+    # statements each state program command runs (one per VALUES row), and
+    # the output reads a command runs too, by selecting that output whole
+    # without RANDOM(), which a pass evaluates once; set by emit_per_db_sql
     relation_sql: dict[str, str] = field(default_factory=dict)
+    output_sql: dict[str, str] = field(default_factory=dict)
     program_sql: dict[str, list[list[str]]] = field(default_factory=dict)
+    shared_reads: set[str] = field(default_factory=set)
     # output -> (event table E, delta statement): one row iff the output's
     # query over E's rows at timestep ? is non-empty; set by emit_per_db_sql
     delta_sql: dict[str, tuple[str, str]] = field(default_factory=dict)
@@ -381,12 +385,30 @@ def _create_table_sql(name: str, columns: list[ColumnDef], system: tuple[str, ..
     return f"CREATE TABLE {quote_ident(name)} ({', '.join(decls)});"
 
 
-def _command_sql(command, udfs: dict[str, UdfDef]) -> list[str]:
-    """What a state-program command runs: its SELECT, or one SELECT per VALUES row."""
-    if not isinstance(command, InsertStatement):
-        return [query_sql(command, lower=True, udfs=udfs)]
-    if command.select is not None:
-        return [query_sql(command.select, lower=True, udfs=udfs)]
+def output_read_sql(rel: RelationDef) -> str:
+    """How an output is read. Without its own ORDER BY it is read in canonical
+    order: NULL, numbers by value (integer before real on a tie), text by code
+    point, blobs."""
+    sql = f"SELECT * FROM {quote_ident(rel.name)}"
+    if rel.query.order_by:
+        return sql
+    columns = ['"' + c.name.replace('"', '""') + '"' for c in rel.columns]
+    return sql + " ORDER BY " + ", ".join(f"{c}, typeof({c})" for c in columns)
+
+
+def _command_sql(command, plan: FederationPlan) -> list[str]:
+    """What a state-program command runs: its SELECT, the read of an output
+    without RANDOM() it selects whole (`SELECT * FROM o`, recorded in
+    `plan.shared_reads`), or one SELECT per VALUES row."""
+    udfs = plan.catalog.udfs
+    query = command.select if isinstance(command, InsertStatement) else command
+    if query is not None:
+        name = query.table.name if query.table is not None else None
+        if (name in plan.output_sql and query == SelectQuery([SelectItem(Star())], TableRef(name))
+                and not calls_random(name, plan.catalog)):
+            plan.shared_reads.add(plan.output_sql[name])
+            return [plan.output_sql[name]]
+        return [query_sql(query, lower=True, udfs=udfs)]
     return [
         "SELECT " + ", ".join(expr_sql(v, lower=True, udfs=udfs) for v in row)
         for row in command.values or []
@@ -400,14 +422,14 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
 
     Each view in `plan.materialized` becomes a table on the coordinator.
     Every query is lowered to SQL once, here, and kept on the plan for the
-    runtime (`relation_sql`, `program_sql`, `delta_sql`), next to the async
-    views that share one evaluation (`eval_groups`) and those the request
-    cache serves (`cached_views`). The lowering inlines the built-in UDFs the
-    catalog's registry leaves in place, so SQLite runs them natively. Every
-    async-result table, and every shadow of one, is indexed on
-    request_timestep: each concurrency policy finds its rows by that column,
-    and without the index SQLite builds an automatic one over the whole
-    result history on every evaluation."""
+    runtime (`relation_sql`, `output_sql`, `program_sql`, `delta_sql`), next
+    to the async views that share one evaluation (`eval_groups`) and those
+    the request cache serves (`cached_views`). The lowering inlines the
+    built-in UDFs the catalog's registry leaves in place, so SQLite runs them
+    natively. Every async-result table, and every shadow of one, is indexed
+    on request_timestep: each concurrency policy finds its rows by that
+    column, and without the index SQLite builds an automatic one over the
+    whole result history on every evaluation."""
     catalog = plan.catalog
     order = catalog.graph.topological_order()
     programs: dict[str, str] = {}
@@ -425,8 +447,10 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
         for rel in catalog.relations.values()
         if rel.query is not None
     }
+    plan.output_sql = {rel.name: output_read_sql(rel) for rel in catalog.by_kind(RelationKind.OUTPUT)}
+    plan.shared_reads = set()
     plan.program_sql = {
-        program.name: [_command_sql(command, catalog.udfs) for command in program.commands]
+        program.name: [_command_sql(command, plan) for command in program.commands]
         for program in catalog.programs.values()
     }
 
@@ -448,17 +472,20 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     def topo_sorted(names: set[str]) -> list[str]:
         return [n for n in order if n in names]
 
-    def create_view_sql(name: str) -> str:
+    def columns(name: str) -> str:
         # the compiler's column names, the ones tables of the view's rows use
-        columns = ", ".join(quote_ident(c.name) for c in catalog.relations[name].columns)
-        return f"CREATE VIEW {quote_ident(name)}({columns}) AS {lowered[name]};"
+        return ", ".join(quote_ident(c.name) for c in catalog.relations[name].columns)
+
+    def create_view_sql(name: str) -> str:
+        return f"CREATE VIEW {quote_ident(name)}({columns(name)}) AS {lowered[name]};"
 
     # the delta statement shadows E, and the views between the output and E
     # (each reads the next, so reversed they are in dependency order), with
-    # common table expressions; E's rows at t are read from E itself, so
-    # column affinity applies as in the full query. E holds one row per
-    # timestep and changes only in the pass its own event triggers, so that
-    # row is its last one, found by rowid without a scan
+    # common table expressions under the views' column names; E's rows at t
+    # are read from E itself, so column affinity applies as in the full
+    # query. E holds one row per timestep and changes only in the pass its
+    # own event triggers, so that row is its last one, found by rowid
+    # without a scan
     plan.delta_sql = {}
     for output, (event, views) in delta_paths(catalog, plan.materialized).items():
         table = f"main.{quote_ident(event)}"
@@ -466,7 +493,7 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
             f"{quote_ident(event)} AS (SELECT * FROM {table} WHERE timestep = ? "
             f"AND _rowid_ = (SELECT MAX(_rowid_) FROM {table}))"
         ]
-        ctes += [f"{quote_ident(view)} AS ({lowered[view]})" for view in reversed(views)]
+        ctes += [f"{quote_ident(view)}({columns(view)}) AS ({lowered[view]})" for view in reversed(views)]
         plan.delta_sql[output] = (
             event, f"WITH {', '.join(ctes)} SELECT 1 FROM ({lowered[output]}) LIMIT 1"
         )
@@ -560,6 +587,13 @@ def dump_plan(plan: FederationPlan) -> str:
         lines.append("== indexes ==")
         for table, column, db_id in plan.indexes:
             lines.append(f"{table} ({column}) @ {db_id}")
+    if plan.output_sql:
+        lines.append("== outputs ==")
+        for output, sql in sorted(plan.output_sql.items()):
+            sharing = [f"{program} command {i}" for program, commands in plan.program_sql.items()
+                       for i, sqls in enumerate(commands, start=1)
+                       if sqls == [sql] and sql in plan.shared_reads]
+            lines.append(f"{output}: {sql}" + (f", shared by {', '.join(sharing)}" if sharing else ""))
     if plan.eval_groups:
         lines.append("== shared evaluations ==")
         groups: dict[str, list[str]] = {}

@@ -12,6 +12,13 @@ inserts are applied so they become visible from the next timestep onward.
 Async results, including request-cache hits, come back as ordinary events of
 their own.
 
+No coordinator table changes from the refresh to the staged inserts, so a
+pass reads once: an output a state program reads whole renders the rows the
+program read, and a NOT EMPTY probe re-runs only when its view or closure
+changed (always, for a view that calls RANDOM()). What a pass needs is fixed
+at setup, which also compiles every planned read: a read SQLite rejects
+fails the build.
+
 Events and results share one way in. `new_event` and `on_async_result` both
 go through `_enter`: a call made during a pass (from a callback) is queued
 and taken after that pass ends; any other call is taken at once, followed by
@@ -27,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ast_nodes import ColumnDef, InsertStatement
+from .ast_nodes import InsertStatement
 from .compiler import Catalog, RelationKind, dependency_closure
 from .engine import SqlEngine
 from .errors import (
@@ -41,9 +48,13 @@ from .errors import (
     UnknownRequestError,
 )
 from .federation import RESULT_ROWS, AsyncViewEvaluator, Federation, Message, SimInstance
-from .optimizer import RequestCache
+from .optimizer import RequestCache, calls_random
 from .planner import FederationPlan
 from .printer import expr_sql, query_sql, quote_ident  # noqa: F401 (bench/tracing.py wraps query_sql here)
+
+
+# the Python types a payload value of each column type may take (bool never)
+_ACCEPTS = {"INT": int, "REAL": (int, float), "TEXT": str}
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,10 @@ class Runtime:
 
         self._outputs = [r.name for r in self.catalog.by_kind(RelationKind.OUTPUT)]
         self._async_views = [r.name for r in self.catalog.by_kind(RelationKind.ASYNC_VIEW)]
-        self._closures = {name: dependency_closure(name, self.catalog) for name in self._outputs}
+
+        def watched(name: str) -> frozenset[str]:  # the relations whose change re-reads name
+            return frozenset(dependency_closure(name, self.catalog) | {name})
+        self._watch = {name: watched(name) for name in self._outputs}
         # relation -> the async views whose dependency closure holds it, in view order
         self._readers: dict[str, list[str]] = {}
         for view in self._async_views:
@@ -122,22 +136,24 @@ class Runtime:
         self._output_columns = {
             name: tuple(c.name for c in self.catalog.relations[name].columns) for name in self._outputs
         }
-        # per-event statements, formatted once: output evaluation, NOT EMPTY
-        # probes (view, SQL), mat-view refresh (DELETE, INSERT) and the
-        # backlog read of each relation shipped as deltas
-        self._output_sql = {name: self._output_query(name) for name in self._outputs}
+        # per-event statements, formatted once: NOT EMPTY probes (view, SQL,
+        # the relations whose change re-runs it, or None when the view calls
+        # RANDOM() and runs every timestep), mat-view refresh (DELETE, INSERT)
+        # and the backlog read of each relation shipped as deltas
         self._backlog_sql = {
             relation: f"SELECT _rowid_, * FROM {quote_ident(relation)} WHERE _rowid_ > ?"
             for relations in self._deltas.values()
             for relation in relations
         }
         self._probes = []
+        self._empty: dict[str, bool] = {}  # each probe's last answer
         for c in self.catalog.constraints:
             rel = self.catalog.relations.get(c.view)
             if rel is None or rel.kind not in (RelationKind.VIEW, RelationKind.OUTPUT):
                 continue  # the compiler reports these
             if plan.placement.get(c.view) == plan.coordinator:
-                self._probes.append((c.view, f"SELECT 1 FROM {quote_ident(c.view)} LIMIT 1"))
+                watch = None if calls_random(c.view, self.catalog) else watched(c.view)
+                self._probes.append((c.view, f"SELECT 1 FROM {quote_ident(c.view)} LIMIT 1", watch))
             else:
                 self.diagnostics.append(
                     f"NOT EMPTY on {c.view} is not checked: the view reads data "
@@ -150,12 +166,13 @@ class Runtime:
             )
             for view in plan.materialized
         }
-        # program -> (statements, staged history INSERT or None) per command
-        self._program_sql: dict[str, list[tuple[list[str], str | None]]] = {}
+        # trigger -> the commands of the programs it runs, in program order:
+        # (program, statements, (table, staged history INSERT) or None)
+        self._triggered: dict[str, list[tuple[str, list[str], tuple[str, str] | None]]] = {}
         for program in self.catalog.programs.values():
             commands = []
             for command, sqls in zip(program.commands, plan.program_sql[program.name]):
-                insert = None
+                target = None
                 if isinstance(command, InsertStatement):
                     names = command.columns or [
                         c.name for c in self.catalog.relations[command.table].columns
@@ -163,10 +180,18 @@ class Runtime:
                     col_sql = ", ".join(quote_ident(c) for c in names + ["timestep"])
                     marks = ", ".join("?" * (len(names) + 1))
                     insert = f"INSERT INTO {quote_ident(command.table)} ({col_sql}) VALUES ({marks})"
-                commands.append((sqls, insert))
-            self._program_sql[program.name] = commands
+                    target = (command.table, insert)
+                commands.append((program.name, sqls, target))
+            for trigger in dict.fromkeys(program.triggers):
+                self._triggered.setdefault(trigger, []).extend(commands)
         self._result_widths = {
             name: len(self.catalog.relations[name].columns) for name in self._async_views
+        }
+        # event table -> its column names, and (column, type, accepted Python types)
+        self._event_columns = {
+            rel.name: (frozenset(c.name for c in rel.columns),
+                       [(c.name, c.type, _ACCEPTS.get(c.type, ())) for c in rel.columns])
+            for rel in self.catalog.by_kind(RelationKind.EVENT_TABLE)
         }
         # event table -> (column, SQL of its CHECK over the bound payload values)
         self._check_sql: dict[str, list[tuple[str, str]]] = {}
@@ -183,16 +208,17 @@ class Runtime:
         # materialized views start filled; each pass refreshes the changed ones
         for view, (_, insert) in self._refresh_sql.items():
             self.engine.execute(insert, context=f"init {view}")
-
-    def _output_query(self, name: str) -> str:
-        """Without its own ORDER BY, an output is read in canonical order: NULL,
-        numbers by value (integer before real on a tie), text by code point,
-        blobs."""
-        sql = f"SELECT * FROM {quote_ident(name)}"
-        if self.catalog.relations[name].query.order_by:
-            return sql
-        columns = ['"' + c.replace('"', '""') + '"' for c in self._output_columns[name]]
-        return sql + " ORDER BY " + ", ".join(f"{c}, typeof({c})" for c in columns)
+        # every planned read is compiled once now: a read SQLite rejects fails
+        # the build, naming its relation, and never leaves a pass half done
+        reads = {sql: (f"program {p}", ()) for p, cmds in plan.program_sql.items() for c in cmds for sql in c}
+        reads.update({sql: (f"output {o}", (0,)) for o, (_, sql) in plan.delta_sql.items()})
+        reads.update({sql: (f"constraint {view}", ()) for view, sql, _ in self._probes})
+        reads.update({sql: (f"output {o}", ()) for o, sql in plan.output_sql.items()})
+        for view, leader in plan.leaders.items():
+            leader_engine = engine if leader == plan.coordinator else federation.instances[leader].engine
+            leader_engine.execute("EXPLAIN " + plan.relation_sql[view], context=f"async view {view}")
+        for sql, (context, params) in reads.items():
+            engine.execute("EXPLAIN " + sql, params, context=context)
 
     # -- API ------------------------------------------------------------------
 
@@ -241,11 +267,10 @@ class Runtime:
 
     def _event_step(self, name: str, payload: dict, at_ms: int | None) -> int | None:
         at_ms = self._advance_clock_ms(at_ms)
-        rel = self.catalog.relations.get(name)
-        if rel is None or rel.kind is not RelationKind.EVENT_TABLE:
+        if name not in self._event_columns:
             raise UnknownEventError(f"{name!r} is not an event table")
-        values = self._validate_payload(rel.name, rel.columns, payload)
-        if not self._checks_pass(rel.name, values):
+        values = self._validate_payload(name, payload)
+        if not self._checks_pass(name, values):
             self.ignored_events += 1
             return None
         return self._append(name, [values], at_ms, payload, params=values)
@@ -306,7 +331,8 @@ class Runtime:
         if rel is None or rel.kind is not RelationKind.OUTPUT:
             known = ", ".join(sorted(self._outputs)) or "(none)"
             raise UnknownOutputError(f"unknown output {name!r}; known outputs: {known}")
-        return OutputFrame(name, self.clock, self._output_columns[name], self._evaluate_relation(name))
+        rows = self._read(self.plan.output_sql[name], {}, f"output {name}")
+        return OutputFrame(name, self.clock, self._output_columns[name], rows)
 
     def summary(self) -> dict:
         sent = self.federation.transport.sent_counts
@@ -326,33 +352,21 @@ class Runtime:
 
     # -- validation -------------------------------------------------------------
 
-    def _validate_payload(self, name: str, columns: list[ColumnDef], payload: dict) -> tuple:
-        expected = [c.name for c in columns]
-        extra = set(payload) - set(expected)
-        missing = [c for c in expected if c not in payload]
-        if extra or missing:
+    def _validate_payload(self, name: str, payload: dict) -> tuple:
+        keys, columns = self._event_columns[name]
+        if payload.keys() != keys:
             raise TypeMismatchError(
                 f"event {name!r}: payload keys {sorted(payload)} do not match "
-                f"columns {expected}"
+                f"columns {[column for column, _, _ in columns]}"
             )
-        values = []
-        for col in columns:
-            value = payload[col.name]
-            if value is None:
-                values.append(None)
-                continue
-            ok = (
-                (col.type == "INT" and isinstance(value, int) and not isinstance(value, bool))
-                or (col.type == "REAL" and isinstance(value, (int, float)) and not isinstance(value, bool))
-                or (col.type == "TEXT" and isinstance(value, str))
-            )
-            if not ok:
+        values = tuple(payload[column] for column, _, _ in columns)
+        for (column, type_, accepts), value in zip(columns, values):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, accepts)):
                 raise TypeMismatchError(
-                    f"event {name!r}: column {col.name} expects {col.type}, "
+                    f"event {name!r}: column {column} expects {type_}, "
                     f"got {type(value).__name__}"
                 )
-            values.append(value)
-        return tuple(values)
+        return values
 
     def _checks_pass(self, name: str, values: tuple) -> bool:
         for column, sql in self._check_sql.get(name, ()):
@@ -420,8 +434,16 @@ class Runtime:
 
     # -- the processing pass ----------------------------------------------------------
 
-    def _evaluate_relation(self, name: str) -> tuple[tuple, ...]:
-        return tuple(self.engine.run_query(self._output_sql[name], context=f"output {name}")[1])
+    def _read(self, sql: str, reads: dict[str, tuple], context: str) -> tuple[tuple, ...]:
+        """A read's rows. No table changes from the refresh to the staged
+        inserts of a pass, so within one an output read runs once: `reads`
+        keeps its rows by SQL text, from the state programs to the outputs."""
+        rows = reads.get(sql)
+        if rows is None:
+            rows = tuple(self.engine.run_query(sql, context=context)[1])
+            if sql in self.plan.shared_reads:
+                reads[sql] = rows
+        return rows
 
     def _process_timestep(self, t: int, triggering: str) -> None:
         self._processing = True
@@ -440,20 +462,12 @@ class Runtime:
                 changed.add(view)
 
             # (2) state programs; inserts are staged until the end of the pass
+            reads: dict[str, tuple] = {}
             staged: list[tuple[str, str, list[tuple]]] = []  # (table, INSERT, rows)
-            for program in self.catalog.programs.values():
-                if triggering not in program.triggers:
-                    continue
-                for command, (sqls, insert) in zip(
-                    program.commands, self._program_sql[program.name]
-                ):
-                    rows = [
-                        row
-                        for sql in sqls
-                        for row in self.engine.run_query(sql, context=f"program {program.name}")[1]
-                    ]
-                    if insert is not None:
-                        staged.append((command.table, insert, rows))
+            for program, sqls, target in self._triggered.get(triggering, ()):
+                rows = [row for sql in sqls for row in self._read(sql, reads, f"program {program}")]
+                if target is not None:
+                    staged.append((*target, rows))
 
             # (3) re-evaluate outputs whose dependency closure changed, unless
             # the output is rewritten and waits on the triggering event table:
@@ -463,8 +477,8 @@ class Runtime:
             # the last rendered rows still hold
             frames: list[OutputFrame] = []
             for name in self._outputs:
-                touched = ({name} | self._closures[name]) & changed
-                if not touched:
+                watch = self._watch[name]
+                if watch.isdisjoint(changed):
                     continue
                 last = self._last_rendered.get(name)
                 event, delta_sql = self.plan.delta_sql.get(name, (None, None))
@@ -472,18 +486,21 @@ class Runtime:
                     frame = OutputFrame(name, t, self._output_columns[name], ())
                 elif (
                     last is not None
-                    and touched == {event}
+                    and watch & changed == {event}
                     and not self.engine.run_query(delta_sql, (t,), context=f"output {name}")[1]
                 ):
                     frame = OutputFrame(name, t, last.columns, last.rows)
                 else:
-                    frame = OutputFrame(name, t, self._output_columns[name], self._evaluate_relation(name))
+                    rows = self._read(self.plan.output_sql[name], reads, f"output {name}")
+                    frame = OutputFrame(name, t, self._output_columns[name], rows)
                 frames.append(frame)
 
-            # (4) NOT EMPTY debugging constraints, checked every timestep
-            for view, sql in self._probes:
-                _, probe = self.engine.run_query(sql, context=f"constraint {view}")
-                if not probe:
+            # (4) NOT EMPTY debugging constraints, reported every timestep; a
+            # probe re-runs only when its view's inputs changed
+            for view, sql, watch in self._probes:
+                if watch is None or view not in self._empty or not watch.isdisjoint(changed):
+                    self._empty[view] = not self.engine.run_query(sql, context=f"constraint {view}")[1]
+                if self._empty[view]:
                     self.diagnostics.append(f"NOT EMPTY violated: {view} is empty at timestep {t}")
 
             # (5) fire callbacks and log the frames
@@ -499,6 +516,9 @@ class Runtime:
                     self.engine.execute(insert, row + (t,), context=f"history insert {table}")
                 if rows:
                     self._dirty_next.add(table)
+        except BaseException:
+            self._empty.clear()  # a pass cut short may leave a change no probe saw
+            raise
         finally:
             self._processing = False
 

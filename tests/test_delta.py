@@ -74,9 +74,9 @@ CREATE OUTPUT o AS SELECT n.tId, p.name FROM north n JOIN places p ON 1;
     assert event == "tweets"
     assert sql.startswith(
         "WITH tweets AS (SELECT * FROM main.tweets WHERE timestep = ? "
-        "AND _rowid_ = (SELECT MAX(_rowid_) FROM main.tweets)), hits AS ("
+        "AND _rowid_ = (SELECT MAX(_rowid_) FROM main.tweets)), hits(tId, lat) AS ("
     )
-    assert "), north AS (SELECT tId FROM hits WHERE (lat > 0)) SELECT 1 FROM (" in sql
+    assert "), north(tId) AS (SELECT tId FROM hits WHERE (lat > 0)) SELECT 1 FROM (" in sql
     assert sql.endswith(") LIMIT 1")
 
 
@@ -124,9 +124,23 @@ CREATE OUTPUT o AS SELECT tId FROM north WHERE lat < 3;
     assert session.plan.delta_sql["o"][1] == (
         "WITH tweets AS (SELECT * FROM main.tweets WHERE timestep = ? "
         "AND _rowid_ = (SELECT MAX(_rowid_) FROM main.tweets)), "
-        "north AS (SELECT tId, lat FROM tweets WHERE (lat > 0)) "
+        "north(tId, lat) AS (SELECT tId, lat FROM tweets WHERE (lat > 0)) "
         "SELECT 1 FROM (SELECT tId FROM north WHERE (lat < 3)) LIMIT 1"
     )
+
+
+def test_a_view_on_the_path_keeps_its_column_names():
+    """The delta statement shadows a view under the compiler's column names,
+    so an output that reads a renamed duplicate column (`tId_2`) still runs."""
+    session = local("""\
+CREATE VIEW named AS SELECT t.tId, p.name AS tId FROM tweets t JOIN places p ON 1;
+CREATE OUTPUT o AS SELECT tId_2 FROM named WHERE tId = 'b';
+""")
+    assert "named(tId, tId_2) AS (" in session.plan.delta_sql["o"][1]
+    session.runtime.engine.insert_rows("places", [("p",)])
+    for t, tid in enumerate("aba"):
+        session.runtime.new_event("tweets", {"tId": tid, "lat": 0.0, "lon": 0.0}, at_ms=t)
+    assert [f.rows for f in session.runtime.frames] == [(), (("p",),), (("p",),)]
 
 
 def test_materialized_view_on_the_path_takes_no_delta_path():

@@ -317,6 +317,12 @@ def test_dump_plan_lists_sections():
     assert "== shared evaluations ==" not in text
     session = Session.build(load_examples()["realtime_tweets"].config())
     assert dump_plan(session.plan).endswith("== delta ==\ntweetsInBrush on tweets")
+    assert "== outputs ==\ntweetsInBrush: SELECT * FROM tweetsInBrush ORDER BY " in dump_plan(session.plan)
+    undo = Session.build(load_examples()["undo"].config())
+    assert dump_plan(undo.plan).endswith(
+        '== outputs ==\ncurrSel: SELECT * FROM currSel ORDER BY "id", typeof("id"), '
+        "shared by program_1 command 1"
+    )
     dbs = [quick(), remote("r1", {"flights": FLIGHT_COLUMNS})]
     twins = plan_federation(compile_program(parse_diel(SLIDER_TWINS), base_schemas_of(dbs)), dbs)
     emit_per_db_sql(twins)

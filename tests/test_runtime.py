@@ -954,12 +954,34 @@ def test_canonical_order_with_duplicate_column_names():
 
 
 def test_an_output_sqlite_rejects_fails_with_a_typed_error():
-    with pytest.raises(EngineError, match="misuse of aggregate"):
-        session = local_session(
+    """Every planned read is compiled when the session is built, so a query
+    SQLite cannot run fails there, naming its relation, before any event."""
+    with pytest.raises(EngineError, match="^output o on instance main: misuse of aggregate"):
+        local_session(
             "CREATE EVENT TABLE e(x INT);"
             "CREATE OUTPUT o AS SELECT x FROM e WHERE COUNT(x) > 1;"
         )
-        session.runtime.new_event("e", {"x": 1}, at_ms=0)
+
+
+@pytest.mark.parametrize("text, relation", [
+    ("CREATE TABLE h(x INT);"
+     "CREATE PROGRAM AFTER (e) BEGIN INSERT INTO h SELECT x FROM e WHERE COUNT(x) > 1; END;",
+     "program program_1"),
+    ("CREATE VIEW v AS SELECT x FROM e WHERE COUNT(x) > 1; v NOT EMPTY;", "constraint v"),
+    ("CREATE ASYNC VIEW a AS SELECT x FROM e WHERE COUNT(x) > 1;", "async view a"),
+], ids=["program", "constraint", "async-view"])
+def test_any_read_sqlite_rejects_fails_the_build(text, relation):
+    with pytest.raises(EngineError, match=f"^{relation} on instance main: misuse of aggregate"):
+        local_session("CREATE EVENT TABLE e(x INT);" + text)
+
+
+def test_an_async_view_its_leader_rejects_fails_the_build():
+    with pytest.raises(EngineError, match="^async view a on instance r1: misuse of aggregate"):
+        remote_session(
+            "CREATE EVENT TABLE e(x INT);"
+            "CREATE ASYNC VIEW a AS SELECT origin FROM flights JOIN LATEST e ON flight_year = e.x "
+            "WHERE COUNT(delay) > 1;"
+        )
 
 
 def test_output_with_order_by_keeps_engine_order():

@@ -251,7 +251,7 @@ def test_realtime_tweets_delta_probe_is_lowered():
     assert plan.delta_sql["tweetsInBrush"] == (
         "tweets",
         "WITH tweets AS (SELECT * FROM main.tweets WHERE timestep = ? "
-        "AND _rowid_ = (SELECT MAX(_rowid_) FROM main.tweets)), fixedBrushTweets AS "
+        "AND _rowid_ = (SELECT MAX(_rowid_) FROM main.tweets)), fixedBrushTweets(tId, lat, lon) AS "
         f"(SELECT t.tId, t.lat, t.lon FROM tweets AS t JOIN brushItx AS b ON ({BOX} "
         "AND (t.timestep < b.timestep)) WHERE (b.timestep = (SELECT MAX(timestep) FROM brushItx))) "
         "SELECT 1 FROM (SELECT tId, lat, lon FROM fixedBrushTweets) LIMIT 1",
