@@ -157,6 +157,21 @@ class SelectQuery:
         return exprs
 
 
+def children(expr: Expr) -> list[Expr]:
+    """The direct sub-expressions of `expr`, left to right. A ScalarSubquery
+    has none here: its query is a scope of its own."""
+    if isinstance(expr, BinaryOp):
+        return [expr.left, expr.right]
+    if isinstance(expr, (UnaryOp, IsNull)):
+        return [expr.operand]
+    if isinstance(expr, FuncCall):
+        return expr.args
+    if isinstance(expr, CaseExpr):
+        whens = [node for pair in expr.whens for node in pair]
+        return [node for node in (expr.operand, *whens, expr.else_result) if node is not None]
+    return []
+
+
 def walk(expr: Expr) -> list[Expr]:
     """`expr` and its sub-expressions, parents first, left to right. A
     ScalarSubquery is listed but not entered: its query is a scope of its own."""
@@ -164,22 +179,8 @@ def walk(expr: Expr) -> list[Expr]:
 
     def visit(node: Expr) -> None:
         nodes.append(node)
-        if isinstance(node, BinaryOp):
-            visit(node.left)
-            visit(node.right)
-        elif isinstance(node, (UnaryOp, IsNull)):
-            visit(node.operand)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                visit(arg)
-        elif isinstance(node, CaseExpr):
-            if node.operand is not None:
-                visit(node.operand)
-            for cond, result in node.whens:
-                visit(cond)
-                visit(result)
-            if node.else_result is not None:
-                visit(node.else_result)
+        for child in children(node):
+            visit(child)
 
     visit(expr)
     return nodes

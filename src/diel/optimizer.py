@@ -1,20 +1,42 @@
-"""Performance layer: shared-view materialization, the async request cache and
-empty-delta checks.
+"""Performance layer: shared-view materialization, pre-aggregates, the async
+request cache and empty-delta checks.
 
-All three are semantically transparent: materialization trades view
-re-evaluation for refresh-on-change, the cache replays stored result rows as
-ordinary async result events, so concurrency policies apply to hits and
-misses alike, and an output whose delta is provably empty keeps its rows.
+All four are semantically transparent: materialization trades view
+re-evaluation for refresh-on-change, a pre-aggregate groups a fixed table
+once so that a grouped query re-aggregates its groups instead of its rows,
+the cache replays stored result rows as ordinary async result events, so
+concurrency policies apply to hits and misses alike, and an output whose
+delta is provably empty keeps its rows.
 """
 
 from __future__ import annotations
 
 import marshal
 from collections.abc import Container
+from dataclasses import dataclass, replace
 
-from .ast_nodes import ColumnRef, Expr, FuncCall, InsertStatement, SelectQuery, Star, walk
+from .ast_nodes import (
+    BinaryOp,
+    CaseExpr,
+    ColumnRef,
+    Expr,
+    FuncCall,
+    InsertStatement,
+    IsNull,
+    Join,
+    OrderItem,
+    ScalarSubquery,
+    SelectItem,
+    SelectQuery,
+    Star,
+    TableRef,
+    UnaryOp,
+    children,
+    walk,
+)
 from .compiler import (
     GROWING_KINDS,
+    QUERY_KINDS,
     Catalog,
     DependencyGraph,
     RelationKind,
@@ -69,6 +91,178 @@ def materialize_shared_views(
             continue
         materialized[name] = dependency_closure(name, catalog)
     return materialized
+
+
+# --- pre-aggregates ---------------------------------------------------------------
+
+# the aggregates a pre-aggregate can stand in for: each is an aggregate of
+# the per-group aggregates (COUNT and SUM the SUM of them)
+PREAGGREGABLE = ("COUNT", "SUM", "MIN", "MAX")
+
+
+@dataclass(frozen=True)
+class PreAggregate:
+    """A grouped query's fixed base table, grouped once at setup by the base
+    columns the query reads outside its aggregates (`keys`, in the base
+    table's column order), with one column per aggregate the query computes:
+    (function, column), ("COUNT", None) for COUNT(*). `binding` is the name
+    the query reads the base table under, which the pre-aggregate keeps."""
+
+    base: str
+    binding: str
+    keys: tuple[str, ...]
+    aggregates: tuple[tuple[str, str | None], ...]
+
+    @property
+    def table(self) -> str:
+        return "__pre_" + "_".join((self.base, *self.keys))
+
+
+def aggregate_column(function: str, column: str | None) -> str:
+    """The pre-aggregate column that holds one aggregate of each group."""
+    return "__count" if column is None else f"__{function.lower()}_{column}"
+
+
+def _is_aggregate(node: Expr) -> bool:
+    """An aggregate call; MIN and MAX with two or more arguments are scalar."""
+    if not isinstance(node, FuncCall) or node.name.upper() not in AGGREGATE_FUNCTIONS:
+        return False
+    return node.name.upper() not in ("MIN", "MAX") or len(node.args) == 1
+
+
+def _aggregate_key(call: FuncCall) -> tuple[str, str | None]:
+    return ("COUNT", None) if call.star else (call.name.upper(), call.args[0].column)
+
+
+def preaggregates(catalog: Catalog) -> dict[str, PreAggregate]:
+    """Query relations whose grouped query reads a pre-aggregate instead of
+    its base table: relation -> the pre-aggregate. The rule and each
+    exclusion are in "Pre-aggregates" in docs/dialect.md."""
+    found: dict[str, PreAggregate] = {}
+    sources: dict[str, tuple] = {}  # table -> the (base, keys) it was first named for
+    for rel in catalog.by_kind(*QUERY_KINDS):
+        pre = _preaggregate(rel.query, catalog)
+        # a table name stands for one base table and key list and names no relation
+        if pre is not None and pre.table not in catalog.relations and (
+            sources.setdefault(pre.table, (pre.base, pre.keys)) == (pre.base, pre.keys)
+        ):
+            found[rel.name] = pre
+    return found
+
+
+def _preaggregate(query: SelectQuery, catalog: Catalog) -> PreAggregate | None:
+    """The pre-aggregate of a query over one base table B joined only to
+    LATEST event rows, whose GROUP BY reads a LATEST column; None when the
+    query is not one, or computes what per-group aggregates cannot give."""
+    refs = query.table_refs()
+    fixed = [ref for ref in refs if not ref.latest]
+    if not query.group_by or len(fixed) != 1 or any(join.kind == "left" for join in query.joins):
+        return None
+    base = fixed[0]
+    latest = [catalog.relations[ref.name] for ref in refs if ref is not base]
+    if not catalog.relations[base.name].is_base or any(
+        rel.kind is not RelationKind.EVENT_TABLE for rel in latest
+    ):
+        return None
+    types = {c.name: c.type for c in catalog.relations[base.name].columns}
+    others = {c.name for rel in latest for c in rel.physical_columns}
+    aliases = {item.alias: item.expr for item in query.items if item.alias}
+
+    def is_alias(node: Expr) -> bool:
+        return isinstance(node, ColumnRef) and node.table is None and node.column in aliases
+
+    def of_base(node: Expr) -> bool:
+        return isinstance(node, ColumnRef) and (
+            node.table == base.binding or (node.table is None and node.column in types)
+        )
+
+    # the groups are set by the interaction: GROUP BY reads a LATEST column
+    def expanded(expr: Expr) -> list[Expr]:
+        return [n for node in walk(expr) for n in (walk(aliases[node.column]) if is_alias(node) else [node])]
+
+    if not any(isinstance(n, ColumnRef) and not of_base(n) for g in query.group_by for n in expanded(g)):
+        return None
+
+    nodes = [node for clause in query.clauses() for node in walk(clause)]
+    if any(
+        isinstance(node, (Star, ScalarSubquery))
+        or (isinstance(node, FuncCall) and (node.name.upper() == "RANDOM" or node.name in catalog.udfs))
+        or (is_alias(node) and (node.column in types or node.column in others))
+        for node in nodes
+    ):
+        return None
+
+    calls = [node for node in nodes if _is_aggregate(node)]
+    for call in calls:
+        if call.star:
+            if call.name.upper() != "COUNT":
+                return None
+            continue
+        arg = call.args[0] if len(call.args) == 1 else None
+        if call.name.upper() not in PREAGGREGABLE or not of_base(arg) or arg.column not in types:
+            return None
+        if call.name.upper() == "SUM" and types[arg.column] != "INT":
+            return None
+    aggregated = {id(node) for call in calls for node in walk(call)}
+    keys = {node.column for node in nodes if id(node) not in aggregated and of_base(node)}
+    if not keys or any(types.get(key) is None for key in keys):
+        return None  # a rowid or an untyped column, whose equal values may differ in type
+
+    # a base column outside an aggregate and outside every grouped expression
+    # takes an arbitrary row's value, which the pre-aggregate cannot give
+    grouped = [aliases[g.column] if is_alias(g) else g for g in query.group_by]
+
+    def bare(expr: Expr) -> bool:
+        if _is_aggregate(expr) or expr in grouped:
+            return False
+        if is_alias(expr):
+            return bare(aliases[expr.column])
+        return of_base(expr) or any(bare(child) for child in children(expr))
+
+    selected = [item.expr for item in query.items] + [o.expr for o in query.order_by]
+    if any(bare(expr) for expr in selected + ([query.having] if query.having is not None else [])):
+        return None
+    aggregates = tuple(dict.fromkeys(_aggregate_key(call) for call in calls))
+    if {aggregate_column(*a) for a in aggregates} & (types.keys() | others | aliases.keys()):
+        return None
+    return PreAggregate(base.name, base.binding, tuple(c for c in types if c in keys), aggregates)
+
+
+def preaggregated_query(query: SelectQuery, pre: PreAggregate) -> SelectQuery:
+    """`query` over its pre-aggregate, read under the base table's binding:
+    COUNT(*) becomes the SUM of the per-group counts, COUNT(x) and SUM(x) the
+    SUM of their per-group columns, MIN and MAX the MIN and MAX of theirs.
+    What does not change is shared with `query`."""
+
+    def over(expr: Expr | None) -> Expr | None:
+        if _is_aggregate(expr):
+            function, column = _aggregate_key(expr)
+            combine = "SUM" if function in ("COUNT", "SUM") else function
+            return FuncCall(combine, [ColumnRef(aggregate_column(function, column), pre.binding)])
+        if isinstance(expr, BinaryOp):
+            return BinaryOp(expr.op, over(expr.left), over(expr.right))
+        if isinstance(expr, UnaryOp):
+            return UnaryOp(expr.op, over(expr.operand))
+        if isinstance(expr, IsNull):
+            return IsNull(over(expr.operand), expr.negated)
+        if isinstance(expr, FuncCall):
+            return FuncCall(expr.name, [over(arg) for arg in expr.args], expr.star)
+        if isinstance(expr, CaseExpr):
+            whens = [(over(cond), over(result)) for cond, result in expr.whens]
+            return CaseExpr(over(expr.operand), whens, over(expr.else_result))
+        return expr
+
+    def table(ref: TableRef) -> TableRef:
+        return ref if ref.latest else TableRef(pre.table, pre.binding)
+
+    return replace(
+        query,
+        items=[SelectItem(over(item.expr), item.alias) for item in query.items],
+        table=table(query.table),
+        joins=[Join(join.kind, table(join.table), join.on) for join in query.joins],
+        having=over(query.having),
+        order_by=[OrderItem(over(order.expr), order.descending) for order in query.order_by],
+    )
 
 
 # --- request cache ---------------------------------------------------------------

@@ -58,7 +58,14 @@ from .errors import (
     DuplicateRelationError,
     UnknownRelationError,
 )
-from .optimizer import cacheable_views, calls_random, delta_paths
+from .optimizer import (
+    PreAggregate,
+    aggregate_column,
+    cacheable_views,
+    calls_random,
+    delta_paths,
+    preaggregated_query,
+)
 from .printer import expr_sql, query_sql, quote_ident, statement_sql
 
 KIND_QUICK = "quick"
@@ -99,6 +106,14 @@ class FederationPlan:
     # view the coordinator keeps as a table (`materialize_shared_views`), in
     # refresh order; set before emit_per_db_sql, which reads it
     materialized: dict[str, frozenset[str]] = field(default_factory=dict)
+    # grouped query relation -> the pre-aggregate it reads instead of its base
+    # table (`optimizer.preaggregates`); set before emit_per_db_sql, which
+    # reads it. Each pre-aggregate table is created on every instance that
+    # evaluates a query reading it, and (instance, table) -> the one
+    # INSERT … SELECT … GROUP BY that fills it once base data is loaded, set
+    # by emit_per_db_sql
+    preaggregates: dict[str, PreAggregate] = field(default_factory=dict)
+    preaggregate_fill: dict[tuple[str, str], str] = field(default_factory=dict)
     programs: dict[str, str] = field(default_factory=dict)
     # (table, column, instance) of every index the programs create
     indexes: list[tuple[str, str, str]] = field(default_factory=list)
@@ -373,6 +388,49 @@ def index_name(table: str, column: str) -> str:
     return f"__idx_{table}_{column}"
 
 
+def evaluated_on(plan: FederationPlan, name: str) -> list[str]:
+    """The instances that evaluate query relation `name`: its placement, and,
+    for a plain view, the leaders of the async views that read it, whose
+    programs create it too (the only instances a view placed nowhere is on)."""
+    on = {plan.placement[name]} if name in plan.placement else set()
+    if plan.catalog.relations[name].kind is RelationKind.VIEW:
+        on |= {
+            leader for view, leader in plan.leaders.items() if name in dependency_closure(view, plan.catalog)
+        }
+    return sorted(on)
+
+
+def _lower_over_preaggregates(plan: FederationPlan) -> dict[str, list[str]]:
+    """Lower each pre-aggregated relation over its pre-aggregate and record
+    each table's fill; instance -> the CREATE TABLE of each table it holds.
+    A table holds the keys with the base table's column types, so each key
+    compares as the base column does, and one untyped column per aggregate
+    any query over it computes."""
+    catalog = plan.catalog
+    aggregates: dict[tuple[str, str], tuple[PreAggregate, set]] = {}
+    for name, pre in plan.preaggregates.items():
+        plan.relation_sql[name] = query_sql(
+            preaggregated_query(catalog.relations[name].query, pre), lower=True, udfs=catalog.udfs
+        )
+        for db_id in evaluated_on(plan, name):
+            aggregates.setdefault((db_id, pre.table), (pre, set()))[1].update(pre.aggregates)
+    ddl: dict[str, list[str]] = {}
+    plan.preaggregate_fill = {}
+    for (db_id, table), (pre, computed) in sorted(aggregates.items()):
+        base_columns = {c.name: c for c in catalog.relations[pre.base].columns}
+        ordered = sorted(computed, key=lambda a: (a[0], a[1] or ""))
+        columns = [base_columns[key] for key in pre.keys]
+        columns += [ColumnDef(aggregate_column(*a), None) for a in ordered]
+        ddl.setdefault(db_id, []).append(_create_table_sql(table, columns, ()))
+        keys = ", ".join(quote_ident(key) for key in pre.keys)
+        values = ", ".join("COUNT(*)" if col is None else f"{fn}({quote_ident(col)})" for fn, col in ordered)
+        plan.preaggregate_fill[db_id, table] = (
+            f"INSERT INTO {quote_ident(table)} ({', '.join(quote_ident(c.name) for c in columns)}) "
+            f"SELECT {keys}, {values} FROM {quote_ident(pre.base)} GROUP BY {keys}"
+        )
+    return ddl
+
+
 def _create_table_sql(name: str, columns: list[ColumnDef], system: tuple[str, ...]) -> str:
     decls = []
     for col in columns:
@@ -420,7 +478,9 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     reconstructs the federation (and re-executing them collides, by design).
     No engine has a view of an async view: its leader runs its `relation_sql`.
 
-    Each view in `plan.materialized` becomes a table on the coordinator.
+    Each view in `plan.materialized` becomes a table on the coordinator, and
+    each relation in `plan.preaggregates` is lowered over its pre-aggregate,
+    a table on each instance that evaluates it (`preaggregate_fill`).
     Every query is lowered to SQL once, here, and kept on the plan for the
     runtime (`relation_sql`, `output_sql`, `program_sql`, `delta_sql`), next
     to the async views that share one evaluation (`eval_groups`) and those
@@ -447,6 +507,7 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
         for rel in catalog.relations.values()
         if rel.query is not None
     }
+    preaggregate_ddl = _lower_over_preaggregates(plan)
     plan.output_sql = {rel.name: output_read_sql(rel) for rel in catalog.by_kind(RelationKind.OUTPUT)}
     plan.shared_reads = set()
     plan.program_sql = {
@@ -503,6 +564,7 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     for rel in catalog.relations.values():
         if rel.is_base and plan.placement[rel.name] == plan.coordinator:
             lines.append(_create_table_sql(rel.name, rel.columns, ()))
+    lines += preaggregate_ddl.get(plan.coordinator, [])
     for rel in catalog.relations.values():
         if rel.kind in (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE):
             lines.append(_create_table_sql(rel.name, rel.columns, rel.system_columns))
@@ -547,14 +609,10 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
                 lines.append(index_request_timestep(spec.relation, db_id))
             else:
                 lines.append(_create_table_sql(spec.relation, rel.columns, rel.system_columns))
-        local_views = set()
-        for view, leader in plan.leaders.items():
-            if leader != db_id:
-                continue
-            for name in dependency_closure(view, catalog):
-                rel = catalog.relations.get(name)
-                if rel is not None and rel.kind is RelationKind.VIEW:
-                    local_views.add(name)
+        lines += preaggregate_ddl.get(db_id, [])
+        local_views = {
+            rel.name for rel in catalog.by_kind(RelationKind.VIEW) if db_id in evaluated_on(plan, rel.name)
+        }
         for name in topo_sorted(local_views):
             lines.append(create_view_sql(name))
         programs[db_id] = "\n".join(lines)
@@ -587,6 +645,14 @@ def dump_plan(plan: FederationPlan) -> str:
         lines.append("== indexes ==")
         for table, column, db_id in plan.indexes:
             lines.append(f"{table} ({column}) @ {db_id}")
+    if plan.preaggregate_fill:
+        lines.append("== preaggregates ==")
+        for db_id, table in sorted(plan.preaggregate_fill, key=lambda key: (key[1], key[0])):
+            readers = sorted(name for name, pre in plan.preaggregates.items()
+                             if pre.table == table and db_id in evaluated_on(plan, name))
+            pre = plan.preaggregates[readers[0]]
+            keys = ", ".join(pre.keys)
+            lines.append(f"{table} <- {pre.base} ({keys}) @ {db_id}, read by {', '.join(readers)}")
     if plan.output_sql:
         lines.append("== outputs ==")
         for output, sql in sorted(plan.output_sql.items()):

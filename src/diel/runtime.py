@@ -7,8 +7,9 @@ refresh first, state programs run (their inserts are staged), outputs whose
 dependency closure changed re-evaluate (or keep their rows, when only an event
 table they are monotone in changed and its new rows add none; or show none,
 when they render only the answer to the event that triggered the pass), NOT EMPTY
-constraints are checked, callbacks fire, and finally the staged history-table
-inserts are applied so they become visible from the next timestep onward.
+constraints are checked, the frames are logged, callbacks fire, and finally
+the staged history-table inserts are applied, even when a callback raises,
+so they become visible from the next timestep onward.
 Async results, including request-cache hits, come back as ordinary events of
 their own.
 
@@ -503,19 +504,21 @@ class Runtime:
                 if self._empty[view]:
                     self.diagnostics.append(f"NOT EMPTY violated: {view} is empty at timestep {t}")
 
-            # (5) fire callbacks and log the frames
+            # (5) log every frame, then fire callbacks; (6) the staged history
+            # inserts land even when a callback raises, visible from t+1 onward
             for frame in frames:
                 self.frames.append(frame)
                 self._last_rendered[frame.output] = frame
-                for callback in self.bindings.get(frame.output, []):
-                    callback(frame)
-
-            # (6) staged history inserts land now, visible from t+1 onward
-            for table, insert, rows in staged:
-                for row in rows:
-                    self.engine.execute(insert, row + (t,), context=f"history insert {table}")
-                if rows:
-                    self._dirty_next.add(table)
+            try:
+                for frame in frames:
+                    for callback in self.bindings.get(frame.output, []):
+                        callback(frame)
+            finally:
+                for table, insert, rows in staged:
+                    for row in rows:
+                        self.engine.execute(insert, row + (t,), context=f"history insert {table}")
+                    if rows:
+                        self._dirty_next.add(table)
         except BaseException:
             self._empty.clear()  # a pass cut short may leave a change no probe saw
             raise
@@ -540,7 +543,8 @@ def setup(
 
     Every decision made at plan time is read from `plan`: the per-instance
     programs, the UDF registry every engine registers (`catalog.udfs`), the
-    materialized views (`materialized`), the async views the request cache
+    pre-aggregates (`preaggregate_fill`), the materialized views
+    (`materialized`), the async views the request cache
     serves (`cached_views`) and those evaluated once per group
     (`eval_groups`). `base_rows` maps a base table to its rows as Python
     values; `base_files` maps a base table to the SQLite file it is copied
@@ -593,6 +597,10 @@ def setup(
         if spec.snapshot and spec.relation not in base_files:
             rows = engine_of(plan.placement[spec.relation]).table_rows(spec.relation)
             instances[spec.destination].engine.insert_rows(spec.relation, rows)
+
+    # base tables never change, so each pre-aggregate is filled once, here
+    for (db_id, table), fill in plan.preaggregate_fill.items():
+        engine_of(db_id).execute(fill, context=f"fill {table}")
 
     federation = Federation(plan.coordinator, instances, links or {})
 

@@ -18,7 +18,7 @@ from .compiler import Catalog, compile_program
 from .engine import introspect_sqlite, read_csv_table
 from .errors import ConfigError, TraceParseError
 from .federation import Link, LatencySpec, parse_latency_spec, run_until_quiescent
-from .optimizer import materialize_shared_views
+from .optimizer import materialize_shared_views, preaggregates
 from .parser import parse_diel
 from .planner import (
     DbDescriptor,
@@ -153,6 +153,7 @@ class Session:
         if config.materialize:
             local = {name for name, db_id in plan.placement.items() if db_id == plan.coordinator}
             plan.materialized = materialize_shared_views(plan.catalog, plan.catalog.graph, local)
+            plan.preaggregates = preaggregates(plan.catalog)
         emit_per_db_sql(plan)
         if not config.cache:
             plan.cached_views = set()

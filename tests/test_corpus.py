@@ -39,8 +39,9 @@ def test_lowered_sql_equals_printed_desugared_ast(name):
     """Lowering while printing gives exactly what lowering `desugar_latest`'s
     AST gives (which has no LATEST left, so only its built-in calls are
     inlined), for every query relation and every program command; a command
-    that selects a whole output (`SELECT * FROM o`) runs that output's read."""
-    session = Session.build(EXAMPLES[name].config())
+    that selects a whole output (`SELECT * FROM o`) runs that output's read.
+    Built without materialization, which would also read pre-aggregates."""
+    session = Session.build(EXAMPLES[name].config(materialize=False))
     plan, catalog = session.plan, session.plan.catalog
     queries = {rel.name: rel.query for rel in catalog.relations.values() if rel.query is not None}
     assert set(plan.relation_sql) == set(queries)
@@ -83,8 +84,17 @@ LOWERED = {
 
 @pytest.mark.parametrize("name, relation", sorted(LOWERED))
 def test_lowered_sql_of_nested_aliased_and_filtered_latest(name, relation):
-    session = Session.build(EXAMPLES[name].config())
+    session = Session.build(EXAMPLES[name].config(materialize=False))
     assert session.plan.relation_sql[relation] == LOWERED[name, relation]
+
+
+def test_lowered_sql_of_a_preaggregated_query():
+    """With materialization on, distAll reads flights' pre-aggregate under the
+    name flights: COUNT(*) becomes the SUM of the per-delay counts."""
+    session = Session.build(EXAMPLES["connect_templates"].config())
+    assert session.plan.relation_sql["distAll"] == LOWERED["connect_templates", "distAll"].replace(
+        "COUNT(*) AS count FROM flights", "SUM(flights.__count) AS count FROM __pre_flights_delay AS flights"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))

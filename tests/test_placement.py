@@ -4,9 +4,13 @@ on a remote instance, and the same log with materialization on and off."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from diel.ast_nodes import ColumnDef
+from diel.corpus import load_examples
+from diel.engine import read_csv_table
 from diel.errors import ReservedColumnNameError
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
@@ -71,20 +75,22 @@ CASES = {
 }
 
 
-def build(program: str, latency: str | None = None, seed: int = 1, materialize: bool = True) -> Session:
-    """All tables on the coordinator when latency is None, else t on r1."""
-    databases = [DbConfig("main", "quick", tables={} if latency else T)]
+def build(
+    program: str, latency: str | None = None, seed: int = 1, materialize: bool = True, tables=T
+) -> Session:
+    """All tables on the coordinator when latency is None, else on r1."""
+    databases = [DbConfig("main", "quick", tables={} if latency else tables)]
     if latency:
-        databases.append(DbConfig("r1", "remote", latency=latency, tables=T))
+        databases.append(DbConfig("r1", "remote", latency=latency, tables=tables))
     return Session.build(RunConfig([program], databases, seed=seed, materialize=materialize))
 
 
-def final_frames(program: str, trace, latency: str | None = None, seed: int = 1) -> dict:
+def final_frames(program: str, trace, latency: str | None = None, seed: int = 1, tables=T) -> dict:
     """The last frame of each output, as (columns, rows); the log must not
     depend on materialization."""
     logs = []
     for materialize in (True, False):
-        session = build(program, latency, seed, materialize)
+        session = build(program, latency, seed, materialize, tables)
         session.run_replay(trace)
         logs.append(session.output_log_text())
     assert logs[0] == logs[1]
@@ -123,3 +129,28 @@ def test_one_rewrite_rule_for_every_remote_output():
     assert plan.relation_sql["o"].endswith(newest.format("pick") + " ORDER BY e.rowid")
     # every engine names a view's columns as the compiler does
     assert "CREATE VIEW o(v, v_2, count) AS " in plans["column_names"].programs["main"]
+
+
+FLIGHTS = {"flights": read_csv_table(
+    Path(__file__).resolve().parent.parent / "src" / "diel" / "corpus" / "data" / "flights.csv"
+)}
+ZOOMS = [TraceEntry(30 * i, "zoomItx", {"minD": lo, "maxD": hi})
+         for i, (lo, hi) in enumerate(((-10, 60), (0, 30), (-20, 100), (5, 25)))]
+ZOOM_HISTOGRAM = "\n".join(load_examples()["zoom_histogram"].diel_sources())
+# the same query as an async view, read under the relaxed policy
+ZOOM_ASYNC = ZOOM_HISTOGRAM.replace("CREATE VIEW flightDelayDist", "CREATE ASYNC VIEW flightDelayDist").replace(
+    "SELECT * FROM flightDelayDist", "SELECT delayBin, count FROM LATEST_REQUEST flightDelayDist"
+)
+
+
+@pytest.mark.parametrize("program", [ZOOM_HISTOGRAM, ZOOM_ASYNC], ids=["rewritten", "async_view"])
+def test_a_preaggregated_zoom_led_by_r1_renders_the_all_local_final_frames(program):
+    """zoom_histogram's query, led by r1 through the strict rewrite or as a
+    declared async view, reads a pre-aggregate that r1 builds and fills."""
+    local = final_frames(program, ZOOMS, tables=FLIGHTS)
+    assert local["delayHistogram"][1]
+    for latency, seed in REMOTE_RUNS:
+        assert final_frames(program, ZOOMS, latency, seed, FLIGHTS) == local, (latency, seed)
+    plan = build(program, "fixed(5)", tables=FLIGHTS).plan
+    assert list(plan.preaggregate_fill) == [("r1", "__pre_flights_delay")]
+    assert "__pre_flights_delay" in plan.programs["r1"] and "__pre_" not in plan.programs["main"]

@@ -832,6 +832,41 @@ def test_new_event_alone_renders_a_coordinator_led_async_view():
     assert session.runtime.clock == 2  # nothing was left queued
 
 
+SEEN = """\
+CREATE EVENT TABLE pick(v INT);
+CREATE TABLE seen(v INT);
+CREATE PROGRAM AFTER (pick) BEGIN INSERT INTO seen SELECT v FROM LATEST pick; END;
+CREATE OUTPUT lastPick AS SELECT v FROM LATEST pick;
+CREATE OUTPUT allSeen AS SELECT v FROM seen;
+"""
+
+
+def test_a_raising_callback_keeps_its_pass_frames_and_staged_inserts():
+    """A lastPick callback raises at timestep 2. The error reaches the caller,
+    but every frame of pass 2 is logged and pick 2's staged row lands, so
+    seen holds every pick and allSeen renders it."""
+    session = local_session(SEEN)
+
+    def fail_at_two(frame):
+        if frame.timestep == 2:
+            raise RuntimeError("callback failed")
+
+    session.runtime.bind_output("lastPick", fail_at_two)
+    for i, v in enumerate((1, 2, 3)):
+        if v == 2:
+            with pytest.raises(RuntimeError, match="callback failed"):
+                session.runtime.new_event("pick", {"v": v}, at_ms=10 * i)
+        else:
+            session.runtime.new_event("pick", {"v": v}, at_ms=10 * i)
+    assert session.runtime.engine.table_rows("seen") == [(1, 1), (2, 2), (3, 3)]
+    frames = [(f.output, f.timestep, f.rows) for f in session.runtime.frames]
+    assert frames == [
+        ("lastPick", 1, ((1,),)),
+        ("lastPick", 2, ((2,),)), ("allSeen", 2, ((1,),)),
+        ("lastPick", 3, ((3,),)), ("allSeen", 3, ((1,), (2,))),
+    ]
+
+
 def test_steps_left_queued_by_an_error_are_taken_before_the_next_call():
     """A callback queues a bad event and then a good one. The bad one raises
     out of the outer call; the good one is taken before the next event."""
