@@ -2,21 +2,25 @@
 
 Every engine starts empty; setup executes the planned DDL and base data is
 copied in afterwards, so re-running setup on a used engine fails on the DDL
-collision (by design there is no IF NOT EXISTS). Tables of a SQLite source
-file are copied inside SQLite from the file, attached read-only for the copy;
-rows given as Python values are inserted one batch per transaction. RANDOM()
-is overridden with a seeded generator so ORDER BY RANDOM() replays
-deterministically.
+collision (by design there is no IF NOT EXISTS). The engine that owns a SQLite
+source file may instead start as a page copy of that file, taken before its
+DDL, when the copy holds exactly what a row copy would (`introspect_sqlite`);
+otherwise, and for snapshots, tables are copied row by row inside SQLite from
+the file, attached read-only for the copy. Rows given as Python values are
+inserted one batch per transaction. RANDOM() is overridden with a seeded
+generator so ORDER BY RANDOM() replays deterministically.
 """
 
 from __future__ import annotations
 
 import csv
 import random
+import re
 import sqlite3
 from pathlib import Path
 
 from .ast_nodes import ColumnDef
+from .compiler import ROWID_NAMES
 from .errors import ConfigError, EngineError
 from .udfs import BUILTIN_UDFS, UdfDef
 
@@ -80,6 +84,18 @@ class SqlEngine:
                 self.conn.execute("ROLLBACK")
             raise EngineError(f"{context} into {table} on {self.db_id}", str(exc)) from exc
 
+    def copy_file(self, path: str | Path, context: str = "copy") -> None:
+        """Make this still-empty engine a page copy of the SQLite file at path,
+        opened read-only for the copy."""
+        try:
+            source = sqlite3.connect(_readonly_uri(path), uri=True)
+            try:
+                source.backup(self.conn)
+            finally:
+                source.close()
+        except sqlite3.Error as exc:
+            raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
+
     def copy_tables(
         self, path: str | Path, tables: dict[str, list[str]], context: str = "copy"
     ) -> None:
@@ -114,39 +130,101 @@ def _readonly_uri(path: str | Path) -> str:
     return Path(path).absolute().as_uri() + "?mode=ro"
 
 
-def introspect_sqlite(path: str | Path) -> dict[str, tuple[list[ColumnDef], int]]:
-    """Schemas and row counts of the user tables in a SQLite file."""
+def introspect_sqlite(
+    path: str | Path,
+) -> tuple[dict[str, tuple[list[ColumnDef], int]], str | None]:
+    """Schemas and row counts of the user tables in a SQLite file, and why a
+    page copy of the file would differ from a row copy of its tables into the
+    tables diel creates for them (None when it would not)."""
     try:
         conn = sqlite3.connect(_readonly_uri(path), uri=True)
     except sqlite3.Error as exc:
         raise ConfigError(f"cannot read database file {path}: {exc}") from exc
     try:
+        schema = conn.execute("SELECT type, name, sql FROM sqlite_master ORDER BY name").fetchall()
         names = [
-            r[0]
-            for r in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type='table' "
-                "AND name NOT LIKE 'sqlite_%' ORDER BY name"
-            )
+            name for type_, name, _sql in schema
+            if type_ == "table" and not name.lower().startswith("sqlite_")
         ]
+        columns = {name: conn.execute(f'PRAGMA table_xinfo("{name}")').fetchall() for name in names}
         result: dict[str, tuple[list[ColumnDef], int]] = {}
         for name in names:
-            cols = []
-            for _, col_name, decl, *_ in conn.execute(f'PRAGMA table_info("{name}")'):
-                decl = (decl or "").upper()
-                if "INT" in decl:
-                    type_ = "INT"
-                elif "REAL" in decl or "FLOA" in decl or "DOUB" in decl:
-                    type_ = "REAL"
-                else:
-                    type_ = "TEXT"
-                cols.append(ColumnDef(col_name, type_))
+            cols = [
+                ColumnDef(col, _diel_type(decl)) for _, col, decl, *_, hidden in columns[name] if not hidden
+            ]
             count = conn.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
             result[name] = (cols, count)
-        return result
+        return result, _row_copy_reason(conn, schema, columns, result)
     except sqlite3.Error as exc:
         raise ConfigError(f"cannot read database file {path}: {exc}") from exc
     finally:
         conn.close()
+
+
+def _diel_type(decl: str | None) -> str:
+    decl = (decl or "").upper()
+    if "INT" in decl:
+        return "INT"
+    if "REAL" in decl or "FLOA" in decl or "DOUB" in decl:
+        return "REAL"
+    return "TEXT"
+
+
+def _row_copy_reason(
+    conn: sqlite3.Connection,
+    schema: list[tuple],
+    columns: dict[str, list[tuple]],
+    tables: dict[str, tuple[list[ColumnDef], int]],
+) -> str | None:
+    """Why a page copy of the file open on conn would not equal a row copy of
+    `tables` (`schema` holds the file's sqlite_master rows, `columns` each
+    table's `PRAGMA table_xinfo` rows): the same rows, rowids, column
+    affinities and schema objects. It equals one, and this returns None, when
+    the file holds only plain rowid tables whose columns carry no constraint,
+    collation or hidden part, each column's declared type has the affinity of
+    the diel type it was given, and rowids run from 1 to the row count."""
+    encoding = conn.execute("PRAGMA encoding").fetchone()[0]
+    if encoding != "UTF-8":
+        return f"{encoding} text"
+    for type_, name, sql in schema:
+        if type_ != "table" or name not in tables:
+            return f"{type_} {name}"
+        if not sql.upper().startswith("CREATE TABLE"):
+            return f"virtual table {name}"
+        if re.search(r"\bCOLLATE\b", sql, re.IGNORECASE):
+            return f"a collation in {name}"
+    for name, (_cols, count) in tables.items():
+        for _, col, decl, notnull, default, pk, hidden in columns[name]:
+            if hidden:
+                return f"hidden column {name}.{col}"
+            if pk:
+                return f"primary key {name}.{col}"
+            if notnull or default is not None:
+                return f"a constraint on {name}.{col}"
+            if col.lower() in ROWID_NAMES:
+                return f"column {name}.{col} shadows the rowid"
+            if _affinity(decl) != _affinity(sql_type(_diel_type(decl))):
+                return f"{name}.{col} declared {decl or 'without a type'}"
+        if count and conn.execute(
+            f'SELECT (SELECT MIN(_rowid_) FROM "{name}"), (SELECT MAX(_rowid_) FROM "{name}")'
+        ).fetchone() != (1, count):
+            return f"rowids of {name} are not 1..{count}"
+    return None
+
+
+def _affinity(decl: str | None) -> str:
+    """SQLite's column affinity for a declared type (the rules of "Datatypes
+    In SQLite", section 3.1)."""
+    decl = (decl or "").upper()
+    if "INT" in decl:
+        return "INTEGER"
+    if "CHAR" in decl or "CLOB" in decl or "TEXT" in decl:
+        return "TEXT"
+    if "BLOB" in decl or not decl:
+        return "BLOB"
+    if "REAL" in decl or "FLOA" in decl or "DOUB" in decl:
+        return "REAL"
+    return "NUMERIC"
 
 
 def read_csv_table(path: str | Path) -> tuple[list[ColumnDef], list[tuple]]:

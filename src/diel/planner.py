@@ -79,6 +79,9 @@ class DbDescriptor:
     kind: str  # quick | background | remote
     tables: dict[str, list[ColumnDef]] = field(default_factory=dict)
     row_estimates: dict[str, int] = field(default_factory=dict)
+    # each table of the instance's SQLite source file -> None when the
+    # instance starts as a page copy of the file, else why it copies rows
+    file_loads: dict[str, str | None] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,10 @@ class FederationPlan:
     catalog: Catalog
     placement: dict[str, str]
     shipments: list[ShipmentSpec]
+    # file-backed base table -> None when its owner starts as a page copy of
+    # the file (its program then creates no table for it), else why the owner
+    # copies its rows (`DbDescriptor.file_loads`). Snapshots copy rows
+    file_loads: dict[str, str | None] = field(default_factory=dict)
     rewritten_outputs: dict[str, str] = field(default_factory=dict)  # output -> async view
     # rewritten output -> the event tables whose newest interaction its strict
     # tail awaits, read with or without LATEST; an output that reads none has
@@ -137,6 +144,11 @@ class FederationPlan:
     # async views the request cache serves (`cacheable_views`); set by
     # emit_per_db_sql
     cached_views: set[str] = field(default_factory=set)
+
+    @property
+    def page_copied(self) -> set[str]:
+        """The file-backed base tables whose owner takes them by page copy."""
+        return {table for table, reason in self.file_loads.items() if reason is None}
 
     @property
     def leaders(self) -> dict[str, str]:
@@ -375,6 +387,7 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         catalog=catalog,
         placement=placement,
         shipments=sorted(shipments, key=lambda s: (s.relation, s.destination)),
+        file_loads={t: reason for db in dbs for t, reason in db.file_loads.items()},
         rewritten_outputs=rewritten,
         waits_on=waits_on,
     )
@@ -477,6 +490,8 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     """DDL and views per instance; executing them on fresh engines
     reconstructs the federation (and re-executing them collides, by design).
     No engine has a view of an async view: its leader runs its `relation_sql`.
+    An owner that starts as a page copy of its SQLite file (`file_loads`)
+    creates no table for the file's tables.
 
     Each view in `plan.materialized` becomes a table on the coordinator, and
     each relation in `plan.preaggregates` is lowered over its pre-aggregate,
@@ -560,10 +575,17 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
         )
 
     # -- coordinator -----------------------------------------------------
+    page_copied = plan.page_copied
+
+    def create_bases_sql(db_id: str) -> list[str]:
+        return [
+            _create_table_sql(rel.name, rel.columns, ())
+            for rel in catalog.relations.values()
+            if rel.is_base and plan.placement[rel.name] == db_id and rel.name not in page_copied
+        ]
+
     lines: list[str] = [f"-- program for coordinator {plan.coordinator}"]
-    for rel in catalog.relations.values():
-        if rel.is_base and plan.placement[rel.name] == plan.coordinator:
-            lines.append(_create_table_sql(rel.name, rel.columns, ()))
+    lines += create_bases_sql(plan.coordinator)
     lines += preaggregate_ddl.get(plan.coordinator, [])
     for rel in catalog.relations.values():
         if rel.kind in (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE):
@@ -596,9 +618,7 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
         if db_id == plan.coordinator:
             continue
         lines = [f"-- program for instance {db_id}"]
-        for rel in catalog.relations.values():
-            if rel.is_base and plan.placement[rel.name] == db_id:
-                lines.append(_create_table_sql(rel.name, rel.columns, ()))
+        lines += create_bases_sql(db_id)
         for spec in plan.shipments:
             if spec.destination != db_id:
                 continue
@@ -641,6 +661,14 @@ def dump_plan(plan: FederationPlan) -> str:
         for spec in plan.shipments:
             mode = "snapshot" if spec.snapshot else "deltas"
             lines.append(f"{spec.relation} -> {spec.destination} ({mode})")
+    if plan.file_loads:
+        lines.append("== base loads ==")
+        for table, reason in sorted(plan.file_loads.items()):
+            load = "page copy" if reason is None else f"row copy ({reason})"
+            lines.append(f"{table} @ {plan.placement[table]}: {load}")
+        for spec in plan.shipments:
+            if spec.snapshot and spec.relation in plan.file_loads:
+                lines.append(f"{spec.relation} -> {spec.destination}: row copy (snapshot)")
     if plan.indexes:
         lines.append("== indexes ==")
         for table, column, db_id in plan.indexes:

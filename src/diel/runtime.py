@@ -548,26 +548,31 @@ def setup(
     serves (`cached_views`) and those evaluated once per group
     (`eval_groups`). `base_rows` maps a base table to its rows as Python
     values; `base_files` maps a base table to the SQLite file it is copied
-    from."""
+    from, by pages or by rows as `file_loads` says."""
     remote_ids = sorted(set(plan.programs) - {plan.coordinator})
     for db_id in remote_ids:
         if links is None or db_id not in links:
             raise SetupError(db_id, "no latency link configured for this instance")
 
-    engine = SqlEngine(plan.coordinator, seed=seed, udfs=plan.catalog.udfs)
-    try:
-        engine.execute_script(plan.programs[plan.coordinator])
-    except EngineError as exc:
-        raise SetupError(plan.coordinator, str(exc)) from exc
+    # an owner that takes the page copy of its file starts as that copy
+    base_files = base_files or {}
+    page_copied = plan.page_copied
+    page_copies = {plan.placement[relation]: base_files[relation] for relation in page_copied}
 
-    instances: dict[str, SimInstance] = {}
-    for db_id in remote_ids:
-        inst_engine = SqlEngine(db_id, seed=seed, udfs=plan.catalog.udfs)
+    def start(db_id: str) -> SqlEngine:
+        new_engine = SqlEngine(db_id, seed=seed, udfs=plan.catalog.udfs)
         try:
-            inst_engine.execute_script(plan.programs[db_id])
+            if db_id in page_copies:
+                new_engine.copy_file(page_copies[db_id], context="load")
+            new_engine.execute_script(plan.programs[db_id])
         except EngineError as exc:
             raise SetupError(db_id, str(exc)) from exc
-        instances[db_id] = SimInstance(db_id, inst_engine, plan.relation_sql, plan.eval_groups)
+        return new_engine
+
+    engine = start(plan.coordinator)
+    instances: dict[str, SimInstance] = {}
+    for db_id in remote_ids:
+        instances[db_id] = SimInstance(db_id, start(db_id), plan.relation_sql, plan.eval_groups)
 
     def engine_of(db_id: str) -> SqlEngine:
         return engine if db_id == plan.coordinator else instances[db_id].engine
@@ -575,12 +580,12 @@ def setup(
     for relation, rows in base_rows.items():
         engine_of(plan.placement[relation]).insert_rows(relation, rows, context=f"load {relation}")
 
-    # file-backed tables go to their owner, and to every instance that takes a
-    # one-time snapshot of them, straight from the file
-    base_files = base_files or {}
+    # other file-backed tables go to their owner, and to every instance that
+    # takes a one-time snapshot of them, row by row from the file
     copies: dict[tuple[str, Path], list[str]] = {}
     for relation, path in base_files.items():
-        copies.setdefault((plan.placement[relation], path), []).append(relation)
+        if relation not in page_copied:
+            copies.setdefault((plan.placement[relation], path), []).append(relation)
     for spec in plan.shipments:
         if spec.snapshot and spec.relation in base_files:
             key = (spec.destination, base_files[spec.relation])

@@ -39,9 +39,11 @@ class DbConfig:
     path: str | None = None  # .db/.sqlite or .csv file
     latency: str | None = None
     tables: dict[str, tuple[list[ColumnDef], list[tuple]]] = field(default_factory=dict)
-    # schema and row count of each table in the SQLite file at `path`, set by
-    # load(); setup copies their rows from the file itself
+    # schema and row count of each table in the SQLite file at `path`, and why
+    # this instance copies their rows rather than the file's pages (None: it
+    # copies the pages), set by load(); setup copies them from the file itself
     file_tables: dict[str, tuple[list[ColumnDef], int]] = field(default_factory=dict)
+    row_copy_reason: str | None = None
 
     def load(self) -> None:
         if self.path is None or self.path in ("", "mem"):
@@ -53,7 +55,7 @@ class DbConfig:
             columns, rows = read_csv_table(path)
             self.tables[path.stem] = (columns, rows)
         else:
-            self.file_tables = introspect_sqlite(path)
+            self.file_tables, self.row_copy_reason = introspect_sqlite(path)
 
     def schemas(self) -> dict[str, tuple[list[ColumnDef], int]]:
         """Columns and row count of every table this instance provides."""
@@ -144,6 +146,7 @@ class Session:
                     kind=db.kind,
                     tables={t: cols for t, (cols, _count) in schemas.items()},
                     row_estimates={t: count for t, (_cols, count) in schemas.items()},
+                    file_loads={t: db.row_copy_reason for t in db.file_tables},
                 )
             )
         source = "\n".join(config.diel_sources)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import json
+import sqlite3
 from pathlib import Path
 
 from diel.cli import main
@@ -55,6 +56,38 @@ def test_dump_flags_print_ir_and_plan(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "slideItx [EventTable]" in out
     assert "== placement ==" in out
+
+
+def test_dump_plan_lists_how_each_file_backed_table_loads(tmp_path, capsys):
+    """r1's imported flights are taken by page copy; r2's airports.db has an
+    index, so r2 copies its rows, and r1, the leader, snapshots them."""
+    flights_db = tmp_path / "flights.db"
+    assert main(["import", str(CORPUS / "data" / "flights.csv"), "--table", "flights",
+                 "--db", str(flights_db)]) == 0
+    airports_db = tmp_path / "airports.db"
+    conn = sqlite3.connect(airports_db)
+    conn.execute("CREATE TABLE airports (code TEXT, city TEXT)")
+    conn.execute("CREATE INDEX airports_code ON airports (code)")
+    conn.executemany("INSERT INTO airports VALUES (?, ?)", [("LAX", "Los Angeles"), ("SFO", "San Francisco")])
+    conn.commit()
+    conn.close()
+    program = tmp_path / "app.diel"
+    program.write_text(
+        "CREATE EVENT TABLE pick (origin TEXT);\n"
+        "CREATE OUTPUT o AS SELECT f.delay, a.city FROM flights f JOIN airports a ON f.origin = a.code\n"
+        "  JOIN LATEST pick p ON f.origin = p.origin;\n"
+    )
+    capsys.readouterr()
+    assert main(["run", "--diel", str(program), "--db", "main=quick:mem",
+                 "--db", f"r1=remote:{flights_db}", "--db", f"r2=remote:{airports_db}",
+                 "--dump-plan"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("== base loads ==")
+    assert out[at + 1 : at + 4] == [
+        "airports @ r2: row copy (index airports_code)",
+        "flights @ r1: page copy",
+        "airports -> r1: row copy (snapshot)",
+    ]
 
 
 def test_trace_without_seed_is_a_config_error(tmp_path, capsys):

@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diel.corpus import load_examples, run_example
@@ -276,6 +276,11 @@ def test_delta_path_is_invisible_on_generated_tweet_and_brush_traces():
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.one_of(tweet, tweet, brush), min_size=1, max_size=30))
+    # a tweet inside the newest brush: liveTweets' delta is non-empty
+    @example([
+        ("brushItx", {"latMin": -1.0, "lonMin": -1.0, "latMax": 1.0, "lonMax": 1.0}),
+        ("tweets", {"content": "", "lat": 0.0, "lon": 0.0}),
+    ])
     def replay_both_ways(events):
         trace = [
             TraceEntry(10 * i, name, {**payload, "tId": f"t{i}"} if name == "tweets" else payload)

@@ -73,10 +73,11 @@ def test_import_csv_then_introspect(tmp_path):
     csv_file.write_text("origin:TEXT,delay:INT\nLAX,5\nSFO,-2\nJFK,9\n")
     db_file = tmp_path / "flights.db"
     assert import_csv(csv_file, "flights", db_file) == 3
-    info = introspect_sqlite(db_file)
+    info, row_copy_reason = introspect_sqlite(db_file)
     columns, count = info["flights"]
     assert [(c.name, c.type) for c in columns] == [("origin", "TEXT"), ("delay", "INT")]
     assert count == 3
+    assert row_copy_reason is None  # an imported file is taken by page copy
     raw = sqlite3.connect(db_file).execute("SELECT COUNT(*) FROM flights").fetchone()
     assert raw == (3,)
 

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from typing import NamedTuple
 
 import pytest
 
+from diel import runtime
 from diel.ast_nodes import ColumnDef
+from diel.engine import SqlEngine, import_csv
 from diel.errors import ConfigError, TraceParseError
 from diel.session import (
     DbConfig,
@@ -15,6 +18,7 @@ from diel.session import (
     parse_db_flag,
     parse_trace,
 )
+from diel.planner import dump_plan
 
 from conftest import FLIGHT_COLUMNS
 from listing_texts import SLIDER
@@ -195,41 +199,104 @@ def test_csv_backed_database_loads_table(tmp_path):
 ITEMS_PROGRAM = """
 CREATE EVENT TABLE pick (n INT);
 CREATE OUTPUT picked AS
-  SELECT i.code, i.price, i.qty, i.label, a.n
+  SELECT i.rowid AS item, i.code, i.price, i.qty, i.label, a.n
   FROM items i JOIN anchor a JOIN LATEST pick p ON a.n = p.n;
 """
-# REAL holding integers, numeric-looking TEXT, and NULL / empty cells
+# REAL holding integers, numeric-looking TEXT, and NULL / empty cells, in
+# `code` order: the order a table keyed on `code` is read in
 ITEM_COLUMNS = [
     ColumnDef("code", "TEXT"),
     ColumnDef("price", "REAL"),
     ColumnDef("qty", "INT"),
     ColumnDef("label", "TEXT"),
 ]
-ITEM_ROWS = [("007", 5, 3, "a"), ("42", 7.5, None, "b"), ("0.50", None, 12, None)]
-ITEMS_CSV = "code:TEXT,price:REAL,qty:INT,label:TEXT\n007,5,3,a\n42,7.5,,b\n0.50,,12,\n"
+ITEM_ROWS = [("0.50", None, 12, None), ("007", 5, 3, "a"), ("42", 7.5, None, "b")]
 ANCHOR = {"anchor": ([ColumnDef("n", "INT")], [(n,) for n in range(1, 11)])}
 ITEMS_TRACE = [TraceEntry(10 * n, "pick", {"n": n}) for n in (1, 2, 3)]
 
 
-def _items_source(kind: str, directory) -> dict:
+class FileShape(NamedTuple):
+    """An items.db: the statements run before and after its rows are inserted
+    (no statements: the file is written by import_csv), the columns and rows
+    it provides, and how its owner loads it: None for the page copy, else why
+    it copies rows."""
+
+    before: list[str]
+    load: str | None
+    after: list[str] = []
+    columns: list[ColumnDef] = ITEM_COLUMNS
+    rows: list[tuple] = ITEM_ROWS
+
+
+DECLARED = "CREATE TABLE items (code VARCHAR(8), price DOUBLE, qty BIGINT, label TEXT)"
+FILE_SHAPES = {
+    "declared": FileShape([DECLARED], None),
+    "import_csv": FileShape([], None),
+    "8k-pages": FileShape(["PRAGMA page_size = 8192", DECLARED], None),
+    "wal": FileShape(["PRAGMA journal_mode = WAL", DECLARED], None),
+    # untyped (BLOB affinity) and NUMERIC columns are given TEXT, whose
+    # affinity turns the integers they hold into text
+    "numeric-and-untyped": FileShape(
+        ["CREATE TABLE items (code TEXT, price, qty NUMERIC, label TEXT)"],
+        "items.price declared without a type",
+        columns=[ITEM_COLUMNS[0], ColumnDef("price", "TEXT"), ColumnDef("qty", "TEXT"), ITEM_COLUMNS[3]],
+    ),
+    "collation": FileShape([DECLARED.replace("label TEXT", "label TEXT COLLATE NOCASE")], "a collation in items"),
+    "not-null": FileShape([DECLARED.replace("code VARCHAR(8)", "code VARCHAR(8) NOT NULL")], "a constraint on items.code"),
+    "index": FileShape([DECLARED, "CREATE INDEX items_label ON items (label)"], "index items_label"),
+    "view": FileShape([DECLARED, "CREATE VIEW cheap AS SELECT code FROM items WHERE price < 6"], "view cheap"),
+    "trigger": FileShape(
+        [DECLARED, "CREATE TRIGGER kept BEFORE DELETE ON items BEGIN SELECT RAISE(ABORT, 'kept'); END"],
+        "trigger kept",
+    ),
+    "without-rowid": FileShape(
+        ["CREATE TABLE items (code TEXT PRIMARY KEY, price REAL, qty INT, label TEXT) WITHOUT ROWID"],
+        "primary key items.code",
+    ),
+    "integer-primary-key": FileShape(
+        [DECLARED[:-1] + ", id INTEGER PRIMARY KEY)"],
+        "primary key items.id",
+        columns=ITEM_COLUMNS + [ColumnDef("id", "INT")],
+        rows=[row + (10 * k,) for k, row in enumerate(ITEM_ROWS, start=1)],
+    ),
+    "rowid-gaps": FileShape(
+        [DECLARED, "INSERT INTO items (code) VALUES ('gone')"],
+        "rowids of items are not 1..3",
+        after=["DELETE FROM items WHERE code = 'gone'"],
+    ),
+}
+
+
+def _items_source(kind: str, directory, shape: str = "declared") -> dict:
     """DbConfig keyword arguments that provide `items` from the given source."""
+    file_shape = FILE_SHAPES[shape]
+    columns, rows = file_shape.columns, file_shape.rows
     if kind == "rows":
-        return {"tables": {"items": (ITEM_COLUMNS, ITEM_ROWS)}}
+        return {"tables": {"items": (columns, rows)}}
+    csv_path = directory / "items.csv"
+    lines = [",".join(f"{c.name}:{c.type}" for c in columns)]
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if kind == "csv":
-        path = directory / "items.csv"
-        path.write_text(ITEMS_CSV, encoding="utf-8")
-        return {"path": str(path)}
+        return {"path": str(csv_path)}
     path = directory / "items.db"
+    if not file_shape.before:
+        import_csv(csv_path, "items", path)
+        return {"path": str(path)}
     conn = sqlite3.connect(path)
-    conn.execute("CREATE TABLE items (code VARCHAR(8), price DOUBLE, qty BIGINT, label TEXT)")
-    conn.executemany("INSERT INTO items VALUES (?, ?, ?, ?)", ITEM_ROWS)
+    for statement in file_shape.before:
+        conn.execute(statement)
+    names = ", ".join(c.name for c in columns)
+    conn.executemany(f"INSERT INTO items ({names}) VALUES ({', '.join('?' * len(columns))})", rows)
+    for statement in file_shape.after:
+        conn.execute(statement)
     conn.commit()
     conn.close()
     return {"path": str(path)}
 
 
-def _items_config(kind: str, placement: str, directory) -> RunConfig:
-    source = _items_source(kind, directory)
+def _items_config(kind: str, placement: str, directory, shape: str = "declared") -> RunConfig:
+    source = _items_source(kind, directory, shape)
     if placement == "coordinator":
         main = DbConfig("main", "quick", **source)
         main.tables.update(ANCHOR)
@@ -251,19 +318,61 @@ def _run(config: RunConfig, before_replay=None) -> str:
     return session.output_log_text()
 
 
-@pytest.mark.parametrize("placement", ["coordinator", "remote"])
-def test_db_csv_and_python_rows_load_identically(tmp_path, placement):
+@pytest.mark.parametrize(
+    "placement, shape",
+    [
+        pytest.param(placement, shape, id=placement if shape == "declared" else f"{placement}-{shape}")
+        for shape in FILE_SHAPES
+        for placement in ("coordinator", "remote")
+    ],
+)
+def test_db_csv_and_python_rows_load_identically(tmp_path, placement, shape):
+    """A file's owner takes the page copy only where it equals the row copy:
+    every shape of items.db renders what the same rows give from a CSV file
+    and as Python values, rowids included."""
     logs = {}
     for kind in ("db", "csv", "rows"):
         (tmp_path / kind).mkdir()
-        logs[kind] = _run(_items_config(kind, placement, tmp_path / kind))
+        config = _items_config(kind, placement, tmp_path / kind, shape)
+        logs[kind] = _run(config)
+        if kind == "db":
+            assert config.databases[-1].row_copy_reason == FILE_SHAPES[shape].load
     assert logs["db"] == logs["csv"] == logs["rows"]
-    final = json.loads(logs["db"].splitlines()[-1])
-    assert final["rows"] == [
-        ["0.50", None, 12, None, 3],
-        ["007", 5.0, 3, "a", 3],
-        ["42", 7.5, None, "b", 3],
-    ]
+    if shape == "declared":
+        final = json.loads(logs["db"].splitlines()[-1])
+        assert final["rows"] == [
+            [1, "0.50", None, 12, None, 3],
+            [2, "007", 5.0, 3, "a", 3],
+            [3, "42", 7.5, None, "b", 3],
+        ]
+
+
+@pytest.mark.parametrize("shape", ["import_csv", "index"])
+def test_the_owner_of_an_imported_file_takes_no_row_copy(tmp_path, monkeypatch, shape):
+    """An import_csv file passes the page-copy check, so no row is copied
+    into its owner; a file that fails it is copied row by row. The file is
+    left unchanged and attached nowhere."""
+    statements: list[str] = []
+
+    class TracedEngine(SqlEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.conn.set_trace_callback(statements.append)
+
+    monkeypatch.setattr(runtime, "SqlEngine", TracedEngine)
+    config = _items_config("db", "coordinator", tmp_path, shape)
+    db_file = tmp_path / "items.db"
+    before = db_file.read_bytes()
+    session = Session.build(config)
+    load = "page copy" if shape == "import_csv" else "row copy (index items_label)"
+    assert f"items @ main: {load}" in dump_plan(session.plan).splitlines()
+    row_copies = [s for s in statements if s.startswith('INSERT INTO main."items"')]
+    assert len(row_copies) == (0 if shape == "import_csv" else 1)
+    assert [row[1] for row in session.runtime.engine.run_query("PRAGMA database_list")[1]] == ["main"]
+    assert db_file.read_bytes() == before
+    db_file.unlink()
+    session.run_replay(ITEMS_TRACE)
+    assert session.runtime.frames[-1].rows[0][:2] == (1, "0.50")
 
 
 def test_remote_items_are_snapshotted_to_the_leader(tmp_path):
