@@ -18,7 +18,6 @@ from .compiler import (
     build_dependency_graph,
     check_constraints_wellformed,
     compile_program,
-    desugar_latest,
     dump_ir,
     expand_templates,
     resolve_schema_copy,
@@ -87,7 +86,6 @@ __all__ = [
     "check_constraints_wellformed",
     "choose_leader",
     "compile_program",
-    "desugar_latest",
     "dump_ir",
     "dump_plan",
     "emit_per_db_sql",

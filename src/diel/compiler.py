@@ -4,14 +4,12 @@ Pipeline: template expansion -> schema copy -> catalog construction ->
 dependency graph -> system-column augmentation -> result columns of every
 query relation (in dependency order) -> name resolution and shorthand
 rewriting -> well-formedness diagnostics. The catalog keeps queries in
-their sugared form (LATEST flags intact); `desugar_latest` produces the plain
-SQL form as a new AST. Per-instance programs do not call it: the printer
-lowers LATEST while printing (`query_sql(q, lower=True)`), to the same text.
+their sugared form (LATEST flags intact); the printer lowers LATEST while
+printing (`query_sql(q, lower=True)`).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,7 +31,6 @@ from .ast_nodes import (
     ProgramCommand,
     ScalarSubquery,
     SchemaCopy,
-    SelectItem,
     SelectQuery,
     Star,
     Statement,
@@ -556,46 +553,6 @@ def _expand_star_args(call: FuncCall, scope: _Scope) -> None:
         else:
             expanded.append(arg)
     call.args = expanded
-
-
-# --- LATEST desugaring ------------------------------------------------------------
-
-
-def desugar_latest(query: SelectQuery, catalog: Catalog) -> SelectQuery:
-    """Expand LATEST / LATEST_REQUEST into MAX-subquery predicates."""
-    out = copy.deepcopy(query)
-    _desugar_in_place(out, catalog)
-    return out
-
-
-def _desugar_in_place(query: SelectQuery, catalog: Catalog) -> None:
-    conjuncts: list[Expr] = []
-    for ref in query.table_refs():
-        if not (ref.latest or ref.latest_request):
-            continue
-        column = "timestep" if ref.latest else "request_timestep"
-        if column not in {c.name for c in catalog.relation(ref.name).physical_columns}:
-            raise LatestOnNonEventError(
-                f"{'LATEST' if ref.latest else 'LATEST_REQUEST'} on {ref.name!r}, "
-                f"which has no {column} column"
-            )
-        subquery = SelectQuery(
-            items=[SelectItem(FuncCall("MAX", [ColumnRef(column)]))],
-            table=TableRef(name=ref.name),
-        )
-        conjuncts.append(
-            BinaryOp(
-                "=",
-                ColumnRef(column=column, table=ref.binding),
-                ScalarSubquery(subquery),
-            )
-        )
-        ref.latest = False
-        ref.latest_request = False
-    for conjunct in conjuncts:
-        query.where = conjunct if query.where is None else BinaryOp("AND", query.where, conjunct)
-    for sub in _nested_queries(query):
-        _desugar_in_place(sub, catalog)
 
 
 def _nested_queries(query: SelectQuery) -> list[SelectQuery]:

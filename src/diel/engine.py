@@ -9,6 +9,12 @@ otherwise, and for snapshots, tables are copied row by row inside SQLite from
 the file, attached read-only for the copy. Rows given as Python values are
 inserted one batch per transaction. RANDOM() is overridden with a seeded
 generator so ORDER BY RANDOM() replays deterministically.
+
+An engine alone decides when a read may reuse earlier rows (`read`): a read
+is served the rows of the last identical read on the engine while no row
+has changed since (`conn.total_changes`) and that read drew no RANDOM().
+It takes a UDF to be a function of its arguments, as the request cache does,
+and the schema to change only by `execute_script`, which forgets every read.
 """
 
 from __future__ import annotations
@@ -38,15 +44,43 @@ class SqlEngine:
         self.conn.isolation_level = None  # autocommit; the runtime owns atomicity
         self._rng = random.Random(f"{seed}/engine/{db_id}")
         self._inserts: dict[tuple[str, int], str] = {}  # (table, width) -> INSERT text
-        self.conn.create_function("random", 0, lambda: self._rng.getrandbits(63))
+        self._draws = 0  # RANDOM() calls so far
+        self._reads: dict[tuple[str, tuple], list[tuple]] = {}  # (SQL, params) -> rows, as of:
+        self._reads_at = -1  # the total_changes they were read at
+        self.conn.create_function("random", 0, self._random)
         for udf in {**BUILTIN_UDFS, **(udfs or {})}.values():
             self.conn.create_function(udf.name, udf.arity, udf.fn)
 
+    def _random(self) -> int:
+        self._draws += 1
+        return self._rng.getrandbits(63)
+
     def execute_script(self, sql: str) -> None:
+        self._reads_at = -1  # DDL leaves total_changes where it was
         try:
             self.conn.executescript(sql)
         except sqlite3.Error as exc:
             raise EngineError(f"instance {self.db_id}", str(exc)) from exc
+
+    def read(self, sql: str, params: tuple = (), context: str = "query") -> list[tuple]:
+        """The rows of a read. The rows of the last identical read (same SQL,
+        same parameters) are served again, without reaching SQLite, while no
+        row of this engine has changed since and that read called no RANDOM();
+        every other read runs (`run_query`). Served rows are the same list
+        object, so callers must not change it."""
+        changes = self.conn.total_changes
+        if changes != self._reads_at:
+            self._reads.clear()
+            self._reads_at = changes
+        key = (sql, params)
+        rows = self._reads.get(key)
+        if rows is not None:
+            return rows
+        draws = self._draws
+        rows = self.run_query(sql, params, context=context)[1]
+        if self._draws == draws:  # kept as of `changes`: a read that wrote is dropped next time
+            self._reads[key] = rows
+        return rows
 
     def run_query(
         self, sql: str, params: tuple = (), context: str = "query"

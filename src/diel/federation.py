@@ -201,28 +201,6 @@ class Transport:
 # --- database instances ----------------------------------------------------------------
 
 
-class AsyncViewEvaluator:
-    """Runs async views on one engine by their lowered queries (`relation_sql`).
-    Views of one evaluation group (the plan's own `eval_groups`) run the same
-    SQL: the first is evaluated, the others reuse its shared rows, which the
-    owner clears whenever the engine's tables may change."""
-
-    def __init__(self, engine: SqlEngine, relation_sql: dict[str, str], eval_groups: dict[str, str]):
-        self.engine = engine
-        self.relation_sql = relation_sql
-        self.eval_groups = eval_groups
-        self.shared_rows: dict[str, list[tuple]] = {}  # group -> its rows
-
-    def evaluate(self, view: str) -> list[tuple]:
-        group = self.eval_groups.get(view)
-        rows = self.shared_rows.get(group)
-        if rows is None:
-            _, rows = self.engine.run_query(self.relation_sql[view], context=f"async view {view}")
-            if group is not None:
-                self.shared_rows[group] = rows
-        return rows
-
-
 class SimInstance:
     """A Worker/Remote instance: an embedded engine behind an ordered channel.
 
@@ -234,16 +212,14 @@ class SimInstance:
     timestep against exactly the state as of t, however deliveries reorder.
     Setup snapshots are written by `setup` before any message is sent.
 
-    So the tables change only when a ShipData is applied, and each applied
-    one clears the shared rows of the `AsyncViewEvaluator` that answers requests.
+    A request runs its view's lowered query (`relation_sql`) on the engine,
+    which serves a repeat while no ShipData has changed a row since.
     """
 
-    def __init__(
-        self, db_id: str, engine: SqlEngine, relation_sql: dict[str, str], eval_groups: dict[str, str]
-    ):
+    def __init__(self, db_id: str, engine: SqlEngine, relation_sql: dict[str, str]):
         self.db_id = db_id
         self.engine = engine
-        self.evaluator = AsyncViewEvaluator(engine, relation_sql, eval_groups)
+        self.relation_sql = relation_sql
         self.evaluated: list[int] = []  # request_timestep of each answered request, in order
         self._channel_buffer: dict[int, Message] = {}  # link_seq -> early arrival
         self._next_link_seq = 1
@@ -266,9 +242,8 @@ class SimInstance:
             t = item.request_timestep
             if item.kind == SHIP_DATA:
                 self.engine.insert_rows(item.relation, item.rows or [], context=f"shipment t={t}")
-                self.evaluator.shared_rows.clear()
             elif item.kind == EVAL_REQUEST:
-                rows = self.evaluator.evaluate(item.view)
+                rows = self.engine.read(self.relation_sql[item.view], context=f"async view {item.view}")
                 out.append(
                     Message(
                         kind=RESULT_ROWS,

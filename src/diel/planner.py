@@ -125,22 +125,17 @@ class FederationPlan:
     # (table, column, instance) of every index the programs create
     indexes: list[tuple[str, str, str]] = field(default_factory=list)
     # lowered SELECT of every query relation (each async view's leader runs
-    # its own on each request), each output's read (`output_read_sql`), the
-    # statements each state program command runs (one per VALUES row), and
-    # the output reads a command runs too, by selecting that output whole
-    # without RANDOM(), which a pass evaluates once; set by emit_per_db_sql
+    # its own on each request), each output's read (`output_read_sql`), and
+    # the statements each state program command runs (one per VALUES row; a
+    # command that selects an output whole without RANDOM() runs the
+    # output's read, so the engine serves the output its rows); set by
+    # emit_per_db_sql
     relation_sql: dict[str, str] = field(default_factory=dict)
     output_sql: dict[str, str] = field(default_factory=dict)
     program_sql: dict[str, list[list[str]]] = field(default_factory=dict)
-    shared_reads: set[str] = field(default_factory=set)
     # output -> (event table E, delta statement): one row iff the output's
     # query over E's rows at timestep ? is non-empty; set by emit_per_db_sql
     delta_sql: dict[str, tuple[str, str]] = field(default_factory=dict)
-    # async view -> the first view of its evaluation group: two or more async
-    # views on one leader with byte-identical relation_sql and no RANDOM() in
-    # their closure, evaluated once per leader state; a view evaluated alone
-    # has no entry. Set by emit_per_db_sql
-    eval_groups: dict[str, str] = field(default_factory=dict)
     # async views the request cache serves (`cacheable_views`); set by
     # emit_per_db_sql
     cached_views: set[str] = field(default_factory=set)
@@ -469,15 +464,14 @@ def output_read_sql(rel: RelationDef) -> str:
 
 def _command_sql(command, plan: FederationPlan) -> list[str]:
     """What a state-program command runs: its SELECT, the read of an output
-    without RANDOM() it selects whole (`SELECT * FROM o`, recorded in
-    `plan.shared_reads`), or one SELECT per VALUES row."""
+    without RANDOM() it selects whole (`SELECT * FROM o`), or one SELECT per
+    VALUES row."""
     udfs = plan.catalog.udfs
     query = command.select if isinstance(command, InsertStatement) else command
     if query is not None:
         name = query.table.name if query.table is not None else None
         if (name in plan.output_sql and query == SelectQuery([SelectItem(Star())], TableRef(name))
                 and not calls_random(name, plan.catalog)):
-            plan.shared_reads.add(plan.output_sql[name])
             return [plan.output_sql[name]]
         return [query_sql(query, lower=True, udfs=udfs)]
     return [
@@ -498,10 +492,9 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     a table on each instance that evaluates it (`preaggregate_fill`).
     Every query is lowered to SQL once, here, and kept on the plan for the
     runtime (`relation_sql`, `output_sql`, `program_sql`, `delta_sql`), next
-    to the async views that share one evaluation (`eval_groups`) and those
-    the request cache serves (`cached_views`). The lowering inlines the
-    built-in UDFs the catalog's registry leaves in place, so SQLite runs them
-    natively. Every async-result table, and every shadow of one, is indexed
+    to the async views the request cache serves (`cached_views`). The
+    lowering inlines the built-in UDFs the catalog's registry leaves in
+    place, so SQLite runs them natively. Every async-result table, and every shadow of one, is indexed
     on request_timestep: each concurrency policy finds its rows by that
     column, and without the index SQLite builds an automatic one over the
     whole result history on every evaluation."""
@@ -524,24 +517,9 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     }
     preaggregate_ddl = _lower_over_preaggregates(plan)
     plan.output_sql = {rel.name: output_read_sql(rel) for rel in catalog.by_kind(RelationKind.OUTPUT)}
-    plan.shared_reads = set()
     plan.program_sql = {
         program.name: [_command_sql(command, plan) for command in program.commands]
         for program in catalog.programs.values()
-    }
-
-    # async views that would run the same SQL on the same leader answer from
-    # one evaluation while the leader's tables stay as they are; the same SQL
-    # reads the same relations, so one view shows whether the group's
-    # closure calls RANDOM()
-    same_sql: dict[tuple[str, str], list[str]] = {}
-    for view, leader in sorted(plan.leaders.items()):
-        same_sql.setdefault((leader, lowered[view]), []).append(view)
-    plan.eval_groups = {
-        view: group[0]
-        for group in same_sql.values()
-        if len(group) > 1 and not calls_random(group[0], catalog)
-        for view in group
     }
     plan.cached_views = cacheable_views(catalog)
 
@@ -684,17 +662,7 @@ def dump_plan(plan: FederationPlan) -> str:
     if plan.output_sql:
         lines.append("== outputs ==")
         for output, sql in sorted(plan.output_sql.items()):
-            sharing = [f"{program} command {i}" for program, commands in plan.program_sql.items()
-                       for i, sqls in enumerate(commands, start=1)
-                       if sqls == [sql] and sql in plan.shared_reads]
-            lines.append(f"{output}: {sql}" + (f", shared by {', '.join(sharing)}" if sharing else ""))
-    if plan.eval_groups:
-        lines.append("== shared evaluations ==")
-        groups: dict[str, list[str]] = {}
-        for view, first in sorted(plan.eval_groups.items()):
-            groups.setdefault(first, []).append(view)
-        for first, views in groups.items():
-            lines.append(f"{plan.placement[first]}: {', '.join(views)}")
+            lines.append(f"{output}: {sql}")
     if plan.delta_sql:
         lines.append("== delta ==")
         for output in sorted(plan.delta_sql):

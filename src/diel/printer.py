@@ -3,13 +3,13 @@
 The printed form is canonical: printing a parsed program and re-parsing it
 yields a structurally equal AST. With `lower=True` a query prints as plain SQL
 that the embedded SQLite engines accept directly: each LATEST / LATEST_REQUEST
-reference prints bare and its MAX-subquery conjunct is appended to the WHERE
-of the query that holds it, byte for byte what printing the result of
-`compiler.desugar_latest` gives, without copying the AST. Lowering also
-inlines each call of a built-in UDF that the `udfs` registry leaves in place,
-as the built-in's SQL body, when every argument is a column reference or a
-literal (a negated number counts as one); an argument that the body repeats
-then cannot run twice. Any other call stays a call into Python.
+reference prints bare and `binding.timestep = (SELECT MAX(timestep) FROM T)`
+(`request_timestep` for LATEST_REQUEST) is appended to the WHERE of the query
+that holds it, without copying the AST. Lowering also inlines each call of a
+built-in UDF that the `udfs` registry leaves in place, as the built-in's SQL
+body, when every argument is a column reference or a literal (a negated
+number counts as one); an argument that the body repeats then cannot run
+twice. Any other call stays a call into Python.
 """
 
 from __future__ import annotations

@@ -14,11 +14,12 @@ Async results, including request-cache hits, come back as ordinary events of
 their own.
 
 No coordinator table changes from the refresh to the staged inserts, so a
-pass reads once: an output a state program reads whole renders the rows the
-program read, and a NOT EMPTY probe re-runs only when its view or closure
-changed (always, for a view that calls RANDOM()). What a pass needs is fixed
-at setup, which also compiles every planned read: a read SQLite rejects
-fails the build.
+pass reads once: every read goes through the engine (`SqlEngine.read`), which
+serves a repeat of an unchanged read, such as an output a state program reads
+whole, without running it again; and a NOT EMPTY probe re-runs only when its
+view or closure changed (always, for a view that calls RANDOM()). What a pass
+needs is fixed at setup, which also compiles every planned read: a read
+SQLite rejects fails the build.
 
 Events and results share one way in. `new_event` and `on_async_result` both
 go through `_enter`: a call made during a pass (from a callback) is queued
@@ -48,7 +49,7 @@ from .errors import (
     UnknownOutputError,
     UnknownRequestError,
 )
-from .federation import RESULT_ROWS, AsyncViewEvaluator, Federation, Message, SimInstance
+from .federation import RESULT_ROWS, Federation, Message, SimInstance
 from .optimizer import RequestCache, calls_random
 from .planner import FederationPlan
 from .printer import expr_sql, query_sql, quote_ident  # noqa: F401 (bench/tracing.py wraps query_sql here)
@@ -109,7 +110,6 @@ class Runtime:
         self.ignored_events = 0
         self.local_evals = 0
         self.cache = RequestCache()
-        self.evaluator = AsyncViewEvaluator(engine, plan.relation_sql, plan.eval_groups)
         self._pending_params: dict[tuple[str, int], tuple] = {}
         self._ship_cursor: dict[tuple[str, str], int] = {}
         self._dirty_next: set[str] = set()
@@ -332,7 +332,7 @@ class Runtime:
         if rel is None or rel.kind is not RelationKind.OUTPUT:
             known = ", ".join(sorted(self._outputs)) or "(none)"
             raise UnknownOutputError(f"unknown output {name!r}; known outputs: {known}")
-        rows = self._read(self.plan.output_sql[name], {}, f"output {name}")
+        rows = tuple(self.engine.read(self.plan.output_sql[name], context=f"output {name}"))
         return OutputFrame(name, self.clock, self._output_columns[name], rows)
 
     def summary(self) -> dict:
@@ -389,9 +389,6 @@ class Runtime:
     def _dispatch_async(self, relation: str, params: tuple | None, t: int) -> None:
         evals: list[tuple[str, str]] = []  # (view, leader)
         now = self.federation.transport.now
-        # the coordinator's tables do not change within one dispatch, so an
-        # evaluation group is evaluated here at most once
-        self.evaluator.shared_rows.clear()
         for view in self._readers.get(relation, ()):
             leader = self.plan.placement[view]
             if view in self.plan.cached_views:
@@ -402,7 +399,8 @@ class Runtime:
                 self._pending_params[(view, t)] = params
             if leader == self.plan.coordinator:
                 self.local_evals += 1
-                self._inbox.append((self._result_step, (view, self.evaluator.evaluate(view), t, now)))
+                rows = self.engine.read(self.plan.relation_sql[view], context=f"async view {view}")
+                self._inbox.append((self._result_step, (view, rows, t, now)))
             else:
                 evals.append((view, leader))
         for leader in sorted({leader for _, leader in evals}):
@@ -424,27 +422,12 @@ class Runtime:
         request at t."""
         for relation in self._deltas.get(db_id, ()):
             cursor = self._ship_cursor.get((relation, db_id), 0)
-            _, rows = self.engine.run_query(
-                self._backlog_sql[relation],
-                (cursor,),
-                context=f"backlog of {relation}",
-            )
+            rows = self.engine.read(self._backlog_sql[relation], (cursor,), context=f"backlog of {relation}")
             if rows:
                 self._ship_cursor[(relation, db_id)] = rows[-1][0]
                 self.federation.ship(db_id, relation, [row[1:] for row in rows], t)
 
     # -- the processing pass ----------------------------------------------------------
-
-    def _read(self, sql: str, reads: dict[str, tuple], context: str) -> tuple[tuple, ...]:
-        """A read's rows. No table changes from the refresh to the staged
-        inserts of a pass, so within one an output read runs once: `reads`
-        keeps its rows by SQL text, from the state programs to the outputs."""
-        rows = reads.get(sql)
-        if rows is None:
-            rows = tuple(self.engine.run_query(sql, context=context)[1])
-            if sql in self.plan.shared_reads:
-                reads[sql] = rows
-        return rows
 
     def _process_timestep(self, t: int, triggering: str) -> None:
         self._processing = True
@@ -463,10 +446,9 @@ class Runtime:
                 changed.add(view)
 
             # (2) state programs; inserts are staged until the end of the pass
-            reads: dict[str, tuple] = {}
             staged: list[tuple[str, str, list[tuple]]] = []  # (table, INSERT, rows)
             for program, sqls, target in self._triggered.get(triggering, ()):
-                rows = [row for sql in sqls for row in self._read(sql, reads, f"program {program}")]
+                rows = [row for sql in sqls for row in self.engine.read(sql, context=f"program {program}")]
                 if target is not None:
                     staged.append((*target, rows))
 
@@ -488,11 +470,11 @@ class Runtime:
                 elif (
                     last is not None
                     and watch & changed == {event}
-                    and not self.engine.run_query(delta_sql, (t,), context=f"output {name}")[1]
+                    and not self.engine.read(delta_sql, (t,), context=f"output {name}")
                 ):
                     frame = OutputFrame(name, t, last.columns, last.rows)
                 else:
-                    rows = self._read(self.plan.output_sql[name], reads, f"output {name}")
+                    rows = tuple(self.engine.read(self.plan.output_sql[name], context=f"output {name}"))
                     frame = OutputFrame(name, t, self._output_columns[name], rows)
                 frames.append(frame)
 
@@ -500,7 +482,7 @@ class Runtime:
             # probe re-runs only when its view's inputs changed
             for view, sql, watch in self._probes:
                 if watch is None or view not in self._empty or not watch.isdisjoint(changed):
-                    self._empty[view] = not self.engine.run_query(sql, context=f"constraint {view}")[1]
+                    self._empty[view] = not self.engine.read(sql, context=f"constraint {view}")
                 if self._empty[view]:
                     self.diagnostics.append(f"NOT EMPTY violated: {view} is empty at timestep {t}")
 
@@ -544,9 +526,8 @@ def setup(
     Every decision made at plan time is read from `plan`: the per-instance
     programs, the UDF registry every engine registers (`catalog.udfs`), the
     pre-aggregates (`preaggregate_fill`), the materialized views
-    (`materialized`), the async views the request cache
-    serves (`cached_views`) and those evaluated once per group
-    (`eval_groups`). `base_rows` maps a base table to its rows as Python
+    (`materialized`) and the async views the request cache
+    serves (`cached_views`). `base_rows` maps a base table to its rows as Python
     values; `base_files` maps a base table to the SQLite file it is copied
     from, by pages or by rows as `file_loads` says."""
     remote_ids = sorted(set(plan.programs) - {plan.coordinator})
@@ -572,7 +553,7 @@ def setup(
     engine = start(plan.coordinator)
     instances: dict[str, SimInstance] = {}
     for db_id in remote_ids:
-        instances[db_id] = SimInstance(db_id, start(db_id), plan.relation_sql, plan.eval_groups)
+        instances[db_id] = SimInstance(db_id, start(db_id), plan.relation_sql)
 
     def engine_of(db_id: str) -> SqlEngine:
         return engine if db_id == plan.coordinator else instances[db_id].engine

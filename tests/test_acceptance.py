@@ -12,13 +12,15 @@ import random
 import sqlite3
 from pathlib import Path
 
-from diel.compiler import compile_program, desugar_latest
+from diel.compiler import compile_program
 from diel.corpus import load_examples, run_example
 from diel.engine import SqlEngine, read_csv_table
 from diel.federation import Federation, FixedLatency, Link, ScriptedLatency, run_until_quiescent
 from diel.parser import parse_diel, parse_query
 from diel.printer import program_sql, query_sql
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
+
+from latest_oracle import desugar_latest
 
 GOLDEN_AST_DIR = Path(__file__).parent / "golden_ast"
 CORPUS_DATA = Path(__file__).parent.parent / "src" / "diel" / "corpus" / "data"
@@ -224,7 +226,7 @@ def test_c05_adversarial_queue_schedules():
         from diel.federation import SimInstance
 
         v_sql = "SELECT x FROM ev WHERE timestep = (SELECT MAX(timestep) FROM ev)"
-        instance = SimInstance("r1", engine, {"v": v_sql}, {})
+        instance = SimInstance("r1", engine, {"v": v_sql})
         up = ScriptedLatency([rng.randint(0, 60) for _ in range(64)])
         federation = Federation(
             "main", {"r1": instance}, {"r1": Link(up=up, down=FixedLatency(0))}

@@ -11,7 +11,6 @@ from diel.compiler import (
     augment_system_columns,
     check_constraints_wellformed,
     compile_program,
-    desugar_latest,
     dump_ir,
     expand_templates,
     infer_output_columns,
@@ -34,6 +33,7 @@ from diel.parser import parse_diel, parse_query
 from diel.printer import query_sql
 
 from conftest import BASE_SCHEMAS
+from latest_oracle import desugar_latest
 from listing_texts import ALL_LISTINGS, SLIDER, TEMPLATE_FILTER, UNDO
 
 

@@ -3,13 +3,15 @@ from __future__ import annotations
 import pytest
 
 from diel.ast_nodes import InsertStatement
-from diel.compiler import compile_program, desugar_latest
+from diel.compiler import compile_program
 from diel.corpus import Example, load_examples, run_example
 from diel.errors import MissingExampleError
 from diel.parser import parse_diel, tokenize
 from diel.planner import base_schemas_of
 from diel.printer import query_sql
 from diel.session import Session
+
+from latest_oracle import desugar_latest
 
 EXAMPLES = load_examples()
 

@@ -111,3 +111,109 @@ def test_copy_tables_from_file_is_read_only_and_detaches(tmp_path):
     with pytest.raises(EngineError):
         engine.copy_tables(db_file, {"missing": ["a"]})
     assert [r[1] for r in engine.run_query("PRAGMA database_list")[1]] == ["main"]
+
+
+# --- a repeated read is served while no row has changed ------------------------------
+# `SqlEngine.read` rests on these facts of the bundled SQLite: each is pinned
+# here, so that every CI job checks its own build.
+
+
+def runs_of(engine: SqlEngine) -> list[str]:
+    """The SQL of every read that reaches SQLite from now on."""
+    seen: list[str] = []
+    run_query = engine.run_query
+
+    def counted(sql, params=(), context="query"):
+        seen.append(sql)
+        return run_query(sql, params, context=context)
+
+    engine.run_query = counted
+    return seen
+
+
+def table_engine(rows: int = 3) -> SqlEngine:
+    engine = SqlEngine("main", seed=1)
+    engine.execute_script("CREATE TABLE t(a INTEGER);")
+    engine.insert_rows("t", [(i,) for i in range(rows)])
+    return engine
+
+
+def test_total_changes_moves_on_a_truncating_delete():
+    engine = table_engine()
+    before = engine.conn.total_changes
+    engine.execute("DELETE FROM t")  # no WHERE: SQLite drops the table's pages at once
+    assert engine.conn.total_changes == before + 3
+
+
+def test_total_changes_moves_on_a_rolled_back_multi_row_insert():
+    engine = table_engine()
+    before = engine.conn.total_changes
+    with pytest.raises(EngineError):
+        engine.insert_rows("t", [(7,), (8,), ("x", "y")])
+    assert engine.table_rows("t") == [(0,), (1,), (2,)]
+    assert engine.conn.total_changes > before
+
+
+def test_total_changes_stays_put_on_an_empty_delete_and_on_ddl():
+    engine = table_engine(rows=0)
+    before = engine.conn.total_changes
+    engine.execute("DELETE FROM t")
+    engine.execute_script("CREATE TABLE u(b TEXT); CREATE INDEX t_a ON t(a); DROP TABLE u;")
+    assert engine.conn.total_changes == before
+
+
+def test_an_identical_read_is_served_until_a_row_changes():
+    engine = table_engine()
+    runs = runs_of(engine)
+    sql = "SELECT a FROM t WHERE a >= ? ORDER BY a"
+    first = engine.read(sql, (1,))
+    assert engine.read(sql, (1,)) is first
+    assert first == [(1,), (2,)]
+    assert engine.read(sql, (2,)) == [(2,)]  # other parameters run
+    assert runs == [sql, sql]
+    engine.execute("DELETE FROM t WHERE a = 5")  # changes no row: still served
+    assert engine.read(sql, (1,)) == [(1,), (2,)]
+    assert len(runs) == 2
+    engine.insert_rows("t", [(5,)])
+    assert engine.read(sql, (1,)) == [(1,), (2,), (5,)]
+    assert len(runs) == 3
+
+
+def test_a_write_through_the_connection_is_never_read_back_stale():
+    engine = table_engine()
+    sql = "SELECT COUNT(*) FROM t"
+    assert engine.read(sql) == [(3,)]
+    engine.conn.execute("INSERT INTO t VALUES (3)")
+    assert engine.read(sql) == [(4,)]
+    engine.conn.execute("UPDATE t SET a = a + 1")
+    assert engine.read("SELECT MAX(a) FROM t") == [(4,)]
+    engine.conn.execute("DELETE FROM t")
+    assert engine.read(sql) == [(0,)]
+
+
+def test_a_schema_change_is_never_read_back_stale():
+    engine = SqlEngine("main")
+    engine.execute_script("CREATE VIEW v AS SELECT 1 AS x;")
+    assert engine.read("SELECT x FROM v") == [(1,)]
+    engine.execute_script("DROP VIEW v; CREATE VIEW v AS SELECT 2 AS x;")
+    assert engine.read("SELECT x FROM v") == [(2,)]
+
+
+def test_a_read_that_draws_random_runs_again():
+    sql = "SELECT a FROM t ORDER BY RANDOM() LIMIT 5"
+    engine = table_engine(rows=12)
+    runs = runs_of(engine)
+    reads = [engine.read(sql), engine.read(sql)]
+    assert runs == [sql, sql]
+    reference = table_engine(rows=12)  # the generator advanced twice, as two runs do
+    assert reads == [reference.run_query(sql)[1], reference.run_query(sql)[1]]
+    assert reads[0] != reads[1]
+
+
+@pytest.mark.skipif(sqlite3.sqlite_version_info < (3, 35), reason="RETURNING needs SQLite 3.35")
+def test_a_read_that_changes_rows_is_not_kept():
+    engine = table_engine(rows=0)
+    sql = "INSERT INTO t VALUES (1) RETURNING a"
+    assert engine.read(sql) == [(1,)]
+    assert engine.read(sql) == [(1,)]
+    assert engine.table_rows("t") == [(1,), (1,)]

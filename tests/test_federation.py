@@ -30,7 +30,7 @@ V_SQL = "SELECT x FROM ev WHERE timestep = (SELECT MAX(timestep) FROM ev)"
 def make_instance(db_id="r1"):
     engine = SqlEngine(db_id)
     engine.execute_script("CREATE TABLE ev(x INTEGER, timestep INTEGER, timestamp INTEGER);")
-    return SimInstance(db_id, engine, {"v": V_SQL}, {})
+    return SimInstance(db_id, engine, {"v": V_SQL})
 
 
 def ship(t, rows, link_seq, relation="ev"):

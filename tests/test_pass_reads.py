@@ -1,25 +1,23 @@
 """One read per pass: between the refresh and the staged inserts of a pass no
-coordinator table changes, so a pass runs each read once, a state program
-that selects a whole output shares that output's read, and a NOT EMPTY probe
-re-runs only when its view's inputs changed."""
+coordinator table changes, so the engine runs each read of a pass once (it
+serves a repeat, `SqlEngine.read`), a state program that selects a whole
+output runs that output's read, and a NOT EMPTY probe re-runs only when its
+view's inputs changed."""
 
 from __future__ import annotations
 
-import importlib
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 from diel.corpus import load_examples
 from diel.errors import EngineError
 from diel.optimizer import calls_random
-from diel.planner import dump_plan
 from diel.printer import quote_ident
 from diel.session import DbConfig, RunConfig, Session
 from diel.udfs import UdfDef
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from replays import bench_runs
 
 
 def local_session(text: str) -> Session:
@@ -55,28 +53,11 @@ def random_reads(session: Session) -> set[str]:
     }
 
 
-def benchmark_runs():
-    import sys
-
-    sys.path.insert(0, str(BENCH))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(BENCH))
-    for name in ("local_dashboard", "remote_brush", "remote_reorder_cached"):
-        for seed in (1, 2, 3):
-            workload = workloads.WORKLOADS[name](seed, scale=0.2)
-            databases = [
-                DbConfig(inst.name, inst.kind, latency=inst.latency, tables=dict(inst.tables))
-                for inst in workload.instances
-            ]
-            yield f"{name}-{seed}", RunConfig([workload.program], databases, seed=seed), workload.trace
-
-
 def all_runs():
     for name, example in sorted(load_examples().items()):
         yield name, example.config(), example.trace()
-    yield from benchmark_runs()
+    for name, seed, config, trace in bench_runs():
+        yield f"{name}-{seed}", config, trace
 
 
 def test_no_read_runs_twice_in_one_pass():
@@ -99,7 +80,6 @@ def test_a_program_reading_an_output_whole_shares_its_read():
     session = Session.build(session.config())
     plan = session.plan
     assert plan.program_sql["program_1"] == [[plan.output_sql["currSel"]]]
-    assert plan.shared_reads == {plan.output_sql["currSel"]}
     runs = record_selects(session)
     session.runtime.new_event("clickItx", {"id": 4}, at_ms=0)
     assert runs[(1, "SELECT * FROM currSel")] == 1
@@ -119,8 +99,6 @@ def test_a_program_reading_a_random_output_evaluates_it_separately(query):
         "CREATE PROGRAM AFTER (pick) BEGIN INSERT INTO kept SELECT * FROM lucky; END;"
     )
     assert session.plan.program_sql["program_1"] == [["SELECT * FROM lucky"]]
-    assert not session.plan.shared_reads
-    assert "shared by" not in dump_plan(session.plan)
     runs = record_selects(session)
     for t in range(1, 6):
         session.runtime.new_event("pick", {"v": t}, at_ms=t)

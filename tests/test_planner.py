@@ -314,19 +314,21 @@ def test_dump_plan_lists_sections():
     assert SLIDER_REWRITTEN + "\n== shipments ==" in text
     assert "== indexes ==\ndistDataEvent (request_timestep) @ main" in text
     assert "== delta ==" not in text  # distData reads slideItx only through LATEST
-    assert "== shared evaluations ==" not in text
     session = Session.build(load_examples()["realtime_tweets"].config())
     assert dump_plan(session.plan).endswith("== delta ==\ntweetsInBrush on tweets")
     assert "== outputs ==\ntweetsInBrush: SELECT * FROM tweetsInBrush ORDER BY " in dump_plan(session.plan)
     undo = Session.build(load_examples()["undo"].config())
     assert dump_plan(undo.plan).endswith(
-        '== outputs ==\ncurrSel: SELECT * FROM currSel ORDER BY "id", typeof("id"), '
-        "shared by program_1 command 1"
+        '== outputs ==\ncurrSel: SELECT * FROM currSel ORDER BY "id", typeof("id")'
     )
     dbs = [quick(), remote("r1", {"flights": FLIGHT_COLUMNS})]
     twins = plan_federation(compile_program(parse_diel(SLIDER_TWINS), base_schemas_of(dbs)), dbs)
     emit_per_db_sql(twins)
-    assert dump_plan(twins).endswith("== shared evaluations ==\nr1: distDataEvent, distStrictEvent")
+    # twins share evaluations on their engine; the plan names no group
+    assert "shared" not in dump_plan(twins)
+    assert dump_plan(twins).endswith(
+        'distStrict: SELECT * FROM distStrict ORDER BY "origin", typeof("origin"), "count", typeof("count")'
+    )
 
 
 def test_planning_leaves_the_compiled_catalog_untouched():
