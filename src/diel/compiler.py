@@ -376,7 +376,7 @@ def infer_output_columns(query: SelectQuery, catalog: Catalog) -> list[ColumnDef
         elif isinstance(expr, FuncCall):
             claim(expr.name.lower(), None)
         else:
-            claim(f"col{i + 1}", None)
+            claim(f"col{i + 1}", _expr_type(expr, bindings, catalog))
     return columns
 
 
@@ -385,6 +385,17 @@ def _query_bindings(query: SelectQuery) -> dict[str, str]:
 
 
 def _expr_type(expr: Expr, bindings: dict[str, str], catalog: Catalog) -> str | None:
+    """The type whose affinity SQLite gives `expr` as a result column: a
+    column's own, INT for the rowid, and a scalar subquery's one result
+    column's; None, no affinity, for any other expression."""
+    if isinstance(expr, ScalarSubquery):
+        inner = _query_bindings(expr.query)
+        first = expr.query.items[0].expr
+        if isinstance(first, Star):
+            return None
+        # the subquery's own tables first, then the enclosing query's
+        scope = {**inner, **{b: name for b, name in bindings.items() if b not in inner}}
+        return _expr_type(first, scope, catalog)
     if isinstance(expr, ColumnRef):
         names = [bindings[expr.table]] if expr.table in bindings else list(bindings.values())
         for rel_name in names:
@@ -394,6 +405,8 @@ def _expr_type(expr: Expr, bindings: dict[str, str], catalog: Catalog) -> str | 
                         return col.type
             except UnknownRelationError:
                 return None
+        if expr.column.lower() in ROWID_NAMES:
+            return "INT"
     return None
 
 

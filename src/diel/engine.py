@@ -150,9 +150,6 @@ class SqlEngine:
         finally:
             self.conn.execute("DETACH DATABASE source")
 
-    def table_rows(self, table: str) -> list[tuple]:
-        return self.run_query(f'SELECT * FROM "{table}"')[1]
-
     def close(self) -> None:
         self.conn.close()
 

@@ -11,6 +11,14 @@ is evaluated; emission, materialization and NOT EMPTY probes read it:
   by another instance. Otherwise it has no entry: it exists only inside the
   programs of the leaders whose async views read it.
 
+What each instance stores is one rule, the coordinator's included: the base
+tables it owns, the relations shipped to it, and, on the coordinator, every
+event, history, plain and async-result table. Every async view's leader,
+the coordinator too, receives each table its view reads off it: a base or
+plain table as a setup snapshot, a growing one as deltas. Every stored table
+is declared with its relation's column types, so its rows keep the affinity
+of the query columns they came from.
+
 Every output that reads a base table off the coordinator is rewritten into
 an async view that runs at a leader instance plus a coordination output
 implementing the strict default policy: result rows render, in the order of
@@ -28,7 +36,6 @@ from .ast_nodes import (
     BinaryOp,
     ColumnDef,
     ColumnRef,
-    CreateProgram,
     FuncCall,
     InsertStatement,
     Literal,
@@ -66,7 +73,7 @@ from .optimizer import (
     delta_paths,
     preaggregated_query,
 )
-from .printer import expr_sql, query_sql, quote_ident, statement_sql
+from .printer import expr_sql, query_sql, quote_ident
 
 KIND_QUICK = "quick"
 KIND_BACKGROUND = "background"
@@ -366,8 +373,6 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
     shipments: set[ShipmentSpec] = set()
     for async_view in catalog.by_kind(RelationKind.ASYNC_VIEW):
         view, leader = async_view.name, placement[async_view.name]
-        if leader == coordinator:
-            continue
         for leaf in base_closure(view, catalog):
             rel = catalog.relations[leaf]
             if bases.get(leaf, coordinator) == leader:  # choose_leader's rule
@@ -483,21 +488,27 @@ def _command_sql(command, plan: FederationPlan) -> list[str]:
 def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     """DDL and views per instance; executing them on fresh engines
     reconstructs the federation (and re-executing them collides, by design).
-    No engine has a view of an async view: its leader runs its `relation_sql`.
-    An owner that starts as a page copy of its SQLite file (`file_loads`)
-    creates no table for the file's tables.
+    Every instance, the coordinator included, gets one program: first the
+    tables it stores (the base tables it owns, the relations shipped to it,
+    and, on the coordinator, every event, history, plain and async-result
+    table), each declared from its relation's columns and system columns;
+    then its pre-aggregates; then the views and outputs evaluated on it, in
+    dependency order. An owner that starts as a page copy of its SQLite file
+    (`file_loads`) creates no table for the file's tables. No engine has a
+    view of an async view: its leader runs its `relation_sql`.
 
-    Each view in `plan.materialized` becomes a table on the coordinator, and
-    each relation in `plan.preaggregates` is lowered over its pre-aggregate,
-    a table on each instance that evaluates it (`preaggregate_fill`).
+    Each view in `plan.materialized` is a table on the coordinator, typed as
+    the view's columns, and each relation in `plan.preaggregates` is lowered
+    over its pre-aggregate, a table on each instance that evaluates it
+    (`preaggregate_fill`).
     Every query is lowered to SQL once, here, and kept on the plan for the
     runtime (`relation_sql`, `output_sql`, `program_sql`, `delta_sql`), next
     to the async views the request cache serves (`cached_views`). The
     lowering inlines the built-in UDFs the catalog's registry leaves in
-    place, so SQLite runs them natively. Every async-result table, and every shadow of one, is indexed
-    on request_timestep: each concurrency policy finds its rows by that
-    column, and without the index SQLite builds an automatic one over the
-    whole result history on every evaluation."""
+    place, so SQLite runs them natively. Every async-result table, and every
+    shadow of one, is indexed on request_timestep: each concurrency policy
+    finds its rows by that column, and without the index SQLite builds an
+    automatic one over the whole result history on every evaluation."""
     catalog = plan.catalog
     order = catalog.graph.topological_order()
     programs: dict[str, str] = {}
@@ -552,67 +563,33 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
             event, f"WITH {', '.join(ctes)} SELECT 1 FROM ({lowered[output]}) LIMIT 1"
         )
 
-    # -- coordinator -----------------------------------------------------
+    # -- each instance: the tables it stores, then the queries it evaluates --
     page_copied = plan.page_copied
+    shipped = {(spec.relation, spec.destination) for spec in plan.shipments}
 
-    def create_bases_sql(db_id: str) -> list[str]:
-        return [
-            _create_table_sql(rel.name, rel.columns, ())
-            for rel in catalog.relations.values()
-            if rel.is_base and plan.placement[rel.name] == db_id and rel.name not in page_copied
-        ]
+    def stores(rel: RelationDef, db_id: str) -> bool:
+        if (rel.name, db_id) in shipped:
+            return True
+        if rel.is_base:
+            return plan.placement[rel.name] == db_id and rel.name not in page_copied
+        return db_id == plan.coordinator and (rel.query is None or rel.kind is RelationKind.ASYNC_VIEW)
 
-    lines: list[str] = [f"-- program for coordinator {plan.coordinator}"]
-    lines += create_bases_sql(plan.coordinator)
-    lines += preaggregate_ddl.get(plan.coordinator, [])
-    for rel in catalog.relations.values():
-        if rel.kind in (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE):
-            lines.append(_create_table_sql(rel.name, rel.columns, rel.system_columns))
-        elif rel.kind is RelationKind.TABLE and not rel.is_base:
-            lines.append(_create_table_sql(rel.name, rel.columns, ()))
-        elif rel.kind is RelationKind.ASYNC_VIEW:
-            untyped = [ColumnDef(c.name, None) for c in rel.columns]
-            lines.append(_create_table_sql(rel.name, untyped, rel.system_columns))
-            lines.append(index_request_timestep(rel.name, plan.coordinator))
-    view_names = {
-        r.name
-        for r in catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)
-        if plan.placement.get(r.name) == plan.coordinator
+    evaluators = {
+        rel.name: evaluated_on(plan, rel.name) for rel in catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)
     }
-    for name in topo_sorted(view_names):
-        rel = catalog.relations[name]
-        if name in plan.materialized:
-            cols = [ColumnDef(c.name, None) for c in rel.columns]
-            lines.append(_create_table_sql(name, cols, ()))
-        else:
-            lines.append(create_view_sql(name))
-    for program in catalog.programs.values():
-        stmt = CreateProgram(name=program.name, triggers=program.triggers, commands=program.commands)
-        lines.append("-- state program (runtime-executed): " + statement_sql(stmt))
-    programs[plan.coordinator] = "\n".join(lines)
-
-    # -- other instances: resident bases, shadows and duplicated views ------
-    for db_id in sorted(set(plan.placement.values())):
-        if db_id == plan.coordinator:
-            continue
+    for db_id in [plan.coordinator, *sorted(set(plan.placement.values()) - {plan.coordinator})]:
         lines = [f"-- program for instance {db_id}"]
-        lines += create_bases_sql(db_id)
-        for spec in plan.shipments:
-            if spec.destination != db_id:
-                continue
-            rel = catalog.relation(spec.relation)
-            if rel.kind is RelationKind.ASYNC_VIEW:
-                cols = [ColumnDef(c.name, None) for c in rel.columns]
-                lines.append(_create_table_sql(spec.relation, cols, rel.system_columns))
-                lines.append(index_request_timestep(spec.relation, db_id))
-            else:
-                lines.append(_create_table_sql(spec.relation, rel.columns, rel.system_columns))
+        for rel in catalog.relations.values():
+            if stores(rel, db_id):
+                lines.append(_create_table_sql(rel.name, rel.columns, rel.system_columns))
+                if rel.kind is RelationKind.ASYNC_VIEW:
+                    lines.append(index_request_timestep(rel.name, db_id))
         lines += preaggregate_ddl.get(db_id, [])
-        local_views = {
-            rel.name for rel in catalog.by_kind(RelationKind.VIEW) if db_id in evaluated_on(plan, rel.name)
-        }
-        for name in topo_sorted(local_views):
-            lines.append(create_view_sql(name))
+        for name in topo_sorted({name for name, on in evaluators.items() if db_id in on}):
+            if name in plan.materialized:
+                lines.append(_create_table_sql(name, catalog.relations[name].columns, ()))
+            else:
+                lines.append(create_view_sql(name))
         programs[db_id] = "\n".join(lines)
 
     plan.programs = programs

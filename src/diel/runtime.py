@@ -519,9 +519,9 @@ def setup(
     seed: int | None = None,
     base_files: dict[str, Path] | None = None,
 ) -> Runtime:
-    """Execute per-instance programs, load base data, apply setup snapshots,
-    open shipping channels, and return the runtime at clock 0, its
-    materialized views filled.
+    """Execute per-instance programs, load base data, open shipping
+    channels, and return the runtime at clock 0, its materialized views
+    filled.
 
     Every decision made at plan time is read from `plan`: the per-instance
     programs, the UDF registry every engine registers (`catalog.udfs`), the
@@ -529,7 +529,9 @@ def setup(
     (`materialized`) and the async views the request cache
     serves (`cached_views`). `base_rows` maps a base table to its rows as Python
     values; `base_files` maps a base table to the SQLite file it is copied
-    from, by pages or by rows as `file_loads` says."""
+    from, by pages or by rows as `file_loads` says. Each base table is loaded
+    from that source alone, into its owner and into every instance the plan
+    snapshots it to, the coordinator included."""
     remote_ids = sorted(set(plan.programs) - {plan.coordinator})
     for db_id in remote_ids:
         if links is None or db_id not in links:
@@ -558,31 +560,25 @@ def setup(
     def engine_of(db_id: str) -> SqlEngine:
         return engine if db_id == plan.coordinator else instances[db_id].engine
 
-    for relation, rows in base_rows.items():
-        engine_of(plan.placement[relation]).insert_rows(relation, rows, context=f"load {relation}")
-
-    # other file-backed tables go to their owner, and to every instance that
-    # takes a one-time snapshot of them, row by row from the file
-    copies: dict[tuple[str, Path], list[str]] = {}
-    for relation, path in base_files.items():
-        if relation not in page_copied:
-            copies.setdefault((plan.placement[relation], path), []).append(relation)
+    # given rows are inserted; a file's table is copied row by row (each
+    # engine attaches each file once), except into the file's page copy
+    holders = {relation: [plan.placement[relation]] for relation in [*base_rows, *base_files]}
     for spec in plan.shipments:
-        if spec.snapshot and spec.relation in base_files:
-            key = (spec.destination, base_files[spec.relation])
-            copies.setdefault(key, []).append(spec.relation)
+        if spec.snapshot and spec.relation in holders:
+            holders[spec.relation].append(spec.destination)
+    copies: dict[tuple[str, Path], list[str]] = {}
+    for relation, db_ids in holders.items():
+        for db_id in db_ids:
+            if relation in base_rows:
+                engine_of(db_id).insert_rows(relation, base_rows[relation], context=f"load {relation}")
+            elif page_copies.get(db_id) != base_files[relation]:
+                copies.setdefault((db_id, base_files[relation]), []).append(relation)
     for (db_id, path), relations in copies.items():
         engine_of(db_id).copy_tables(
             path,
             {r: [c.name for c in plan.catalog.relations[r].columns] for r in relations},
             context="load",
         )
-
-    # one-time snapshots of other cross-instance base tables, applied before any event
-    for spec in plan.shipments:
-        if spec.snapshot and spec.relation not in base_files:
-            rows = engine_of(plan.placement[spec.relation]).table_rows(spec.relation)
-            instances[spec.destination].engine.insert_rows(spec.relation, rows)
 
     # base tables never change, so each pre-aggregate is filled once, here
     for (db_id, table), fill in plan.preaggregate_fill.items():

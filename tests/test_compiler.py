@@ -280,7 +280,7 @@ def test_desugar_two_latest_refs_matches_brute_force():
 
         # brute force: enumerate rows at each table's max timestep, then join
         def rows_at_max(table):
-            rows = engine.table_rows(table)
+            rows = engine.run_query(f'SELECT * FROM "{table}"')[1]
             if not rows:
                 return []
             max_ts = max(r[4] for r in rows)

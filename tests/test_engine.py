@@ -87,9 +87,9 @@ def test_failed_batch_insert_leaves_nothing_behind():
     engine.execute_script("CREATE TABLE t(a INTEGER, b TEXT);")
     with pytest.raises(EngineError):
         engine.insert_rows("t", [(1, "a"), (2, "b"), (3,)])
-    assert engine.table_rows("t") == []
+    assert engine.run_query('SELECT * FROM "t"')[1] == []
     engine.insert_rows("t", [(4, "d"), (5, "e")])
-    assert engine.table_rows("t") == [(4, "d"), (5, "e")]
+    assert engine.run_query('SELECT * FROM "t"')[1] == [(4, "d"), (5, "e")]
 
 
 def test_copy_tables_from_file_is_read_only_and_detaches(tmp_path):
@@ -104,7 +104,7 @@ def test_copy_tables_from_file_is_read_only_and_detaches(tmp_path):
     engine = SqlEngine("main")
     engine.execute_script("CREATE TABLE t(a INTEGER, b TEXT);")
     engine.copy_tables(db_file, {"t": ["a", "b"]})
-    assert engine.table_rows("t") == [(1, "x"), (2, None)]
+    assert engine.run_query('SELECT * FROM "t"')[1] == [(1, "x"), (2, None)]
     assert engine.run_query("PRAGMA database_list")[1] == [(0, "main", "")]
     assert db_file.read_bytes() == before
 
@@ -150,7 +150,7 @@ def test_total_changes_moves_on_a_rolled_back_multi_row_insert():
     before = engine.conn.total_changes
     with pytest.raises(EngineError):
         engine.insert_rows("t", [(7,), (8,), ("x", "y")])
-    assert engine.table_rows("t") == [(0,), (1,), (2,)]
+    assert engine.run_query('SELECT * FROM "t"')[1] == [(0,), (1,), (2,)]
     assert engine.conn.total_changes > before
 
 
@@ -216,4 +216,4 @@ def test_a_read_that_changes_rows_is_not_kept():
     sql = "INSERT INTO t VALUES (1) RETURNING a"
     assert engine.read(sql) == [(1,)]
     assert engine.read(sql) == [(1,)]
-    assert engine.table_rows("t") == [(1,), (1,)]
+    assert engine.run_query('SELECT * FROM "t"')[1] == [(1,), (1,)]

@@ -145,7 +145,7 @@ def test_released_shipment_is_applied_at_once():
     instance = make_instance()
     assert instance.receive(ship(0, [(5, 0, 0)], 1), 0) == []
     assert instance.queue_depth() == 0
-    assert instance.engine.table_rows("ev") == [(5, 0, 0)]
+    assert instance.engine.run_query('SELECT * FROM "ev"')[1] == [(5, 0, 0)]
     out = instance.receive(evalreq(0, 2), 0)
     assert [(m.request_timestep, m.rows) for m in out] == [(0, [(5,)])]
     assert instance.queue_depth() == 0
@@ -156,7 +156,7 @@ def test_message_without_channel_position_is_rejected(link_seq):
     instance = make_instance()
     with pytest.raises(EngineError, match="no channel position"):
         instance.receive(ship(1, [(10, 1, 0)], link_seq), 0)
-    assert instance.engine.table_rows("ev") == []
+    assert instance.engine.run_query('SELECT * FROM "ev"')[1] == []
 
 
 @pytest.mark.parametrize("duplicate", ["ship", "eval"])
@@ -172,7 +172,7 @@ def test_duplicate_channel_message_is_dropped(duplicate):
         assert instance.queue_depth() == 0, order
         assert instance.evaluated == [1]
         assert [m.rows for m in results] == [[(10,)]]
-        assert instance.engine.table_rows("ev") == [(10, 1, 0)]
+        assert instance.engine.run_query('SELECT * FROM "ev"')[1] == [(10, 1, 0)]
 
 
 def test_queue_reordering_within_known_timesteps():

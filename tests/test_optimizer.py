@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from diel.compiler import compile_program
+from diel.engine import read_csv_table
 from diel.optimizer import RequestCache, materialize_shared_views
 from diel.parser import parse_diel
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
@@ -195,3 +198,45 @@ def test_cache_hit_count_equals_repeated_pairs():
         if cache.lookup(view, params) is None:
             cache.store(view, params, [(0,)])
     assert cache.hits == 2  # the two repeats of ("v", (1,))
+
+
+FLIGHTS_CSV = Path(__file__).resolve().parent.parent / "src" / "diel" / "corpus" / "data" / "flights.csv"
+YEAR_PICKS = [TraceEntry(10 * i, "pick", {"y": y}) for i, y in enumerate((1998, 2000, 2001))]
+
+
+@pytest.mark.parametrize("select, where, expected", [
+    ("flight_year AS y, origin", "yrs.y = '2000'", 12),
+    # SQLite gives the rowid INTEGER affinity
+    ("rowid AS r, flight_year AS y", "yrs.r = '2'", 1),
+    # and a scalar subquery the affinity of its one result column
+    ("(SELECT f.flight_year FROM flights f WHERE f.rowid = flights.rowid) AS s, flight_year AS y",
+     "yrs.s = '2000'", 12),
+    ("(SELECT f.flight_year FROM flights f WHERE f.rowid = flights.rowid), flight_year AS y",
+     "yrs.col1 = '2000'", 12),
+], ids=["column", "rowid", "scalar_subquery", "unaliased_scalar_subquery"])
+def test_a_materialized_view_compares_as_the_live_view_does(select, where, expected):
+    """Each column of a materialized view is declared with the type the
+    compiler infers, so its rows compare against text as the view's do."""
+    program = (
+        "CREATE EVENT TABLE pick(y INT);"
+        f"CREATE VIEW yrs AS SELECT {select} FROM flights;"
+        f"CREATE OUTPUT hits AS SELECT COUNT(*) AS n FROM yrs JOIN LATEST pick WHERE {where};"
+        # a second reader, so that yrs is materialized
+        "CREATE OUTPUT years AS SELECT COUNT(*) AS n FROM yrs JOIN LATEST pick ON yrs.y = pick.y;"
+    )
+
+    def run(materialize):
+        config = RunConfig(
+            diel_sources=[program],
+            databases=[DbConfig("main", "quick", tables={"flights": read_csv_table(FLIGHTS_CSV)})],
+            seed=1,
+            materialize=materialize,
+        )
+        session = Session.build(config)
+        session.run_replay(YEAR_PICKS)
+        return session
+
+    on, off = run(True), run(False)
+    assert "yrs" in on.plan.materialized and not off.plan.materialized
+    assert on.output_log_text() == off.output_log_text()
+    assert off.runtime.current_output("hits").rows == ((expected,),)

@@ -154,3 +154,46 @@ def test_a_preaggregated_zoom_led_by_r1_renders_the_all_local_final_frames(progr
     plan = build(program, "fixed(5)", tables=FLIGHTS).plan
     assert list(plan.preaggregate_fill) == [("r1", "__pre_flights_delay")]
     assert "__pre_flights_delay" in plan.programs["r1"] and "__pre_" not in plan.programs["main"]
+
+
+T_COLUMNS = [ColumnDef("k", "INT"), ColumnDef("v", "INT")]
+PICK_ONE_LAST = [TraceEntry(0, "pick", {"k": 2}), TraceEntry(30, "pick", {"k": 1})]
+
+
+@pytest.mark.parametrize("program, rows, expected", [
+    # one row on r1 against one pick: the tie goes to the coordinator
+    ("CREATE EVENT TABLE pick(k INT);"
+     "CREATE OUTPUT o AS SELECT t.v FROM t JOIN LATEST pick ON t.k = pick.k;",
+     [(1, 11)], ((11,),)),
+    # an empty t costs nothing to ship, so the coordinator leads
+    ("CREATE EVENT TABLE pick(k INT);"
+     "CREATE ASYNC VIEW hits AS SELECT t.v FROM t JOIN LATEST pick ON t.k = pick.k;"
+     "CREATE OUTPUT o AS SELECT v FROM LATEST_REQUEST hits;",
+     [], ()),
+], ids=["rewritten_output", "async_view_of_an_empty_table"])
+def test_a_coordinator_leader_takes_a_snapshot_of_a_remote_table(program, rows, expected):
+    tables = {"t": (T_COLUMNS, rows)}
+    local = final_frames(program, PICK_ONE_LAST, tables=tables)
+    assert local["o"] == (("v",), expected)
+    for latency, seed in REMOTE_RUNS:
+        assert final_frames(program, PICK_ONE_LAST, latency, seed, tables) == local, (latency, seed)
+    plan = build(program, "fixed(5)", tables=tables).plan
+    assert set(plan.leaders.values()) == {"main"}
+    assert [(s.relation, s.destination, s.snapshot) for s in plan.shipments] == [("t", "main", True)]
+
+
+def test_a_stored_remote_answer_compares_as_the_live_query_does():
+    """o1's rows, stored in its result table on the coordinator, keep the
+    INTEGER affinity of flight_year, so o2 matches them against text as the
+    all-local view does."""
+    program = (
+        "CREATE EVENT TABLE pick(y INT);"
+        "CREATE OUTPUT o1 AS SELECT flight_year AS y FROM flights "
+        "JOIN LATEST pick ON flights.flight_year = pick.y;"
+        "CREATE OUTPUT o2 AS SELECT COUNT(*) AS n FROM o1 WHERE y = '2000';"
+    )
+    trace = [TraceEntry(0, "pick", {"y": 1998}), TraceEntry(30, "pick", {"y": 2000})]
+    local = final_frames(program, trace, tables=FLIGHTS)
+    assert local["o2"] == (("n",), ((12,),))
+    for latency, seed in REMOTE_RUNS:
+        assert final_frames(program, trace, latency, seed, FLIGHTS) == local, (latency, seed)

@@ -765,7 +765,7 @@ def test_event_tables_are_append_only():
     counts = []
     for i in range(4):
         session.runtime.new_event("clickItx", {"id": i}, at_ms=i)
-        counts.append(len(session.runtime.engine.table_rows("clickItx")))
+        counts.append(len(session.runtime.engine.run_query('SELECT * FROM "clickItx"')[1]))
     assert counts == sorted(counts) == [1, 2, 3, 4]
 
 
@@ -858,7 +858,7 @@ def test_a_raising_callback_keeps_its_pass_frames_and_staged_inserts():
                 session.runtime.new_event("pick", {"v": v}, at_ms=10 * i)
         else:
             session.runtime.new_event("pick", {"v": v}, at_ms=10 * i)
-    assert session.runtime.engine.table_rows("seen") == [(1, 1), (2, 2), (3, 3)]
+    assert session.runtime.engine.run_query('SELECT * FROM "seen"')[1] == [(1, 1), (2, 2), (3, 3)]
     frames = [(f.output, f.timestep, f.rows) for f in session.runtime.frames]
     assert frames == [
         ("lastPick", 1, ((1,),)),
