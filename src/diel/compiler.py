@@ -387,12 +387,18 @@ def _query_bindings(query: SelectQuery) -> dict[str, str]:
 def _expr_type(expr: Expr, bindings: dict[str, str], catalog: Catalog) -> str | None:
     """The type whose affinity SQLite gives `expr` as a result column: a
     column's own, INT for the rowid, and a scalar subquery's one result
-    column's; None, no affinity, for any other expression."""
+    column's (for `*`, the first column of the relation it expands to); None,
+    no affinity, for any other expression."""
     if isinstance(expr, ScalarSubquery):
         inner = _query_bindings(expr.query)
         first = expr.query.items[0].expr
         if isinstance(first, Star):
-            return None
+            rel_name = inner.get(first.table) if first.table else next(iter(inner.values()), None)
+            try:
+                columns = catalog.columns_of(rel_name) if rel_name else []
+            except UnknownRelationError:
+                return None
+            return columns[0].type if columns else None
         # the subquery's own tables first, then the enclosing query's
         scope = {**inner, **{b: name for b, name in bindings.items() if b not in inner}}
         return _expr_type(first, scope, catalog)

@@ -498,7 +498,7 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     view of an async view: its leader runs its `relation_sql`.
 
     Each view in `plan.materialized` is a table on the coordinator, typed as
-    the view's columns, and each relation in `plan.preaggregates` is lowered
+    the view's columns (a view on a leader that reads it), and each relation in `plan.preaggregates` is lowered
     over its pre-aggregate, a table on each instance that evaluates it
     (`preaggregate_fill`).
     Every query is lowered to SQL once, here, and kept on the plan for the
@@ -586,7 +586,8 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
                     lines.append(index_request_timestep(rel.name, db_id))
         lines += preaggregate_ddl.get(db_id, [])
         for name in topo_sorted({name for name, on in evaluators.items() if db_id in on}):
-            if name in plan.materialized:
+            # only the coordinator fills a materialized view
+            if name in plan.materialized and db_id == plan.coordinator:
                 lines.append(_create_table_sql(name, catalog.relations[name].columns, ()))
             else:
                 lines.append(create_view_sql(name))

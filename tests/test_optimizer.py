@@ -213,12 +213,15 @@ YEAR_PICKS = [TraceEntry(10 * i, "pick", {"y": y}) for i, y in enumerate((1998, 
      "yrs.s = '2000'", 12),
     ("(SELECT f.flight_year FROM flights f WHERE f.rowid = flights.rowid), flight_year AS y",
      "yrs.col1 = '2000'", 12),
-], ids=["column", "rowid", "scalar_subquery", "unaliased_scalar_subquery"])
+    # `*` over a one-column view takes that column's affinity
+    ("(SELECT * FROM ys WHERE ys.y = flights.flight_year) AS s, flight_year AS y", "yrs.s = '2000'", 12),
+], ids=["column", "rowid", "scalar_subquery", "unaliased_scalar_subquery", "star_scalar_subquery"])
 def test_a_materialized_view_compares_as_the_live_view_does(select, where, expected):
     """Each column of a materialized view is declared with the type the
     compiler infers, so its rows compare against text as the view's do."""
     program = (
         "CREATE EVENT TABLE pick(y INT);"
+        "CREATE VIEW ys AS SELECT flight_year AS y FROM flights;"
         f"CREATE VIEW yrs AS SELECT {select} FROM flights;"
         f"CREATE OUTPUT hits AS SELECT COUNT(*) AS n FROM yrs JOIN LATEST pick WHERE {where};"
         # a second reader, so that yrs is materialized

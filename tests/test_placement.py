@@ -197,3 +197,24 @@ def test_a_stored_remote_answer_compares_as_the_live_query_does():
     assert local["o2"] == (("n",), ((12,),))
     for latency, seed in REMOTE_RUNS:
         assert final_frames(program, trace, latency, seed, FLIGHTS) == local, (latency, seed)
+
+
+def test_a_materialized_view_read_by_remote_leaders_stays_a_view_there():
+    """sel is read by two outputs, so the coordinator stores it as a table;
+    both outputs read r1's flights, so each becomes an async view led by r1,
+    whose program must read sel as a view over its own copy of pick (only
+    the coordinator fills a materialized view)."""
+    program = (
+        "CREATE EVENT TABLE pick(y INT);"
+        "CREATE VIEW sel AS SELECT y FROM LATEST pick;"
+        "CREATE OUTPUT o1 AS SELECT COUNT(*) AS n FROM flights JOIN sel ON flights.flight_year = sel.y;"
+        "CREATE OUTPUT o2 AS SELECT MIN(origin) AS a FROM flights JOIN sel ON flights.flight_year = sel.y;"
+    )
+    trace = [TraceEntry(0, "pick", {"y": 1998}), TraceEntry(30, "pick", {"y": 2000})]
+    local = final_frames(program, trace, tables=FLIGHTS)
+    assert local["o1"] == (("n",), ((12,),))
+    remote = build(program, "fixed(5)", tables=FLIGHTS)
+    assert "sel" in remote.plan.materialized
+    assert "CREATE VIEW sel(y)" in remote.plan.programs["r1"]
+    for latency, seed in REMOTE_RUNS:
+        assert final_frames(program, trace, latency, seed, FLIGHTS) == local, (latency, seed)
