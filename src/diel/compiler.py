@@ -78,6 +78,8 @@ QUERY_KINDS = (RelationKind.VIEW, RelationKind.ASYNC_VIEW, RelationKind.OUTPUT)
 # relations that grow, append-only, while a session runs; the rest of what
 # queries read (base and plain tables) is fixed at setup
 GROWING_KINDS = (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE, RelationKind.ASYNC_VIEW)
+# the comparisons that read a range of an ordered column
+RANGE_OPS = ("<", "<=", ">", ">=")
 
 
 @dataclass
@@ -94,6 +96,9 @@ class RelationDef:
     system_columns: tuple[str, ...] = ()
     query: SelectQuery | None = None
     is_base: bool = False  # pre-existing table owned by a database instance
+    # the event and history tables whose timestep its query compares by a
+    # range, at any depth (`resolve_query`); set by compile_program
+    ranged: frozenset[str] = frozenset()
 
     @property
     def physical_columns(self) -> list[ColumnDef]:
@@ -105,6 +110,7 @@ class ProgramDef:
     name: str
     triggers: list[str]
     commands: list[ProgramCommand]
+    ranged: frozenset[str] = frozenset()  # as RelationDef.ranged, over its commands
 
     def insert_targets(self) -> list[str]:
         return [c.table for c in self.commands if isinstance(c, InsertStatement)]
@@ -440,20 +446,21 @@ class _Scope:
             names.add("rowid")  # implicit engine column on tables and result tables
         return names
 
-    def resolve(self, ref: ColumnRef, allow_alias: bool) -> None:
+    def resolve(self, ref: ColumnRef, allow_alias: bool) -> str | None:
+        """The relation `ref` reads, found in this scope or an enclosing one;
+        None for a select-list alias."""
         if ref.table is not None:
             if ref.table not in self.bindings:
                 if self.parent is not None:
-                    self.parent.resolve(ref, allow_alias=False)
-                    return
+                    return self.parent.resolve(ref, allow_alias=False)
                 raise UnknownRelationError(f"unknown table alias {ref.table!r}")
             if ref.column not in self.column_names(ref.table):
                 raise UnknownColumnError(
                     f"relation {self.bindings[ref.table]!r} has no column {ref.column!r}"
                 )
-            return
+            return self.bindings[ref.table]
         if allow_alias and ref.column in self.aliases:
-            return
+            return None
         holders = [b for b in self.bindings if ref.column in self.column_names(b)]
         if len(holders) > 1:
             raise AmbiguousColumnError(
@@ -461,13 +468,16 @@ class _Scope:
             )
         if not holders:
             if self.parent is not None:
-                self.parent.resolve(ref, allow_alias=False)
-                return
+                return self.parent.resolve(ref, allow_alias=False)
             raise UnknownColumnError(f"unknown column {ref.column!r}")
+        return self.bindings[holders[0]]
 
 
-def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = None) -> None:
-    """Validate and normalize one query in place (recursing into subqueries)."""
+def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = None) -> set[str]:
+    """Validate and normalize one query in place (recursing into subqueries).
+    Returns the event and history tables whose `timestep` the query, at any
+    depth, compares with <, <=, > or >=, each reference resolved in its own
+    scope: the range reads a `timestep` index serves."""
     for ref in query.table_refs():
         available = {c.name for c in catalog.relation(ref.name).physical_columns}
         if ref.latest and "timestep" not in available:
@@ -479,13 +489,21 @@ def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = 
 
     scope = _Scope(catalog, query, parent)
     _rewrite_join_shorthand(query, scope)
+    ranged: set[str] = set()
 
     def check(expr: Expr, allow_alias: bool) -> None:
         # the list is taken before `f(b.*)` is expanded: the references that
-        # replace the star name b's own columns and need no resolving
+        # replace the star name b's own columns and need no resolving. It
+        # lists each comparison before its operands
+        range_operands: set[int] = set()
         for node in walk(expr):
             if isinstance(node, ColumnRef):
-                scope.resolve(node, allow_alias)
+                relation = catalog.relations.get(scope.resolve(node, allow_alias))  # None: an alias
+                if (id(node) in range_operands and node.column == "timestep" and relation is not None
+                        and relation.kind in (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE)):
+                    ranged.add(relation.name)
+            elif isinstance(node, BinaryOp) and node.op in RANGE_OPS:
+                range_operands.update((id(node.left), id(node.right)))
             elif isinstance(node, Star):
                 if node.table is not None and node.table not in scope.bindings:
                     raise UnknownRelationError(f"unknown table alias {node.table!r}")
@@ -493,7 +511,7 @@ def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = 
                 _check_function(node, scope)
                 _expand_star_args(node, scope)
             elif isinstance(node, ScalarSubquery):
-                resolve_query(node.query, catalog, parent=scope)
+                ranged.update(resolve_query(node.query, catalog, parent=scope))
 
     for item in query.items:
         check(item.expr, allow_alias=False)
@@ -510,6 +528,7 @@ def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = 
         check(order.expr, allow_alias=True)
     if query.limit is not None:
         check(query.limit, allow_alias=False)
+    return ranged
 
 
 def _rewrite_join_shorthand(query: SelectQuery, scope: _Scope) -> None:
@@ -724,12 +743,12 @@ def compile_program(
                     )
     for rel in catalog.relations.values():
         if rel.query is not None:
-            resolve_query(rel.query, catalog)
+            rel.ranged = frozenset(resolve_query(rel.query, catalog))
     for program in catalog.programs.values():
         for command in program.commands:
             query = command.select if isinstance(command, InsertStatement) else command
             if query is not None:
-                resolve_query(query, catalog)
+                program.ranged |= resolve_query(query, catalog)
             if isinstance(command, InsertStatement):
                 _check_insert_arity(command, catalog)
 

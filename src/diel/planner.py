@@ -31,6 +31,7 @@ async views are never touched, so custom policies stay exactly as written.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .ast_nodes import (
     BinaryOp,
@@ -100,6 +101,17 @@ class ShipmentSpec:
     snapshot: bool = False
 
 
+class PlannedIndex(NamedTuple):
+    """An index on `table`'s `column` in `instance`'s program. `reads` are the
+    planned reads evaluated there that compare the column by a range; it is
+    empty for a result table's request_timestep, which each policy reads by."""
+
+    table: str
+    column: str
+    instance: str
+    reads: tuple[str, ...] = ()
+
+
 @dataclass
 class FederationPlan:
     coordinator: str
@@ -129,8 +141,9 @@ class FederationPlan:
     preaggregates: dict[str, PreAggregate] = field(default_factory=dict)
     preaggregate_fill: dict[tuple[str, str], str] = field(default_factory=dict)
     programs: dict[str, str] = field(default_factory=dict)
-    # (table, column, instance) of every index the programs create
-    indexes: list[tuple[str, str, str]] = field(default_factory=list)
+    # every index the programs create, in program order (`planned_indexes`);
+    # set by emit_per_db_sql
+    indexes: list[PlannedIndex] = field(default_factory=list)
     # lowered SELECT of every query relation (each async view's leader runs
     # its own on each request), each output's read (`output_read_sql`), and
     # the statements each state program command runs (one per VALUES row; a
@@ -290,6 +303,7 @@ def rewrite_remote_output(
         columns=output.columns,
         query=output.query,
         system_columns=("timestep", "timestamp", "request_timestep"),
+        ranged=output.ranged,
     )
     for col in output.columns:
         if col.name in SYSTEM_COLUMNS or col.name.lower() in ROWID_NAMES:
@@ -398,7 +412,8 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
 
 
 def index_name(table: str, column: str) -> str:
-    return f"__idx_{table}_{column}"
+    """One name per (table, column): the table's length marks where it ends."""
+    return f"__idx_{len(table)}_{table}_{column}"
 
 
 def evaluated_on(plan: FederationPlan, name: str) -> list[str]:
@@ -456,6 +471,36 @@ def _create_table_sql(name: str, columns: list[ColumnDef], system: tuple[str, ..
     return f"CREATE TABLE {quote_ident(name)} ({', '.join(decls)});"
 
 
+def planned_indexes(plan: FederationPlan, stored: dict[str, list[RelationDef]]) -> list[PlannedIndex]:
+    """The one index rule, over each instance's stored tables in order:
+    - an async-result table, and each shadow of one, is indexed on
+      request_timestep: each concurrency policy finds its rows by that column,
+      and without the index SQLite builds an automatic one over the whole
+      result history on every evaluation;
+    - an event or history table is indexed on timestep on each instance that
+      evaluates a planned read comparing that column by a range (`ranged`;
+      programs run on the coordinator): without it SQLite scans the growing
+      table on every evaluation. A table read only through LATEST, and any
+      base table, gets no index."""
+    ranged: dict[tuple[str, str], set[str]] = {}
+    reads = [(rel.name, rel.ranged, evaluated_on(plan, rel.name))
+             for rel in plan.catalog.relations.values() if rel.ranged]
+    reads += [(program.name, program.ranged, [plan.coordinator])
+              for program in plan.catalog.programs.values() if program.ranged]
+    for read, tables, instances in reads:
+        for table in tables:
+            for db_id in instances:
+                ranged.setdefault((table, db_id), set()).add(read)
+    indexes = []
+    for db_id, tables in stored.items():
+        for rel in tables:
+            if rel.kind is RelationKind.ASYNC_VIEW:
+                indexes.append(PlannedIndex(rel.name, "request_timestep", db_id))
+            elif (rel.name, db_id) in ranged:
+                indexes.append(PlannedIndex(rel.name, "timestep", db_id, tuple(sorted(ranged[rel.name, db_id]))))
+    return indexes
+
+
 def output_read_sql(rel: RelationDef) -> str:
     """How an output is read. Without its own ORDER BY it is read in canonical
     order: NULL, numbers by value (integer before real on a tie), text by code
@@ -505,21 +550,11 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     runtime (`relation_sql`, `output_sql`, `program_sql`, `delta_sql`), next
     to the async views the request cache serves (`cached_views`). The
     lowering inlines the built-in UDFs the catalog's registry leaves in
-    place, so SQLite runs them natively. Every async-result table, and every
-    shadow of one, is indexed on request_timestep: each concurrency policy
-    finds its rows by that column, and without the index SQLite builds an
-    automatic one over the whole result history on every evaluation."""
+    place, so SQLite runs them natively. Each stored table's index
+    (`planned_indexes`) is created right after it."""
     catalog = plan.catalog
     order = catalog.graph.topological_order()
     programs: dict[str, str] = {}
-    plan.indexes = []
-
-    def index_request_timestep(table: str, db_id: str) -> str:
-        plan.indexes.append((table, "request_timestep", db_id))
-        return (
-            f"CREATE INDEX {quote_ident(index_name(table, 'request_timestep'))} "
-            f"ON {quote_ident(table)} (request_timestep);"
-        )
 
     plan.relation_sql = lowered = {
         rel.name: query_sql(rel.query, lower=True, udfs=catalog.udfs)
@@ -577,13 +612,22 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     evaluators = {
         rel.name: evaluated_on(plan, rel.name) for rel in catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)
     }
-    for db_id in [plan.coordinator, *sorted(set(plan.placement.values()) - {plan.coordinator})]:
+    stored = {
+        db_id: [rel for rel in catalog.relations.values() if stores(rel, db_id)]
+        for db_id in [plan.coordinator, *sorted(set(plan.placement.values()) - {plan.coordinator})]
+    }
+    plan.indexes = planned_indexes(plan, stored)
+    indexed = {(index.table, index.instance): index.column for index in plan.indexes}
+    for db_id, tables in stored.items():
         lines = [f"-- program for instance {db_id}"]
-        for rel in catalog.relations.values():
-            if stores(rel, db_id):
-                lines.append(_create_table_sql(rel.name, rel.columns, rel.system_columns))
-                if rel.kind is RelationKind.ASYNC_VIEW:
-                    lines.append(index_request_timestep(rel.name, db_id))
+        for rel in tables:
+            lines.append(_create_table_sql(rel.name, rel.columns, rel.system_columns))
+            column = indexed.get((rel.name, db_id))
+            if column is not None:
+                lines.append(
+                    f"CREATE INDEX {quote_ident(index_name(rel.name, column))} "
+                    f"ON {quote_ident(rel.name)} ({column});"
+                )
         lines += preaggregate_ddl.get(db_id, [])
         for name in topo_sorted({name for name, on in evaluators.items() if db_id in on}):
             # only the coordinator fills a materialized view
@@ -627,8 +671,9 @@ def dump_plan(plan: FederationPlan) -> str:
                 lines.append(f"{spec.relation} -> {spec.destination}: row copy (snapshot)")
     if plan.indexes:
         lines.append("== indexes ==")
-        for table, column, db_id in plan.indexes:
-            lines.append(f"{table} ({column}) @ {db_id}")
+        for index in plan.indexes:
+            asked = f"range in {', '.join(index.reads)}" if index.reads else "policy reads"
+            lines.append(f"{index.table} ({index.column}) @ {index.instance}, {asked}")
     if plan.preaggregate_fill:
         lines.append("== preaggregates ==")
         for db_id, table in sorted(plan.preaggregate_fill, key=lambda key: (key[1], key[0])):

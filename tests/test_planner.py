@@ -18,7 +18,6 @@ from diel.planner import (
     choose_leader,
     dump_plan,
     emit_per_db_sql,
-    index_name,
     plan_federation,
 )
 from diel.printer import query_sql
@@ -26,6 +25,7 @@ from diel.engine import SqlEngine
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
 from conftest import FLIGHT_COLUMNS
+from test_indexes import reads_using_planned_indexes
 from listing_texts import (
     PICKED,
     PICKED_REWRITTEN,
@@ -312,12 +312,13 @@ def test_dump_plan_lists_sections():
     assert "distDataEvent -> r1" in text
     assert "slideItx -> r1 (deltas)" in text
     assert SLIDER_REWRITTEN + "\n== shipments ==" in text
-    assert "== indexes ==\ndistDataEvent (request_timestep) @ main" in text
+    assert "== indexes ==\ndistDataEvent (request_timestep) @ main, policy reads\n" in text
     assert "== delta ==" not in text  # distData reads slideItx only through LATEST
     session = Session.build(load_examples()["realtime_tweets"].config())
     assert dump_plan(session.plan).endswith("== delta ==\ntweetsInBrush on tweets")
     assert "== outputs ==\ntweetsInBrush: SELECT * FROM tweetsInBrush ORDER BY " in dump_plan(session.plan)
     undo = Session.build(load_examples()["undo"].config())
+    assert "== indexes ==\nclickItx (timestep) @ main, range in curUndoSel\n" in dump_plan(undo.plan)
     assert dump_plan(undo.plan).endswith(
         '== outputs ==\ncurrSel: SELECT * FROM currSel ORDER BY "id", typeof("id")'
     )
@@ -367,50 +368,27 @@ def test_session_catalog_keeps_rewritten_outputs_as_compiled():
 # --- indexes on async results ---------------------------------------------------------
 
 
-def assert_async_reads_use_planned_index(session: Session, db_id: str) -> list[str]:
-    """Every view or output on db_id that reads an async-result table finds its
-    rows through the planned request_timestep index, never an automatic one.
-    Returns the relations checked."""
-    plan = session.plan
-    if db_id == plan.coordinator:
-        engine = session.runtime.engine
-        relations = [
-            r.name for r in plan.catalog.by_kind(RelationKind.VIEW, RelationKind.OUTPUT)
-            if plan.placement.get(r.name) == db_id
-        ]
-    else:
-        engine = session.runtime.federation.instances[db_id].engine
-        relations = [v for v, leader in plan.leaders.items() if leader == db_id]
-    checked = []
-    for name in relations:
-        async_reads = [
-            r for r in plan.catalog.graph.reads.get(name, ())
-            if plan.catalog.relations[r].kind is RelationKind.ASYNC_VIEW
-        ]
-        if not async_reads:
-            continue
-        details = [
-            row[3] for row in engine.conn.execute("EXPLAIN QUERY PLAN " + plan.relation_sql[name])
-        ]
-        assert not [d for d in details if "AUTOMATIC" in d and "request_timestep" in d], (name, details)
-        for table in async_reads:
-            planned = f"INDEX {index_name(table, 'request_timestep')}"
-            assert any(planned in d for d in details), (name, table, details)
-        checked.append(name)
+def policy_reads(session: Session) -> dict[str, list[str]]:
+    """Every planned index is used by the reads that ask for it, on every
+    engine (`reads_using_planned_indexes`); instance -> the reads of async
+    results checked there."""
+    checked: dict[str, list[str]] = {}
+    for (_table, column, db_id), reads in reads_using_planned_indexes(session).items():
+        if column == "request_timestep" and reads:
+            checked.setdefault(db_id, []).extend(reads)
     return checked
 
 
 def test_corpus_policy_outputs_use_the_request_timestep_index():
     covered = {}
     for name, example in load_examples().items():
-        session = Session.build(example.config())
-        checked = assert_async_reads_use_planned_index(session, session.plan.coordinator)
+        checked = policy_reads(Session.build(example.config()))
         if checked:
             covered[name] = checked
     assert covered == {
-        "latest_request": ["distData"],
-        "slider_remote": ["distData"],
-        "slider_reordered": ["distData"],
+        "latest_request": {"main": ["distData"]},
+        "slider_remote": {"main": ["distData"]},
+        "slider_reordered": {"main": ["distData"]},
     }
 
 
@@ -435,7 +413,7 @@ def test_benchmark_policy_outputs_use_the_request_timestep_index(monkeypatch):
         "remote_reorder_cached": ["distData", "distStrict"],
     }
     for name, session in remote_benchmark_sessions(monkeypatch).items():
-        assert sorted(assert_async_reads_use_planned_index(session, "main")) == expected[name]
+        assert sorted(policy_reads(session)["main"]) == expected[name]
 
 
 def test_shipped_async_results_are_indexed_on_the_instance():
@@ -464,13 +442,13 @@ CREATE OUTPUT regions AS SELECT region, count FROM LATEST_REQUEST perRegion;
     )
     session = Session.build(config)
     assert session.plan.leaders == {"perOrigin": "r1", "perRegion": "r2"}
-    assert sorted(session.plan.indexes) == [
-        ("perOrigin", "request_timestep", "main"),
-        ("perOrigin", "request_timestep", "r2"),
-        ("perRegion", "request_timestep", "main"),
+    assert session.plan.indexes == [
+        ("perOrigin", "request_timestep", "main", ()),
+        ("perRegion", "request_timestep", "main", ()),
+        ("perOrigin", "request_timestep", "r2", ()),
     ]
-    assert assert_async_reads_use_planned_index(session, "r2") == ["perRegion"]
-    assert assert_async_reads_use_planned_index(session, "main") == ["regions"]
+    assert policy_reads(session) == {"main": ["regions"], "r2": ["perRegion"]}
+    assert "perOrigin (request_timestep) @ r2, policy reads" in dump_plan(session.plan).splitlines()
 
 
 def test_an_async_view_reads_another_of_its_leader_as_results():
@@ -499,7 +477,7 @@ CREATE OUTPUT ob AS SELECT origin, n, rq FROM b;
         finals.append({f.output: f.rows for f in session.runtime.frames})
     assert session.plan.leaders == {"a": "r1", "b": "r1"}
     plan_text = dump_plan(session.plan).splitlines()
-    assert "a -> r1 (deltas)" in plan_text and "a (request_timestep) @ r1" in plan_text
+    assert "a -> r1 (deltas)" in plan_text and "a (request_timestep) @ r1, policy reads" in plan_text
     assert finals[0] == finals[1]
     assert finals[1]["ob"] == (("LAX", 1, 1), ("LAX", 1, 1), ("LAX", 1, 1), ("LAX", 1, 1),
                                ("LAX", 1, 4), ("LAX", 1, 4), ("SFO", 1, 1), ("SFO", 1, 1))
