@@ -1,17 +1,20 @@
 """Resolve parsed statements into a relation catalog plus a dependency graph.
 
 Pipeline: template expansion -> schema copy -> catalog construction ->
-dependency graph -> system-column augmentation -> result columns of every
-query relation (in dependency order) -> name resolution and shorthand
-rewriting -> well-formedness diagnostics. The catalog keeps queries in
-their sugared form (LATEST flags intact); the printer lowers LATEST while
-printing (`query_sql(q, lower=True)`).
+dependency graph -> system-column augmentation -> name resolution,
+shorthand rewriting and result columns of every query relation (in
+dependency order), then of program commands -> well-formedness diagnostics.
+Names are resolved once, here: each relation and program keeps what every
+name in its queries resolves to (`Bindings`), the record the planner and
+optimizer read. The catalog keeps queries in their sugared form (LATEST
+flags intact); the printer lowers LATEST while printing (`query_sql(q, lower=True)`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .ast_nodes import (
     BinaryOp,
@@ -36,6 +39,7 @@ from .ast_nodes import (
     Statement,
     TableRef,
     UseTemplate,
+    children,
     walk,
 )
 from .errors import (
@@ -87,22 +91,80 @@ class ViewConstraint:
     view: str
 
 
+class Binding(NamedTuple):
+    """What a name resolves to: a table reference, in the name's own scope or
+    an enclosing one, with its relation's kind (the reference says whether
+    it is LATEST or LATEST_REQUEST); or, for a GROUP BY, HAVING or ORDER BY
+    name, the select-list expression of the alias it names."""
+
+    ref: TableRef | None
+    kind: RelationKind | None
+    alias: Expr | None = None
+
+
+class Bindings:
+    """What each ColumnRef (one binding) and Star (one per table reference it
+    expands to) of a query and its subqueries resolves to (`resolve_query`).
+    AST nodes compare by structure, so two `x` of two scopes are equal: the
+    record is keyed by identity and holds each node, which keeps its id its own."""
+
+    def __init__(self) -> None:
+        self._record: dict[int, tuple[Expr, tuple[Binding, ...]]] = {}
+
+    def add(self, node: Expr, *bindings: Binding) -> None:
+        self._record[id(node)] = (node, bindings)
+
+    def __getitem__(self, node: Expr) -> Binding:
+        """A ColumnRef's binding."""
+        return self._record[id(node)][1][0]
+
+    def star(self, node: Star) -> list[TableRef]:
+        """The table references a Star expands to, in order."""
+        return [binding.ref for binding in self._record[id(node)][1]]
+
+    def readers(self, relation: str) -> list[Expr]:
+        """The ColumnRefs and Stars that read `relation`."""
+        return [node for node, bindings in self._record.values()
+                if any(b.ref is not None and b.ref.name == relation for b in bindings)]
+
+    def ranged(self, queries: list[SelectQuery]) -> frozenset[str]:
+        """The event and history tables whose timestep `queries` compare with
+        <, <=, > or >=, at any depth: the range reads a timestep index serves."""
+        timesteps = {
+            id(node): bindings[0].ref.name for node, bindings in self._record.values()
+            if isinstance(node, ColumnRef) and node.column == "timestep"
+            and bindings[0].kind in (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE)
+        }
+        if not timesteps:
+            return frozenset()
+        return frozenset(
+            timesteps[id(operand)]
+            for query in queries for q in all_queries(query) for clause in q.clauses()
+            for node in walk(clause) if isinstance(node, BinaryOp) and node.op in RANGE_OPS
+            for operand in (node.left, node.right) if id(operand) in timesteps
+        )
+
+
 @dataclass
 class RelationDef:
     name: str
     kind: RelationKind
-    # a query relation's result columns, inferred once by compile_program
+    # a query relation's result columns and what each name in its query
+    # resolves to, both set once by compile_program (by the planner for a
+    # coordination output it makes)
     columns: list[ColumnDef] = field(default_factory=list)
     system_columns: tuple[str, ...] = ()
     query: SelectQuery | None = None
     is_base: bool = False  # pre-existing table owned by a database instance
-    # the event and history tables whose timestep its query compares by a
-    # range, at any depth (`resolve_query`); set by compile_program
-    ranged: frozenset[str] = frozenset()
+    bindings: Bindings = field(default_factory=Bindings)
 
     @property
     def physical_columns(self) -> list[ColumnDef]:
         return self.columns + [ColumnDef(c, "INT") for c in self.system_columns]
+
+    @property
+    def ranged(self) -> frozenset[str]:
+        return self.bindings.ranged([self.query] if self.query is not None else [])
 
 
 @dataclass
@@ -110,10 +172,18 @@ class ProgramDef:
     name: str
     triggers: list[str]
     commands: list[ProgramCommand]
-    ranged: frozenset[str] = frozenset()  # as RelationDef.ranged, over its commands
+    bindings: Bindings = field(default_factory=Bindings)  # as RelationDef's, over its commands
+
+    def queries(self) -> list[SelectQuery]:
+        return [q for c in self.commands
+                if (q := c.select if isinstance(c, InsertStatement) else c) is not None]
 
     def insert_targets(self) -> list[str]:
         return [c.table for c in self.commands if isinstance(c, InsertStatement)]
+
+    @property
+    def ranged(self) -> frozenset[str]:
+        return self.bindings.ranged(self.queries())
 
 
 @dataclass
@@ -349,8 +419,9 @@ def augment_system_columns(catalog: Catalog) -> Catalog:
 # --- column inference -----------------------------------------------------------
 
 
-def infer_output_columns(query: SelectQuery, catalog: Catalog) -> list[ColumnDef]:
-    """Names and (best-effort) types for a query's result columns."""
+def infer_output_columns(query: SelectQuery, catalog: Catalog, bindings: Bindings) -> list[ColumnDef]:
+    """Names and (best-effort) types for a query's result columns, read from
+    what its names resolve to (`resolve_query`)."""
     columns: list[ColumnDef] = []
     taken: set[str] = set()
 
@@ -363,60 +434,35 @@ def infer_output_columns(query: SelectQuery, catalog: Catalog) -> list[ColumnDef
         taken.add(name)
         columns.append(ColumnDef(name, type_))
 
-    bindings = _query_bindings(query)
     for i, item in enumerate(query.items):
         expr = item.expr
         if isinstance(expr, Star):
-            targets = [expr.table] if expr.table else list(bindings)
-            for binding in targets:
-                rel_name = bindings.get(binding)
-                if rel_name is None:
-                    raise UnknownRelationError(f"unknown table alias {binding!r}")
-                for col in catalog.columns_of(rel_name):
+            for ref in bindings.star(expr):
+                for col in catalog.columns_of(ref.name):
                     claim(col.name, col.type)
-            continue
-        if item.alias:
-            claim(item.alias, _expr_type(expr, bindings, catalog))
-        elif isinstance(expr, ColumnRef):
-            claim(expr.column, _expr_type(expr, bindings, catalog))
-        elif isinstance(expr, FuncCall):
-            claim(expr.name.lower(), None)
         else:
-            claim(f"col{i + 1}", _expr_type(expr, bindings, catalog))
+            name = expr.column if isinstance(expr, ColumnRef) else (
+                expr.name.lower() if isinstance(expr, FuncCall) else f"col{i + 1}")
+            claim(item.alias or name, _expr_type(expr, catalog, bindings))
     return columns
 
 
-def _query_bindings(query: SelectQuery) -> dict[str, str]:
-    return {ref.binding: ref.name for ref in query.table_refs()}
-
-
-def _expr_type(expr: Expr, bindings: dict[str, str], catalog: Catalog) -> str | None:
+def _expr_type(expr: Expr, catalog: Catalog, bindings: Bindings) -> str | None:
     """The type whose affinity SQLite gives `expr` as a result column: a
     column's own, INT for the rowid, and a scalar subquery's one result
     column's (for `*`, the first column of the relation it expands to); None,
     no affinity, for any other expression."""
     if isinstance(expr, ScalarSubquery):
-        inner = _query_bindings(expr.query)
         first = expr.query.items[0].expr
         if isinstance(first, Star):
-            rel_name = inner.get(first.table) if first.table else next(iter(inner.values()), None)
-            try:
-                columns = catalog.columns_of(rel_name) if rel_name else []
-            except UnknownRelationError:
-                return None
+            columns = [c for ref in bindings.star(first)[:1] for c in catalog.columns_of(ref.name)]
             return columns[0].type if columns else None
-        # the subquery's own tables first, then the enclosing query's
-        scope = {**inner, **{b: name for b, name in bindings.items() if b not in inner}}
-        return _expr_type(first, scope, catalog)
+        return _expr_type(first, catalog, bindings)
     if isinstance(expr, ColumnRef):
-        names = [bindings[expr.table]] if expr.table in bindings else list(bindings.values())
-        for rel_name in names:
-            try:
-                for col in catalog.columns_of(rel_name):
-                    if col.name == expr.column:
-                        return col.type
-            except UnknownRelationError:
-                return None
+        ref = bindings[expr].ref
+        for col in catalog.columns_of(ref.name) if ref is not None else []:
+            if col.name == expr.column:
+                return col.type
         if expr.column.lower() in ROWID_NAMES:
             return "INT"
     return None
@@ -428,40 +474,48 @@ def _expr_type(expr: Expr, bindings: dict[str, str], catalog: Catalog) -> str | 
 class _Scope:
     def __init__(self, catalog: Catalog, query: SelectQuery, parent: "_Scope | None" = None):
         self.catalog = catalog
-        self.query = query
         self.parent = parent
-        self.bindings: dict[str, str] = {}
+        self.refs: dict[str, TableRef] = {}
         for ref in query.table_refs():
-            if ref.binding in self.bindings:
+            if ref.binding in self.refs:
                 raise DuplicateRelationError(
                     f"duplicate table alias {ref.binding!r} in query"
                 )
-            self.bindings[ref.binding] = ref.name
-        self.aliases = {item.alias for item in query.items if item.alias}
+            self.refs[ref.binding] = ref
+        self.aliases = {item.alias: item.expr for item in query.items if item.alias}
+
+    def relation(self, binding: str) -> RelationDef:
+        if binding not in self.refs:
+            raise UnknownRelationError(f"unknown table alias {binding!r}")
+        return self.catalog.relation(self.refs[binding].name)
+
+    def bound(self, binding: str) -> Binding:
+        kind = self.relation(binding).kind
+        return Binding(self.refs[binding], kind)
 
     def column_names(self, binding: str) -> set[str]:
-        relation = self.catalog.relation(self.bindings[binding])
+        relation = self.relation(binding)
         names = {c.name for c in relation.physical_columns}
         if relation.kind in TABLE_KINDS or relation.kind is RelationKind.ASYNC_VIEW:
             names.add("rowid")  # implicit engine column on tables and result tables
         return names
 
-    def resolve(self, ref: ColumnRef, allow_alias: bool) -> str | None:
-        """The relation `ref` reads, found in this scope or an enclosing one;
-        None for a select-list alias."""
+    def resolve(self, ref: ColumnRef, allow_alias: bool) -> Binding:
+        """What `ref` reads, found in this scope or an enclosing one, or the
+        select-list alias it names."""
         if ref.table is not None:
-            if ref.table not in self.bindings:
+            if ref.table not in self.refs:
                 if self.parent is not None:
                     return self.parent.resolve(ref, allow_alias=False)
                 raise UnknownRelationError(f"unknown table alias {ref.table!r}")
             if ref.column not in self.column_names(ref.table):
                 raise UnknownColumnError(
-                    f"relation {self.bindings[ref.table]!r} has no column {ref.column!r}"
+                    f"relation {self.refs[ref.table].name!r} has no column {ref.column!r}"
                 )
-            return self.bindings[ref.table]
+            return self.bound(ref.table)
         if allow_alias and ref.column in self.aliases:
-            return None
-        holders = [b for b in self.bindings if ref.column in self.column_names(b)]
+            return Binding(None, None, self.aliases[ref.column])
+        holders = [b for b in self.refs if ref.column in self.column_names(b)]
         if len(holders) > 1:
             raise AmbiguousColumnError(
                 f"column {ref.column!r} is ambiguous across {sorted(holders)}"
@@ -470,14 +524,15 @@ class _Scope:
             if self.parent is not None:
                 return self.parent.resolve(ref, allow_alias=False)
             raise UnknownColumnError(f"unknown column {ref.column!r}")
-        return self.bindings[holders[0]]
+        return self.bound(holders[0])
 
 
-def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = None) -> set[str]:
-    """Validate and normalize one query in place (recursing into subqueries).
-    Returns the event and history tables whose `timestep` the query, at any
-    depth, compares with <, <=, > or >=, each reference resolved in its own
-    scope: the range reads a `timestep` index serves."""
+def resolve_query(query: SelectQuery, catalog: Catalog, bindings: Bindings | None = None,
+                  parent: _Scope | None = None) -> Bindings:
+    """Validate and normalize one query in place (recursing into subqueries),
+    and record in `bindings` (a new record when None) what each ColumnRef and
+    Star, at any depth, resolves to, each in its own scope."""
+    bindings = Bindings() if bindings is None else bindings
     for ref in query.table_refs():
         available = {c.name for c in catalog.relation(ref.name).physical_columns}
         if ref.latest and "timestep" not in available:
@@ -489,29 +544,19 @@ def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = 
 
     scope = _Scope(catalog, query, parent)
     _rewrite_join_shorthand(query, scope)
-    ranged: set[str] = set()
 
-    def check(expr: Expr, allow_alias: bool) -> None:
-        # the list is taken before `f(b.*)` is expanded: the references that
-        # replace the star name b's own columns and need no resolving. It
-        # lists each comparison before its operands
-        range_operands: set[int] = set()
-        for node in walk(expr):
-            if isinstance(node, ColumnRef):
-                relation = catalog.relations.get(scope.resolve(node, allow_alias))  # None: an alias
-                if (id(node) in range_operands and node.column == "timestep" and relation is not None
-                        and relation.kind in (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE)):
-                    ranged.add(relation.name)
-            elif isinstance(node, BinaryOp) and node.op in RANGE_OPS:
-                range_operands.update((id(node.left), id(node.right)))
-            elif isinstance(node, Star):
-                if node.table is not None and node.table not in scope.bindings:
-                    raise UnknownRelationError(f"unknown table alias {node.table!r}")
-            elif isinstance(node, FuncCall):
-                _check_function(node, scope)
-                _expand_star_args(node, scope)
-            elif isinstance(node, ScalarSubquery):
-                ranged.update(resolve_query(node.query, catalog, parent=scope))
+    def check(node: Expr, allow_alias: bool) -> None:
+        if isinstance(node, ColumnRef):
+            bindings.add(node, scope.resolve(node, allow_alias))
+        elif isinstance(node, Star):
+            bindings.add(node, *map(scope.bound, [node.table] if node.table else scope.refs))
+        elif isinstance(node, FuncCall):
+            _expand_star_args(node, scope)  # before its arguments are visited
+            _check_function(node, scope)
+        elif isinstance(node, ScalarSubquery):
+            resolve_query(node.query, catalog, bindings, parent=scope)
+        for child in children(node):
+            check(child, allow_alias)
 
     for item in query.items:
         check(item.expr, allow_alias=False)
@@ -528,7 +573,7 @@ def resolve_query(query: SelectQuery, catalog: Catalog, parent: _Scope | None = 
         check(order.expr, allow_alias=True)
     if query.limit is not None:
         check(query.limit, allow_alias=False)
-    return ranged
+    return bindings
 
 
 def _rewrite_join_shorthand(query: SelectQuery, scope: _Scope) -> None:
@@ -556,23 +601,13 @@ def _rewrite_join_shorthand(query: SelectQuery, scope: _Scope) -> None:
 
 
 def _check_function(call: FuncCall, scope: _Scope) -> None:
+    """Check a call once `_expand_star_args` has expanded its `b.*` arguments."""
     udf = scope.catalog.udfs.get(call.name)
     if udf is not None:
-        arity = len(call.args)
-        for arg in call.args:
-            if isinstance(arg, Star):
-                if arg.table is None:
-                    raise CompileError(
-                        f"{call.name}: bare * as a UDF argument must be qualified"
-                    )
-                relation = scope.bindings.get(arg.table)
-                if relation is None:
-                    raise UnknownRelationError(f"unknown table alias {arg.table!r}")
-                arity += len(scope.catalog.relation(relation).columns) - 1
-        if arity != udf.arity:
-            raise UnknownUdfError(
-                f"UDF {call.name!r} takes {udf.arity} arguments, got {arity}"
-            )
+        if any(isinstance(arg, Star) for arg in call.args):
+            raise CompileError(f"{call.name}: bare * as a UDF argument must be qualified")
+        if len(call.args) != udf.arity:
+            raise UnknownUdfError(f"UDF {call.name!r} takes {udf.arity} arguments, got {len(call.args)}")
         return
     if call.name.upper() in ENGINE_FUNCTIONS:
         return
@@ -581,33 +616,19 @@ def _check_function(call: FuncCall, scope: _Scope) -> None:
 
 def _expand_star_args(call: FuncCall, scope: _Scope) -> None:
     """`f(b.*)` passes the USER columns of b's relation, in declared order."""
-    expanded: list[Expr] = []
+    args: list[Expr] = []
     for arg in call.args:
         if isinstance(arg, Star) and arg.table is not None:
-            relation = scope.catalog.relation(scope.bindings[arg.table])
-            expanded.extend(
-                ColumnRef(column=c.name, table=arg.table) for c in relation.columns
-            )
+            args.extend(ColumnRef(column=c.name, table=arg.table) for c in scope.relation(arg.table).columns)
         else:
-            expanded.append(arg)
-    call.args = expanded
-
-
-def _nested_queries(query: SelectQuery) -> list[SelectQuery]:
-    return [
-        node.query
-        for clause in query.clauses()
-        for node in walk(clause)
-        if isinstance(node, ScalarSubquery)
-    ]
+            args.append(arg)
+    call.args = args
 
 
 def all_queries(query: SelectQuery) -> list[SelectQuery]:
     """A query and its nested subqueries at every depth, outermost first."""
-    queries = [query]
-    for sub in _nested_queries(query):
-        queries.extend(all_queries(sub))
-    return queries
+    nested = [node.query for clause in query.clauses() for node in walk(clause) if isinstance(node, ScalarSubquery)]
+    return [query, *(q for sub in nested for q in all_queries(sub))]
 
 
 def all_table_refs(query: SelectQuery) -> list[TableRef]:
@@ -641,21 +662,21 @@ def dependency_closure(name: str, catalog: Catalog) -> frozenset[str]:
     return frozenset(seen)
 
 
-def closure_queries(name: str, catalog: Catalog) -> list[SelectQuery]:
-    """The query of a query relation and those of the views it reads through,
-    the ones in its dependency closure: async views are read as result tables."""
+def closure_relations(name: str, catalog: Catalog) -> list[RelationDef]:
+    """A query relation and the views it reads through, the ones in its
+    dependency closure: async views are read as result tables."""
     closure = dependency_closure(name, catalog)
     views = sorted(
         n for n in closure
         if catalog.relations[n].query is not None
         and catalog.relations[n].kind is not RelationKind.ASYNC_VIEW
     )
-    return [catalog.relations[n].query for n in [name, *views]]
+    return [catalog.relations[n] for n in [name, *views]]
 
 
 def closure_table_refs(name: str, catalog: Catalog) -> list[TableRef]:
-    """Table references of `closure_queries`, nested subqueries included."""
-    return [ref for query in closure_queries(name, catalog) for ref in all_table_refs(query)]
+    """Table references of `closure_relations`' queries, nested subqueries included."""
+    return [ref for rel in closure_relations(name, catalog) for ref in all_table_refs(rel.query)]
 
 
 # --- dependency graph ----------------------------------------------------------
@@ -733,7 +754,8 @@ def compile_program(
         rel = catalog.relations.get(name)
         if rel is None or rel.query is None:
             continue
-        rel.columns = infer_output_columns(rel.query, catalog)
+        rel.bindings = resolve_query(rel.query, catalog)
+        rel.columns = infer_output_columns(rel.query, catalog, rel.bindings)
         if rel.kind is RelationKind.ASYNC_VIEW:
             for col in rel.columns:
                 if col.name in SYSTEM_COLUMNS or col.name.lower() in ROWID_NAMES:
@@ -741,16 +763,13 @@ def compile_program(
                         f"async view {rel.name!r} result column {col.name!r} "
                         "shadows the rowid or a system column"
                     )
-    for rel in catalog.relations.values():
-        if rel.query is not None:
-            rel.ranged = frozenset(resolve_query(rel.query, catalog))
     for program in catalog.programs.values():
         for command in program.commands:
             query = command.select if isinstance(command, InsertStatement) else command
             if query is not None:
-                program.ranged |= resolve_query(query, catalog)
+                resolve_query(query, catalog, program.bindings)
             if isinstance(command, InsertStatement):
-                _check_insert_arity(command, catalog)
+                _check_insert_arity(command, catalog, program.bindings)
 
     catalog.diagnostics.extend(check_constraints_wellformed(catalog))
     event_names = {r.name for r in catalog.by_kind(RelationKind.EVENT_TABLE, RelationKind.ASYNC_VIEW)}
@@ -765,7 +784,7 @@ def compile_program(
     return catalog
 
 
-def _check_insert_arity(stmt: InsertStatement, catalog: Catalog) -> None:
+def _check_insert_arity(stmt: InsertStatement, catalog: Catalog, bindings: Bindings) -> None:
     target = catalog.relation(stmt.table)
     expected = stmt.columns if stmt.columns else [c.name for c in target.columns]
     user_columns = {c.name for c in target.columns}
@@ -773,7 +792,7 @@ def _check_insert_arity(stmt: InsertStatement, catalog: Catalog) -> None:
         if col not in user_columns:
             raise UnknownColumnError(f"{stmt.table!r} has no column {col!r}")
     if stmt.select is not None:
-        arities = [len(infer_output_columns(stmt.select, catalog))]
+        arities = [len(infer_output_columns(stmt.select, catalog, bindings))]
     else:
         arities = [len(row) for row in stmt.values or [[]]]
     for arity in arities:

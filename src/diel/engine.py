@@ -158,7 +158,11 @@ class SqlEngine:
 
 
 def _readonly_uri(path: str | Path) -> str:
-    return Path(path).absolute().as_uri() + "?mode=ro"
+    """A read-only open of the file; immutable, so that it leaves no -wal or
+    -shm file beside it, while no -wal or -journal file there holds changes."""
+    path = Path(path).absolute()
+    pending = any(Path(f"{path}{suffix}").exists() for suffix in ("-wal", "-journal"))
+    return path.as_uri() + ("?mode=ro" if pending else "?mode=ro&immutable=1")
 
 
 def introspect_sqlite(

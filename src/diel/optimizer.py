@@ -21,7 +21,6 @@ from .ast_nodes import (
     ColumnRef,
     Expr,
     FuncCall,
-    InsertStatement,
     IsNull,
     Join,
     OrderItem,
@@ -39,9 +38,10 @@ from .compiler import (
     QUERY_KINDS,
     Catalog,
     DependencyGraph,
+    RelationDef,
     RelationKind,
     all_queries,
-    closure_queries,
+    closure_relations,
     closure_table_refs,
     dependency_closure,
     referenced_relations,
@@ -72,12 +72,7 @@ def materialize_shared_views(
         for dep in set(reads):
             consumers[dep] = consumers.get(dep, 0) + 1
     for program in catalog.programs.values():
-        seen: set[str] = set()
-        for command in program.commands:
-            query = command.select if isinstance(command, InsertStatement) else command
-            if query is not None:
-                seen |= referenced_relations(query)
-        for dep in seen:
+        for dep in {name for query in program.queries() for name in referenced_relations(query)}:
             consumers[dep] = consumers.get(dep, 0) + 1
 
     materialized: dict[str, frozenset[str]] = {}
@@ -141,7 +136,7 @@ def preaggregates(catalog: Catalog) -> dict[str, PreAggregate]:
     found: dict[str, PreAggregate] = {}
     sources: dict[str, tuple] = {}  # table -> the (base, keys) it was first named for
     for rel in catalog.by_kind(*QUERY_KINDS):
-        pre = _preaggregate(rel.query, catalog)
+        pre = _preaggregate(rel, catalog)
         # a table name stands for one base table and key list and names no relation
         if pre is not None and pre.table not in catalog.relations and (
             sources.setdefault(pre.table, (pre.base, pre.keys)) == (pre.base, pre.keys)
@@ -150,10 +145,11 @@ def preaggregates(catalog: Catalog) -> dict[str, PreAggregate]:
     return found
 
 
-def _preaggregate(query: SelectQuery, catalog: Catalog) -> PreAggregate | None:
+def _preaggregate(relation: RelationDef, catalog: Catalog) -> PreAggregate | None:
     """The pre-aggregate of a query over one base table B joined only to
     LATEST event rows, whose GROUP BY reads a LATEST column; None when the
     query is not one, or computes what per-group aggregates cannot give."""
+    query, bindings = relation.query, relation.bindings
     refs = query.table_refs()
     fixed = [ref for ref in refs if not ref.latest]
     if not query.group_by or len(fixed) != 1 or any(join.kind == "left" for join in query.joins):
@@ -166,28 +162,27 @@ def _preaggregate(query: SelectQuery, catalog: Catalog) -> PreAggregate | None:
         return None
     types = {c.name: c.type for c in catalog.relations[base.name].columns}
     others = {c.name for rel in latest for c in rel.physical_columns}
-    aliases = {item.alias: item.expr for item in query.items if item.alias}
+    aliases = {item.alias for item in query.items if item.alias}
 
-    def is_alias(node: Expr) -> bool:
-        return isinstance(node, ColumnRef) and node.table is None and node.column in aliases
+    def alias(node: Expr) -> Expr | None:
+        return bindings[node].alias if isinstance(node, ColumnRef) else None
 
-    def of_base(node: Expr) -> bool:
-        return isinstance(node, ColumnRef) and (
-            node.table == base.binding or (node.table is None and node.column in types)
-        )
+    def of_latest(expr: Expr) -> bool:  # through the aliases it names
+        return any(of_latest(alias(node)) if alias(node) is not None
+                   else isinstance(node, ColumnRef) and bindings[node].ref.latest for node in walk(expr))
+
+    def base_column(node: Expr) -> bool:
+        return isinstance(node, ColumnRef) and bindings[node].ref is base
 
     # the groups are set by the interaction: GROUP BY reads a LATEST column
-    def expanded(expr: Expr) -> list[Expr]:
-        return [n for node in walk(expr) for n in (walk(aliases[node.column]) if is_alias(node) else [node])]
-
-    if not any(isinstance(n, ColumnRef) and not of_base(n) for g in query.group_by for n in expanded(g)):
+    if not any(of_latest(g) for g in query.group_by):
         return None
 
     nodes = [node for clause in query.clauses() for node in walk(clause)]
     if any(
         isinstance(node, (Star, ScalarSubquery))
         or (isinstance(node, FuncCall) and (node.name.upper() == "RANDOM" or node.name in catalog.udfs))
-        or (is_alias(node) and (node.column in types or node.column in others))
+        or (alias(node) is not None and (node.column in types or node.column in others))
         for node in nodes
     ):
         return None
@@ -199,31 +194,31 @@ def _preaggregate(query: SelectQuery, catalog: Catalog) -> PreAggregate | None:
                 return None
             continue
         arg = call.args[0] if len(call.args) == 1 else None
-        if call.name.upper() not in PREAGGREGABLE or not of_base(arg) or arg.column not in types:
+        if call.name.upper() not in PREAGGREGABLE or not base_column(arg) or arg.column not in types:
             return None
         if call.name.upper() == "SUM" and types[arg.column] != "INT":
             return None
     aggregated = {id(node) for call in calls for node in walk(call)}
-    keys = {node.column for node in nodes if id(node) not in aggregated and of_base(node)}
+    keys = {node.column for node in nodes if id(node) not in aggregated and base_column(node)}
     if not keys or any(types.get(key) is None for key in keys):
         return None  # a rowid or an untyped column, whose equal values may differ in type
 
     # a base column outside an aggregate and outside every grouped expression
     # takes an arbitrary row's value, which the pre-aggregate cannot give
-    grouped = [aliases[g.column] if is_alias(g) else g for g in query.group_by]
+    grouped = [alias(g) or g for g in query.group_by]
 
     def bare(expr: Expr) -> bool:
         if _is_aggregate(expr) or expr in grouped:
             return False
-        if is_alias(expr):
-            return bare(aliases[expr.column])
-        return of_base(expr) or any(bare(child) for child in children(expr))
+        if alias(expr) is not None:
+            return bare(alias(expr))
+        return base_column(expr) or any(bare(child) for child in children(expr))
 
     selected = [item.expr for item in query.items] + [o.expr for o in query.order_by]
     if any(bare(expr) for expr in selected + ([query.having] if query.having is not None else [])):
         return None
     aggregates = tuple(dict.fromkeys(_aggregate_key(call) for call in calls))
-    if {aggregate_column(*a) for a in aggregates} & (types.keys() | others | aliases.keys()):
+    if {aggregate_column(*a) for a in aggregates} & (types.keys() | others | aliases):
         return None
     return PreAggregate(base.name, base.binding, tuple(c for c in types if c in keys), aggregates)
 
@@ -272,9 +267,9 @@ def cacheable_views(catalog: Catalog) -> set[str]:
     """Async views whose result depends on the triggering event's payload alone,
     the ones the request cache serves: the only changing relation in the view's
     dependency closure is one event table, every reference to it is LATEST,
-    no query reads its timestep or timestamp (the cache key is the payload),
-    nothing calls RANDOM(), and everything else the view reads is a base or
-    plain table."""
+    no query reads its timestep or timestamp or a `*` over it (the cache key
+    is the payload), nothing calls RANDOM(), and everything else the view
+    reads is a base or plain table."""
     views = set()
     for view in catalog.by_kind(RelationKind.ASYNC_VIEW):
         changing = [
@@ -286,7 +281,10 @@ def cacheable_views(catalog: Catalog) -> set[str]:
         event = changing[0]
         if not all(ref.latest for ref in closure_table_refs(view.name, catalog) if ref.name == event):
             continue
-        if any(_reads_system_columns(q, event) for q in closure_queries(view.name, catalog)):
+        if any(
+            isinstance(node, Star) or node.column in ("timestep", "timestamp")
+            for rel in closure_relations(view.name, catalog) for node in rel.bindings.readers(event)
+        ):
             continue
         if not calls_random(view.name, catalog):
             views.add(view.name)
@@ -301,25 +299,8 @@ def calls_random(name: str, catalog: Catalog) -> bool:
     earlier evaluation or skipped."""
     return any(
         isinstance(node, FuncCall) and node.name.upper() == "RANDOM"
-        for query in closure_queries(name, catalog)
-        for node in _nodes(all_queries(query))
-    )
-
-
-def _reads_system_columns(query: SelectQuery, event: str) -> bool:
-    """Whether a query may see `event`'s timestep or timestamp: a reference to
-    either column, or a `*`, that can name the event table's binding."""
-    queries = all_queries(query)
-    bound = {ref.binding for q in queries for ref in q.table_refs() if ref.name == event}
-
-    def may_name_event(table: str | None) -> bool:
-        return table in bound or (table is None and bool(bound))
-
-    return any(
-        (isinstance(node, ColumnRef) and node.column in ("timestep", "timestamp")
-         and may_name_event(node.table))
-        or (isinstance(node, Star) and may_name_event(node.table))
-        for node in _nodes(queries)
+        for rel in closure_relations(name, catalog)
+        for node in _nodes(all_queries(rel.query))
     )
 
 
@@ -339,8 +320,8 @@ def delta_paths(
     reads E through exactly one plain reference, never through LATEST or a
     scalar subquery (any view or output that reads E counts as reading it),
     and no view on the way is materialized. Nothing in the
-    closure calls RANDOM() (see `calls_random`) or reads `rowid`, which E's
-    delta lacks."""
+    closure calls RANDOM() (see `calls_random`) or reads E's `rowid`, which
+    E's delta lacks."""
     paths = {}
     for output in catalog.by_kind(RelationKind.OUTPUT):
         found = {}
@@ -351,8 +332,7 @@ def delta_paths(
                     found[name] = path
         if len(found) == 1 and not calls_random(output.name, catalog) and not any(
             isinstance(node, ColumnRef) and node.column == "rowid"
-            for query in closure_queries(output.name, catalog)
-            for node in _nodes(all_queries(query))
+            for rel in closure_relations(output.name, catalog) for node in rel.bindings.readers(*found)
         ):
             paths[output.name] = next(iter(found.items()))
     return paths

@@ -303,7 +303,7 @@ def rewrite_remote_output(
         columns=output.columns,
         query=output.query,
         system_columns=("timestep", "timestamp", "request_timestep"),
-        ranged=output.ranged,
+        bindings=output.bindings,
     )
     for col in output.columns:
         if col.name in SYSTEM_COLUMNS or col.name.lower() in ROWID_NAMES:
@@ -371,15 +371,12 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         async_view, coord_output, tables = rewrite_remote_output(rel, catalog)
         catalog.relations[async_view.name] = async_view
         catalog.relations[name] = coord_output
+        coord_output.bindings = resolve_query(coord_output.query, catalog)
         rewritten[name] = async_view.name
         if tables:
             waits_on[name] = tables
 
     catalog.graph = build_dependency_graph(catalog)
-    for name in rewritten.values():
-        resolve_query(catalog.relations[name].query, catalog)
-    for name in rewritten:
-        resolve_query(catalog.relations[name].query, catalog)
 
     # placed after rewriting, so each new async view gets a leader
     placement = locate_relations(catalog, dbs, bases, coordinator)

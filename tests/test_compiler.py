@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from diel.ast_nodes import ColumnDef, CreateOutput
+from diel.ast_nodes import ColumnDef, ColumnRef, CreateOutput, Star, walk
 from diel.compiler import (
     Catalog,
     RelationKind,
+    all_queries,
+    all_table_refs,
     augment_system_columns,
     check_constraints_wellformed,
     compile_program,
@@ -31,10 +33,12 @@ from diel.errors import (
 )
 from diel.parser import parse_diel, parse_query
 from diel.printer import query_sql
+from diel.session import Session
 
 from conftest import BASE_SCHEMAS
 from latest_oracle import desugar_latest
 from listing_texts import ALL_LISTINGS, SLIDER, TEMPLATE_FILTER, UNDO
+from replays import bench_runs, corpus_runs
 
 
 def compile_listing(text: str, base_schemas=None):
@@ -412,7 +416,8 @@ def test_every_listing_compiles(base_schemas):
 
 def test_infer_output_columns_for_slider():
     catalog = compile_listing(SLIDER)
-    cols = infer_output_columns(catalog.relation("distData").query, catalog)
+    distData = catalog.relation("distData")
+    cols = infer_output_columns(distData.query, catalog, distData.bindings)
     assert [c.name for c in cols] == ["origin", "count"]
 
 
@@ -422,3 +427,30 @@ def test_dump_ir_mentions_kinds_and_edges():
     assert "slideItx [EventTable]" in text
     assert "distData [Output]" in text
     assert "distData <- flights, slideItx" in text
+
+
+def test_every_name_of_every_corpus_and_benchmark_query_has_its_binding():
+    """Each ColumnRef and Star, star-argument expansions and join shorthand
+    included, is bound to a table reference of its query tree (with that
+    relation's kind) or to a select-list expression of its own query."""
+    names = 0
+    for name, _seed, config, _trace in [*corpus_runs(seeds=(1,)), *bench_runs(seeds=(1,))]:
+        catalog = Session.build(config).plan.catalog
+        owners = [(rel.bindings, [rel.query]) for rel in catalog.relations.values() if rel.query is not None]
+        owners += [(program.bindings, program.queries()) for program in catalog.programs.values()]
+        for bindings, queries in owners:
+            for query in (q for top in queries for q in all_queries(top)):
+                refs = [ref for top in queries for ref in all_table_refs(top)]
+                for node in (n for clause in query.clauses() for n in walk(clause)):
+                    if isinstance(node, Star):
+                        expanded = bindings.star(node)
+                        assert expanded and all(any(ref is r for r in refs) for ref in expanded), name
+                    elif isinstance(node, ColumnRef):
+                        binding = bindings[node]
+                        if binding.alias is not None:
+                            assert any(binding.alias is item.expr for item in query.items), name
+                        else:
+                            assert any(binding.ref is r for r in refs), name
+                            assert binding.kind is catalog.relations[binding.ref.name].kind, name
+                        names += 1
+    assert names

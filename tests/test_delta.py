@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diel.ast_nodes import ColumnDef
 from diel.corpus import load_examples, run_example
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
@@ -96,6 +97,14 @@ CREATE OUTPUT o AS SELECT a.tId FROM v a JOIN v b ON a.lat = b.lat;""",
     "scalar-subquery": "CREATE OUTPUT o AS SELECT t.tId FROM tweets t WHERE t.lat > (SELECT MIN(lat) FROM tweets);",
     "only-in-scalar-subquery": "CREATE OUTPUT o AS SELECT name FROM places WHERE (SELECT COUNT() FROM tweets) > 2;",
     "rowid": "CREATE OUTPUT o AS SELECT rowid r, tId FROM tweets;",
+    "qualified-rowid": "CREATE OUTPUT o AS SELECT t.rowid AS r, t.tId FROM tweets t JOIN places p ON 1;",
+    "rowid-under-a-select-alias": """\
+CREATE VIEW v AS SELECT rowid AS id, tId FROM tweets;
+CREATE OUTPUT o AS SELECT id FROM v;""",
+    "rowid-read-from-a-subquery": (
+        "CREATE OUTPUT o AS SELECT t.tId FROM tweets t "
+        "WHERE (SELECT COUNT() FROM places p WHERE p.rowid = t.rowid) > 0;"
+    ),
     "output-read-beside-event-table": """\
 CREATE OUTPUT east AS SELECT lat FROM tweets WHERE lon > 0;
 CREATE OUTPUT o AS SELECT a.tId FROM tweets a JOIN east e ON a.lat = e.lat WHERE a.lon < 0;""",
@@ -191,6 +200,27 @@ def test_delta_path_never_changes_a_corpus_log(name):
     full = without_deltas(Session.build(example.config()))
     full.run_replay(example.trace())
     assert run_example(example).output_log_text() == full.output_log_text()
+
+
+def test_a_rowid_of_another_table_leaves_the_delta_path_open():
+    """Only E's own rowid, which E's delta lacks, closes the path."""
+    program = """\
+CREATE EVENT TABLE tweets(k INT, v INT);
+CREATE OUTPUT o AS SELECT t.v FROM tweets t JOIN readings r ON r.rowid = t.k;
+"""
+    readings = ([ColumnDef("k", "INT"), ColumnDef("timestep", "INT"), ColumnDef("v", "INT")],
+                [(1, 5, 10), (2, 7, 8), (3, 9, 20)])
+    trace = [TraceEntry(10 * i, "tweets", {"k": k, "v": 100 + i}) for i, k in enumerate((1, 5, 2, 7, 8, 3))]
+
+    config = RunConfig([program], [DbConfig("main", "quick", tables={"readings": readings})], seed=1)
+    session = Session.build(config)
+    assert session.plan.delta_sql["o"][0] == "tweets"
+    outcomes = watch_deltas(session)
+    session.run_replay(trace)
+    full = without_deltas(Session.build(config))
+    full.run_replay(trace)
+    assert outcomes == {"empty": 3, "non-empty": 2}
+    assert session.output_log_text() == full.output_log_text()
 
 
 def test_output_is_evaluated_in_full_when_more_than_its_event_table_changed():

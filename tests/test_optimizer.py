@@ -4,13 +4,15 @@ from pathlib import Path
 
 import pytest
 
+from diel.ast_nodes import ColumnDef
 from diel.compiler import compile_program
 from diel.engine import read_csv_table
-from diel.optimizer import RequestCache, materialize_shared_views
+from diel.optimizer import RequestCache, cacheable_views, materialize_shared_views
 from diel.parser import parse_diel
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
 from conftest import FLIGHT_COLUMNS
+from replays import bench_runs, corpus_runs
 
 FLIGHT_ROWS = [
     ("LAX", "JFK", 1998, 5, 2475),
@@ -198,6 +200,50 @@ def test_cache_hit_count_equals_repeated_pairs():
         if cache.lookup(view, params) is None:
             cache.store(view, params, [(0,)])
     assert cache.hits == 2  # the two repeats of ("v", (1,))
+
+
+def test_exact_cached_views_of_the_corpus_and_benchmark_programs():
+    runs = [*corpus_runs(seeds=(1,)), *bench_runs(seeds=(1,))]
+    cached = {name: Session.build(config).plan.cached_views for name, _seed, config, _trace in runs}
+    expected = {name: set() for name in cached}
+    expected.update({
+        "latest_request": {"distDataEvent"},
+        "slider_remote": {"distDataEvent"},
+        "slider_reordered": {"distDataEvent"},
+        "remote_brush": {"brushedTweetsEvent", "followerAgeDistEvent"},
+        "remote_reorder_cached": {"distDataEvent", "distStrictEvent"},
+    })
+    assert len(cached) == 23 and cached == expected
+
+
+READING_COLUMNS = [ColumnDef("k", "INT"), ColumnDef("timestep", "INT"), ColumnDef("v", "INT")]
+READINGS = [(1, 5, 10), (1, 6, 3), (2, 7, 8), (2, 9, 20)]
+
+
+def test_a_subquery_reading_its_own_tables_timestep_keeps_a_view_cacheable():
+    """The unqualified `timestep` in the subquery is readings', resolved in
+    the subquery's own scope, not the triggering event's."""
+    program = """\
+CREATE EVENT TABLE pick(k INT);
+CREATE ASYNC VIEW av AS SELECT r.v FROM readings r JOIN LATEST pick p ON r.k = p.k
+  WHERE r.v >= (SELECT MIN(timestep) FROM readings);
+"""
+    catalog = compile_program(parse_diel(program), {"readings": READING_COLUMNS})
+    assert cacheable_views(catalog) == {"av"}
+
+    def run(cache: bool) -> Session:
+        config = RunConfig(
+            [program + "CREATE OUTPUT shown AS SELECT request_timestep, v FROM av;"],
+            [DbConfig("main", "quick", tables={"readings": (READING_COLUMNS, READINGS)})],
+            seed=1, cache=cache,
+        )
+        session = Session.build(config)
+        session.run_replay([TraceEntry(10 * i, "pick", {"k": k}) for i, k in enumerate((1, 2, 1, 2, 1))])
+        return session
+
+    cached, uncached = run(cache=True), run(cache=False)
+    assert cached.summary()["cache_hits"] == 3 and uncached.summary()["cache_hits"] == 0
+    assert cached.output_log_text() == uncached.output_log_text()
 
 
 FLIGHTS_CSV = Path(__file__).resolve().parent.parent / "src" / "diel" / "corpus" / "data" / "flights.csv"

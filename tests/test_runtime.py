@@ -442,7 +442,11 @@ CREATE OUTPUT o AS SELECT v FROM LATEST_REQUEST av;
     "CREATE ASYNC VIEW av AS SELECT aItx.timestep ts, t.v FROM t JOIN LATEST aItx ON t.k = aItx.x;",
     """CREATE VIEW pick AS SELECT * FROM LATEST aItx;
 CREATE ASYNC VIEW av AS SELECT p.timestep ts, t.v FROM t JOIN pick p ON t.k = p.x;""",
-], ids=["column", "star-in-view"])
+    # the subquery's own timestep, and the outer one read from a subquery
+    "CREATE ASYNC VIEW av AS SELECT (SELECT MAX(timestep) FROM LATEST aItx) ts, t.v\n"
+    "  FROM t JOIN LATEST aItx ON t.k = aItx.x;",
+    "CREATE ASYNC VIEW av AS SELECT (SELECT aItx.timestep) ts, t.v FROM t JOIN LATEST aItx ON t.k = aItx.x;",
+], ids=["column", "star-in-view", "subquery-own-scope", "correlated-subquery"])
 def test_request_cache_skips_views_that_read_the_event_timestep(view):
     """av returns the LATEST event's timestep, which the payload key does not
     hold: the repeated aItx 1 must be evaluated, not served from the cache."""

@@ -296,7 +296,10 @@ def _items_source(kind: str, directory, shape: str = "declared") -> dict:
 
 
 def _items_config(kind: str, placement: str, directory, shape: str = "declared") -> RunConfig:
-    source = _items_source(kind, directory, shape)
+    return _config_over(_items_source(kind, directory, shape), placement)
+
+
+def _config_over(source: dict, placement: str) -> RunConfig:
     if placement == "coordinator":
         main = DbConfig("main", "quick", **source)
         main.tables.update(ANCHOR)
@@ -396,3 +399,27 @@ def test_db_source_is_read_only_and_released_at_build(tmp_path):
         db_file.unlink()
 
     assert _run(config, no_attachment_then_delete) == expected
+
+
+@pytest.mark.parametrize("placement", ["coordinator", "remote"])
+def test_a_checkpointed_wal_source_leaves_its_directory_as_it_was(tmp_path, placement):
+    config = _items_config("db", placement, tmp_path, "wal")
+    before = sorted(path.name for path in tmp_path.iterdir())
+    expected = _run(_items_config("rows", placement, tmp_path))
+    assert _run(config) == expected
+    assert sorted(path.name for path in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("placement", ["coordinator", "remote"])
+def test_rows_committed_only_to_the_wal_of_an_open_writer_all_load(tmp_path, placement):
+    writer = sqlite3.connect(tmp_path / "items.db")
+    try:
+        for statement in ("PRAGMA journal_mode = WAL", "PRAGMA wal_autocheckpoint = 0", DECLARED):
+            writer.execute(statement)
+        writer.executemany("INSERT INTO items VALUES (?, ?, ?, ?)", ITEM_ROWS)
+        writer.commit()
+        assert (tmp_path / "items.db-wal").stat().st_size > 0
+        log = _run(_config_over({"path": str(tmp_path / "items.db")}, placement))
+    finally:
+        writer.close()
+    assert log == _run(_items_config("rows", placement, tmp_path))

@@ -34,7 +34,7 @@ def answers(name: str, values: tuple) -> tuple:
     raises) over `values`, bound as parameters, so no column affinity applies."""
     arity = BUILTIN_UDFS[name].arity
     call = FuncCall(name, [ColumnRef(f"a{i}") for i in range(arity)])
-    row = ", ".join(f"?{i + 1} AS a{i}" for i in range(arity))
+    row = ", ".join(f"? AS a{i}" for i in range(arity))
     native = ENGINE.run_query(f"SELECT {expr_sql(call, lower=True)} FROM (SELECT {row})", values)
     try:
         python = ENGINE.run_query(f"SELECT {expr_sql(call)} FROM (SELECT {row})", values)[1][0][0]
