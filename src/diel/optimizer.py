@@ -61,11 +61,13 @@ def materialize_shared_views(
     evaluable: set[str] | None = None,
 ) -> dict[str, frozenset[str]]:
     """Plan table-backed storage for every view with two or more consumers:
-    view -> the relations whose change forces its refresh, in refresh order
-    (dependencies first).
+    view -> the growing relations whose change forces its refresh, in refresh
+    order (dependencies first); none for a view that reads only fixed tables.
 
     `evaluable` restricts candidates to views placed on the coordinator (a
-    view over remote base data exists only at the leaders that read it).
+    view over remote base data exists only at the leaders that read it). A
+    view that calls RANDOM() is never stored: each of its reads must draw
+    from the seeded generator (`calls_random`).
     """
     consumers: dict[str, int] = {}
     for name, reads in graph.reads.items():
@@ -82,9 +84,11 @@ def materialize_shared_views(
             continue
         if consumers.get(name, 0) < 2:
             continue
-        if evaluable is not None and name not in evaluable:
+        if evaluable is not None and name not in evaluable or calls_random(name, catalog):
             continue
-        materialized[name] = dependency_closure(name, catalog)
+        materialized[name] = frozenset(
+            dep for dep in dependency_closure(name, catalog) if catalog.relations[dep].kind in GROWING_KINDS
+        )
     return materialized
 
 

@@ -57,6 +57,7 @@ from .compiler import (
     build_dependency_graph,
     closure_table_refs,
     dependency_closure,
+    infer_output_columns,
     resolve_query,
 )
 from .engine import sql_type
@@ -128,18 +129,10 @@ class FederationPlan:
     # no entry. In the pass of an event on one of them the output has no
     # rows: the answer to that request enters later, as a timestep of its own
     waits_on: dict[str, list[str]] = field(default_factory=dict)
-    # shared view -> the relations whose change forces its refresh, for each
-    # view the coordinator keeps as a table (`materialize_shared_views`), in
-    # refresh order; set before emit_per_db_sql, which reads it
+    # each view kept as a table where `materialized_on` says (a shared view or
+    # a pre-aggregate) -> the growing relations whose change forces its
+    # refresh, in dependency order; set before emit_per_db_sql, which reads it
     materialized: dict[str, frozenset[str]] = field(default_factory=dict)
-    # grouped query relation -> the pre-aggregate it reads instead of its base
-    # table (`optimizer.preaggregates`); set before emit_per_db_sql, which
-    # reads it. Each pre-aggregate table is created on every instance that
-    # evaluates a query reading it, and (instance, table) -> the one
-    # INSERT … SELECT … GROUP BY that fills it once base data is loaded, set
-    # by emit_per_db_sql
-    preaggregates: dict[str, PreAggregate] = field(default_factory=dict)
-    preaggregate_fill: dict[tuple[str, str], str] = field(default_factory=dict)
     programs: dict[str, str] = field(default_factory=dict)
     # every index the programs create, in program order (`planned_indexes`);
     # set by emit_per_db_sql
@@ -405,6 +398,42 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
     return plan
 
 
+def add_preaggregates(plan: FederationPlan, found: dict[str, PreAggregate]) -> list[str]:
+    """Add each pre-aggregate (`optimizer.preaggregates`, relation -> the one
+    it reads) to the plan as a view, placed by `locate_relations`' rule, and
+    return them by name. A view is `SELECT keys, aggregates FROM base GROUP BY
+    keys`: each key column takes its base column's type, and each aggregate any
+    reader computes has none. Each reader's RelationDef is replaced, never
+    changed (the session's catalog shares it), by one over `preaggregated_query`."""
+    catalog = plan.catalog
+    computed: dict[str, tuple[PreAggregate, set]] = {}
+    for pre in found.values():
+        computed.setdefault(pre.table, (pre, set()))[1].update(pre.aggregates)
+    for table, (pre, aggregates) in sorted(computed.items()):
+        ordered = sorted(aggregates, key=lambda a: (a[0], a[1] or ""))
+        query = SelectQuery(
+            items=[SelectItem(ColumnRef(key)) for key in pre.keys] + [
+                SelectItem(FuncCall(fn, [] if col is None else [ColumnRef(col)], star=col is None),
+                           aggregate_column(fn, col))
+                for fn, col in ordered
+            ],
+            table=TableRef(pre.base),
+            group_by=[ColumnRef(key) for key in pre.keys],
+        )
+        view = RelationDef(table, RelationKind.VIEW, query=query, bindings=resolve_query(query, catalog))
+        view.columns = infer_output_columns(query, catalog, view.bindings)
+        catalog.relations[table] = view
+    for name, pre in found.items():
+        reader = replace(catalog.relations[name], query=preaggregated_query(catalog.relations[name].query, pre))
+        reader.bindings = resolve_query(reader.query, catalog)
+        catalog.relations[name] = reader
+    catalog.graph = build_dependency_graph(catalog)
+    for table in computed:
+        if not remote_bases(table, catalog, plan.placement, plan.coordinator):
+            plan.placement[table] = plan.coordinator
+    return sorted(computed)
+
+
 # --- SQL emission -------------------------------------------------------------------
 
 
@@ -425,35 +454,11 @@ def evaluated_on(plan: FederationPlan, name: str) -> list[str]:
     return sorted(on)
 
 
-def _lower_over_preaggregates(plan: FederationPlan) -> dict[str, list[str]]:
-    """Lower each pre-aggregated relation over its pre-aggregate and record
-    each table's fill; instance -> the CREATE TABLE of each table it holds.
-    A table holds the keys with the base table's column types, so each key
-    compares as the base column does, and one untyped column per aggregate
-    any query over it computes."""
-    catalog = plan.catalog
-    aggregates: dict[tuple[str, str], tuple[PreAggregate, set]] = {}
-    for name, pre in plan.preaggregates.items():
-        plan.relation_sql[name] = query_sql(
-            preaggregated_query(catalog.relations[name].query, pre), lower=True, udfs=catalog.udfs
-        )
-        for db_id in evaluated_on(plan, name):
-            aggregates.setdefault((db_id, pre.table), (pre, set()))[1].update(pre.aggregates)
-    ddl: dict[str, list[str]] = {}
-    plan.preaggregate_fill = {}
-    for (db_id, table), (pre, computed) in sorted(aggregates.items()):
-        base_columns = {c.name: c for c in catalog.relations[pre.base].columns}
-        ordered = sorted(computed, key=lambda a: (a[0], a[1] or ""))
-        columns = [base_columns[key] for key in pre.keys]
-        columns += [ColumnDef(aggregate_column(*a), None) for a in ordered]
-        ddl.setdefault(db_id, []).append(_create_table_sql(table, columns, ()))
-        keys = ", ".join(quote_ident(key) for key in pre.keys)
-        values = ", ".join("COUNT(*)" if col is None else f"{fn}({quote_ident(col)})" for fn, col in ordered)
-        plan.preaggregate_fill[db_id, table] = (
-            f"INSERT INTO {quote_ident(table)} ({', '.join(quote_ident(c.name) for c in columns)}) "
-            f"SELECT {keys}, {values} FROM {quote_ident(pre.base)} GROUP BY {keys}"
-        )
-    return ddl
+def materialized_on(plan: FederationPlan, view: str) -> list[str]:
+    """Where materialized view `view` is a table: every instance that
+    evaluates it when it reads no growing relation, else the coordinator,
+    which refreshes it (a leader evaluates it as a view)."""
+    return [plan.coordinator] if plan.materialized[view] else evaluated_on(plan, view)
 
 
 def _create_table_sql(name: str, columns: list[ColumnDef], system: tuple[str, ...]) -> str:
@@ -534,15 +539,12 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
     tables it stores (the base tables it owns, the relations shipped to it,
     and, on the coordinator, every event, history, plain and async-result
     table), each declared from its relation's columns and system columns;
-    then its pre-aggregates; then the views and outputs evaluated on it, in
-    dependency order. An owner that starts as a page copy of its SQLite file
-    (`file_loads`) creates no table for the file's tables. No engine has a
-    view of an async view: its leader runs its `relation_sql`.
-
-    Each view in `plan.materialized` is a table on the coordinator, typed as
-    the view's columns (a view on a leader that reads it), and each relation in `plan.preaggregates` is lowered
-    over its pre-aggregate, a table on each instance that evaluates it
-    (`preaggregate_fill`).
+    then the views and outputs evaluated on it, in dependency order. An
+    owner that starts as a page copy of its SQLite file (`file_loads`)
+    creates no table for the file's tables. No engine has a view of an async
+    view: its leader runs its `relation_sql`. Each view in
+    `plan.materialized` is a table, typed as the view's columns, on each
+    instance `materialized_on` names.
     Every query is lowered to SQL once, here, and kept on the plan for the
     runtime (`relation_sql`, `output_sql`, `program_sql`, `delta_sql`), next
     to the async views the request cache serves (`cached_views`). The
@@ -558,7 +560,6 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
         for rel in catalog.relations.values()
         if rel.query is not None
     }
-    preaggregate_ddl = _lower_over_preaggregates(plan)
     plan.output_sql = {rel.name: output_read_sql(rel) for rel in catalog.by_kind(RelationKind.OUTPUT)}
     plan.program_sql = {
         program.name: [_command_sql(command, plan) for command in program.commands]
@@ -625,10 +626,8 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
                     f"CREATE INDEX {quote_ident(index_name(rel.name, column))} "
                     f"ON {quote_ident(rel.name)} ({column});"
                 )
-        lines += preaggregate_ddl.get(db_id, [])
         for name in topo_sorted({name for name, on in evaluators.items() if db_id in on}):
-            # only the coordinator fills a materialized view
-            if name in plan.materialized and db_id == plan.coordinator:
+            if name in plan.materialized and db_id in materialized_on(plan, name):
                 lines.append(_create_table_sql(name, catalog.relations[name].columns, ()))
             else:
                 lines.append(create_view_sql(name))
@@ -671,14 +670,12 @@ def dump_plan(plan: FederationPlan) -> str:
         for index in plan.indexes:
             asked = f"range in {', '.join(index.reads)}" if index.reads else "policy reads"
             lines.append(f"{index.table} ({index.column}) @ {index.instance}, {asked}")
-    if plan.preaggregate_fill:
-        lines.append("== preaggregates ==")
-        for db_id, table in sorted(plan.preaggregate_fill, key=lambda key: (key[1], key[0])):
-            readers = sorted(name for name, pre in plan.preaggregates.items()
-                             if pre.table == table and db_id in evaluated_on(plan, name))
-            pre = plan.preaggregates[readers[0]]
-            keys = ", ".join(pre.keys)
-            lines.append(f"{table} <- {pre.base} ({keys}) @ {db_id}, read by {', '.join(readers)}")
+    if plan.materialized:
+        lines.append("== materialized ==")
+        for view in sorted(plan.materialized):
+            reads = sorted(plan.materialized[view])
+            kept = f"refreshed on {', '.join(reads)}" if reads else "filled once"
+            lines.append(f"{view} @ {', '.join(materialized_on(plan, view))}, {kept}")
     if plan.output_sql:
         lines.append("== outputs ==")
         for output, sql in sorted(plan.output_sql.items()):

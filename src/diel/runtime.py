@@ -51,7 +51,7 @@ from .errors import (
 )
 from .federation import RESULT_ROWS, Federation, Message, SimInstance
 from .optimizer import RequestCache, calls_random
-from .planner import FederationPlan
+from .planner import FederationPlan, materialized_on
 from .printer import expr_sql, query_sql, quote_ident  # noqa: F401 (bench/tracing.py wraps query_sql here)
 
 
@@ -139,8 +139,9 @@ class Runtime:
         }
         # per-event statements, formatted once: NOT EMPTY probes (view, SQL,
         # the relations whose change re-runs it, or None when the view calls
-        # RANDOM() and runs every timestep), mat-view refresh (DELETE, INSERT)
-        # and the backlog read of each relation shipped as deltas
+        # RANDOM() and runs every timestep), the refresh (DELETE, INSERT) of
+        # each materialized view that reads a growing relation, and the
+        # backlog read of each relation shipped as deltas
         self._backlog_sql = {
             relation: f"SELECT _rowid_, * FROM {quote_ident(relation)} WHERE _rowid_ > ?"
             for relations in self._deltas.values()
@@ -161,11 +162,9 @@ class Runtime:
                     "off the coordinator"
                 )
         self._refresh_sql = {
-            view: (
-                f"DELETE FROM {quote_ident(view)}",
-                f"INSERT INTO {quote_ident(view)} {plan.relation_sql[view]}",
-            )
-            for view in plan.materialized
+            view: (f"DELETE FROM {quote_ident(view)}", f"INSERT INTO {quote_ident(view)} {plan.relation_sql[view]}")
+            for view, reads in plan.materialized.items()
+            if reads
         }
         # trigger -> the commands of the programs it runs, in program order:
         # (program, statements, (table, staged history INSERT) or None)
@@ -206,9 +205,6 @@ class Runtime:
             ]
             if checks:
                 self._check_sql[rel.name] = checks
-        # materialized views start filled; each pass refreshes the changed ones
-        for view, (_, insert) in self._refresh_sql.items():
-            self.engine.execute(insert, context=f"init {view}")
         # every planned read is compiled once now: a read SQLite rejects fails
         # the build, naming its relation, and never leaves a pass half done
         reads = {sql: (f"program {p}", ()) for p, cmds in plan.program_sql.items() for c in cmds for sql in c}
@@ -435,15 +431,13 @@ class Runtime:
             changed = {triggering} | self._dirty_next
             self._dirty_next = set()
 
-            # (1) refresh materialized shared views whose dependencies changed,
+            # (1) refresh the materialized views whose growing reads changed,
             # so that programs and outputs read them as of t
-            for view, reads in self.plan.materialized.items():
-                if not (reads & changed):
-                    continue
-                delete, insert = self._refresh_sql[view]
-                self.engine.execute(delete, context=f"refresh {view}")
-                self.engine.execute(insert, context=f"refresh {view}")
-                changed.add(view)
+            for view, (delete, insert) in self._refresh_sql.items():
+                if not self.plan.materialized[view].isdisjoint(changed):
+                    self.engine.execute(delete, context=f"refresh {view}")
+                    self.engine.execute(insert, context=f"refresh {view}")
+                    changed.add(view)
 
             # (2) state programs; inserts are staged until the end of the pass
             staged: list[tuple[str, str, list[tuple]]] = []  # (table, INSERT, rows)
@@ -525,13 +519,12 @@ def setup(
 
     Every decision made at plan time is read from `plan`: the per-instance
     programs, the UDF registry every engine registers (`catalog.udfs`), the
-    pre-aggregates (`preaggregate_fill`), the materialized views
-    (`materialized`) and the async views the request cache
-    serves (`cached_views`). `base_rows` maps a base table to its rows as Python
-    values; `base_files` maps a base table to the SQLite file it is copied
-    from, by pages or by rows as `file_loads` says. Each base table is loaded
-    from that source alone, into its owner and into every instance the plan
-    snapshots it to, the coordinator included."""
+    materialized views (`materialized`) and the async views the request
+    cache serves (`cached_views`). `base_rows` maps a base table to its rows
+    as Python values; `base_files` maps a base table to the SQLite file it is
+    copied from, by pages or by rows as `file_loads` says. Each base table is
+    loaded from that source alone, into its owner and into every instance the
+    plan snapshots it to, the coordinator included."""
     remote_ids = sorted(set(plan.programs) - {plan.coordinator})
     for db_id in remote_ids:
         if links is None or db_id not in links:
@@ -580,9 +573,12 @@ def setup(
             context="load",
         )
 
-    # base tables never change, so each pre-aggregate is filled once, here
-    for (db_id, table), fill in plan.preaggregate_fill.items():
-        engine_of(db_id).execute(fill, context=f"fill {table}")
+    # each materialized view is filled once its inputs are loaded, in
+    # dependency order, on each instance that keeps it as a table
+    for view in plan.materialized:
+        for db_id in materialized_on(plan, view):
+            fill = f"INSERT INTO {quote_ident(view)} {plan.relation_sql[view]}"
+            engine_of(db_id).execute(fill, context=f"fill {view}")
 
     federation = Federation(plan.coordinator, instances, links or {})
 

@@ -23,6 +23,7 @@ from .parser import parse_diel
 from .planner import (
     DbDescriptor,
     FederationPlan,
+    add_preaggregates,
     base_schemas_of,
     emit_per_db_sql,
     plan_federation,
@@ -154,9 +155,10 @@ class Session:
         plan = plan_federation(catalog, descriptors)
 
         if config.materialize:
+            preaggregated = add_preaggregates(plan, preaggregates(plan.catalog))
             local = {name for name, db_id in plan.placement.items() if db_id == plan.coordinator}
-            plan.materialized = materialize_shared_views(plan.catalog, plan.catalog.graph, local)
-            plan.preaggregates = preaggregates(plan.catalog)
+            shared = materialize_shared_views(plan.catalog, plan.catalog.graph, local)
+            plan.materialized = dict.fromkeys(preaggregated, frozenset()) | shared
         emit_per_db_sql(plan)
         if not config.cache:
             plan.cached_views = set()

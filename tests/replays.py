@@ -8,6 +8,7 @@ import importlib
 import sys
 from pathlib import Path
 
+from diel.ast_nodes import ColumnDef
 from diel.corpus import load_examples
 from diel.session import DbConfig, RunConfig, TraceEntry
 
@@ -50,3 +51,30 @@ def bench_runs(seeds=SEEDS, latency: str | None = None):
             ]
             trace: list[TraceEntry] = workload.trace
             yield name, seed, RunConfig([workload.program], _relinked(databases, latency), seed=seed), trace
+
+
+# a view over a fixed table alone, read by an output on the coordinator and by
+# an async view that r1 leads (its `labels` outweigh `t` and one pick), so it
+# is a table on both instances, filled once at setup
+FIXED_SHARED_VIEW = """\
+CREATE EVENT TABLE pick(k INT);
+CREATE VIEW sums AS SELECT k, SUM(v) AS total FROM t GROUP BY k;
+CREATE OUTPUT shown AS SELECT s.total FROM sums s JOIN LATEST pick p ON s.k <= p.k;
+CREATE ASYNC VIEW labelled AS SELECT s.k, s.total, l.label FROM sums s
+  JOIN labels l ON l.k = s.k JOIN LATEST pick p ON s.k <= p.k;
+CREATE OUTPUT named AS SELECT k, total, label FROM LATEST_REQUEST labelled;
+"""
+
+
+def fixed_shared_view_run(seed: int = 1, latency: str | None = "fixed(5)"):
+    """(name, seed, config, trace) of FIXED_SHARED_VIEW with `labels` on r1
+    behind `latency`, or with every table on the coordinator when it is None."""
+    t = ([ColumnDef("k", "INT"), ColumnDef("v", "INT")], [(k, 10 * k + i) for k in (1, 2, 3) for i in (0, 1)])
+    labels = ([ColumnDef("k", "INT"), ColumnDef("label", "TEXT")], [(k, f"k{k}") for k in range(20)])
+    if latency is None:
+        databases = [DbConfig("main", "quick", tables={"t": t, "labels": labels})]
+    else:
+        databases = [DbConfig("main", "quick", tables={"t": t}),
+                     DbConfig("r1", "remote", latency=latency, tables={"labels": labels})]
+    trace = [TraceEntry(30 * i, "pick", {"k": k}) for i, k in enumerate((1, 3, 2))]
+    return "fixed_shared_view", seed, RunConfig([FIXED_SHARED_VIEW], databases, seed=seed), trace

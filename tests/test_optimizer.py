@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from diel.compiler import compile_program
 from diel.engine import read_csv_table
 from diel.optimizer import RequestCache, cacheable_views, materialize_shared_views
 from diel.parser import parse_diel
+from diel.planner import materialized_on
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
 from conftest import FLIGHT_COLUMNS
@@ -38,7 +40,7 @@ def test_view_with_two_consumers_is_materialized():
     catalog = compile_program(parse_diel(SHARED_VIEW), {"flights": FLIGHT_COLUMNS})
     materialized = materialize_shared_views(catalog, catalog.graph)
     assert "filtered" in materialized
-    assert materialized["filtered"] == {"flights", "yearItx"}
+    assert materialized["filtered"] == {"yearItx"}  # flights never changes
 
 
 def test_view_with_one_consumer_stays_virtual():
@@ -51,6 +53,28 @@ def test_materialization_respects_evaluable_filter():
     catalog = compile_program(parse_diel(SHARED_VIEW), {"flights": FLIGHT_COLUMNS})
     materialized = materialize_shared_views(catalog, catalog.graph, evaluable=set())
     assert materialized == {}
+
+
+def test_a_shared_view_that_calls_random_is_not_materialized():
+    """Each read of `sample` draws its own row: stored once, a and b would
+    share one sample, and the seeded generator would move once per pass."""
+    program = """\
+CREATE EVENT TABLE pick(k INT);
+CREATE VIEW sample AS SELECT t.v FROM t JOIN LATEST pick p ON t.k >= p.k ORDER BY RANDOM() LIMIT 1;
+CREATE OUTPUT a AS SELECT v FROM sample;
+CREATE OUTPUT b AS SELECT v FROM sample;
+"""
+    tables = {"t": ([ColumnDef("k", "INT"), ColumnDef("v", "INT")], [(i % 3, i) for i in range(50)])}
+    trace = [TraceEntry(10 * i, "pick", {"k": k}) for i, k in enumerate((0, 1, 2, 0, 1, 2))]
+    sessions = []
+    for materialize in (True, False):
+        config = RunConfig([program], [DbConfig("main", "quick", tables=tables)], seed=3, materialize=materialize)
+        sessions.append(Session.build(config))
+        sessions[-1].run_replay(trace)
+    on, off = sessions
+    assert on.plan.materialized == {}
+    assert [f.rows for f in off.runtime.frames[:2]] == [((47,),), ((37,),)]
+    assert on.output_log_text() == off.output_log_text()
 
 
 def test_materialization_is_transparent_end_to_end():
@@ -214,6 +238,32 @@ def test_exact_cached_views_of_the_corpus_and_benchmark_programs():
         "remote_reorder_cached": {"distDataEvent", "distStrictEvent"},
     })
     assert len(cached) == 23 and cached == expected
+
+
+def test_exact_materialized_views_of_the_corpus_and_benchmark_programs():
+    runs = [*corpus_runs(seeds=(1,)), *bench_runs(seeds=(1,))]
+    plans = {name: Session.build(config).plan for name, _seed, config, _trace in runs}
+    materialized = {name: {view: materialized_on(plan, view) for view in plan.materialized}
+                    for name, plan in plans.items()}
+    expected = {name: {} for name in materialized}
+    for name in ("connect_templates", "local_dashboard"):
+        expected[name] = {"__pre_flights_delay": ["main"], "filteredFlights": ["main"]}
+    expected["zoom_histogram"] = {"__pre_flights_delay": ["main"]}
+    assert len(materialized) == 23 and materialized == expected
+
+
+@pytest.mark.parametrize("name, seed, config, trace", [
+    pytest.param(*run, id=f"{run[0]}-{run[1]}") for run in [*corpus_runs(), *bench_runs()]
+])
+def test_materialization_is_transparent_over_every_program(name, seed, config, trace):
+    """The output log and the diagnostics are the same with materialization
+    on and off."""
+    runs = []
+    for materialize in (True, False):
+        session = Session.build(dataclasses.replace(config, materialize=materialize))
+        session.run_replay(trace)
+        runs.append((session.output_log_text(), session.runtime.diagnostics))
+    assert runs[0] == runs[1] and runs[0][0]
 
 
 READING_COLUMNS = [ColumnDef("k", "INT"), ColumnDef("timestep", "INT"), ColumnDef("v", "INT")]

@@ -12,7 +12,10 @@ from diel.ast_nodes import ColumnDef
 from diel.corpus import load_examples
 from diel.engine import read_csv_table
 from diel.errors import ReservedColumnNameError
+from diel.planner import materialized_on
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
+
+from replays import fixed_shared_view_run
 
 T = {"t": ([ColumnDef("k", "INT"), ColumnDef("v", "INT")], [(1, 10), (2, 20), (3, 30)])}
 PICKS = [TraceEntry(30 * i, "pick", {"k": k}) for i, k in enumerate((1, 2, 3))]
@@ -152,7 +155,7 @@ def test_a_preaggregated_zoom_led_by_r1_renders_the_all_local_final_frames(progr
     for latency, seed in REMOTE_RUNS:
         assert final_frames(program, ZOOMS, latency, seed, FLIGHTS) == local, (latency, seed)
     plan = build(program, "fixed(5)", tables=FLIGHTS).plan
-    assert list(plan.preaggregate_fill) == [("r1", "__pre_flights_delay")]
+    assert {view: materialized_on(plan, view) for view in plan.materialized} == {"__pre_flights_delay": ["r1"]}
     assert "__pre_flights_delay" in plan.programs["r1"] and "__pre_" not in plan.programs["main"]
 
 
@@ -197,6 +200,29 @@ def test_a_stored_remote_answer_compares_as_the_live_query_does():
     assert local["o2"] == (("n",), ((12,),))
     for latency, seed in REMOTE_RUNS:
         assert final_frames(program, trace, latency, seed, FLIGHTS) == local, (latency, seed)
+
+
+def test_a_fixed_shared_view_is_a_table_on_every_instance_that_evaluates_it():
+    """sums reads only t, so r1, which leads labelled, keeps it as a table too:
+    each instance fills it once at setup, and no pass writes it again."""
+    _, _, config, trace = fixed_shared_view_run(latency=None)
+    local = Session.build(config)
+    local.run_replay(trace)
+    for latency, seed in REMOTE_RUNS:
+        _, _, config, trace = fixed_shared_view_run(seed, latency)
+        session = Session.build(config)
+        plan, runtime = session.plan, session.runtime
+        assert plan.leaders == {"labelled": "r1"} and plan.materialized == {"sums": frozenset()}
+        assert materialized_on(plan, "sums") == ["main", "r1"]
+        statements = []
+        for engine in (runtime.engine, runtime.federation.instances["r1"].engine):
+            assert engine.run_query("SELECT type FROM sqlite_master WHERE name = 'sums'")[1] == [("table",)]
+            assert engine.run_query("SELECT * FROM sums ORDER BY k")[1] == [(1, 21), (2, 41), (3, 61)]
+            engine.conn.set_trace_callback(statements.append)
+        session.run_replay(trace)
+        assert statements and not [s for s in statements if s.startswith(("INSERT INTO sums", "DELETE FROM sums"))]
+        finals = {f.output: f.rows for f in session.runtime.frames}
+        assert finals == {f.output: f.rows for f in local.runtime.frames} and finals["named"], (latency, seed)
 
 
 def test_a_materialized_view_read_by_remote_leaders_stays_a_view_there():

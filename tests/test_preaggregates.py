@@ -1,7 +1,8 @@
 """Pre-aggregates: a grouped query over one fixed base table, joined only to
 LATEST event rows and grouped on a LATEST column, reads that table grouped
-once at setup. The candidates are exact, each exclusion holds, the plan
-reads only the pre-aggregate, and the log is the one without it."""
+once at setup, as a materialized view. The candidates are exact, each
+exclusion holds, the plan reads only the pre-aggregate, and the log is the
+one without it."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from diel.corpus import load_examples
 from diel.errors import ParseError
 from diel.optimizer import PreAggregate, preaggregates
 from diel.parser import parse_diel
-from diel.planner import dump_plan, evaluated_on
+from diel.planner import FederationPlan, dump_plan, evaluated_on, materialized_on
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 from diel.udfs import UdfDef
 
@@ -34,6 +35,18 @@ def workloads(monkeypatch):
     return importlib.import_module("workloads")
 
 
+def preaggregated_reads(plan: FederationPlan):
+    """(relation, pre-aggregate view, the view's base table, the name the
+    relation reads the view under) of each relation that reads one."""
+    for view in plan.materialized:
+        if view.startswith("__pre_"):
+            base = plan.catalog.relations[view].query.table.name
+            for rel in plan.catalog.relations.values():
+                for ref in rel.query.table_refs() if rel.query is not None else ():
+                    if ref.name == view:
+                        yield rel.name, view, base, ref.binding
+
+
 def workload_config(workload, materialize: bool = True) -> RunConfig:
     databases = [
         DbConfig(inst.name, inst.kind, latency=inst.latency, tables=dict(inst.tables))
@@ -46,12 +59,14 @@ def workload_config(workload, materialize: bool = True) -> RunConfig:
 
 
 def test_only_the_zoom_histograms_read_a_preaggregate(workloads):
+    """The decision is made over the planned catalog, which the build without
+    materialization leaves as it is."""
     found = {}
-    for name, example in EXAMPLES.items():
-        for relation, pre in Session.build(example.config()).plan.preaggregates.items():
-            found[name, relation] = pre
+    configs = {name: example.config(materialize=False) for name, example in EXAMPLES.items()}
     for name, make in workloads.WORKLOADS.items():
-        for relation, pre in Session.build(workload_config(make(1, scale=0.2))).plan.preaggregates.items():
+        configs[name] = workload_config(make(1, scale=0.2), materialize=False)
+    for name, config in configs.items():
+        for relation, pre in preaggregates(Session.build(config).plan.catalog).items():
             found[name, relation] = pre
     assert found == {
         ("zoom_histogram", "flightDelayDist"): DELAY_COUNT,
@@ -62,8 +77,8 @@ def test_only_the_zoom_histograms_read_a_preaggregate(workloads):
 
 def test_materialization_off_builds_no_preaggregate():
     plan = Session.build(EXAMPLES["zoom_histogram"].config(materialize=False)).plan
-    assert plan.preaggregates == {} and plan.preaggregate_fill == {}
-    assert "__pre_" not in plan.programs["main"] and "== preaggregates ==" not in dump_plan(plan)
+    assert plan.materialized == {} and not any("__pre_" in sql for sql in plan.relation_sql.values())
+    assert "__pre_" not in plan.programs["main"] and "== materialized ==" not in dump_plan(plan)
 
 
 ZOOM = "CREATE EVENT TABLE zoomItx(minD INT, maxD INT);\n"
@@ -155,7 +170,8 @@ def test_corpus_exclusions_stay_on_their_base_tables():
     followerAgeDist joins three base tables."""
     for name, relation in (("slider", "distData"), ("connect", "followerAgeDist")):
         plan = Session.build(EXAMPLES[name].config()).plan
-        assert relation not in plan.preaggregates and "__pre_" not in plan.relation_sql[relation]
+        assert not any(view.startswith("__pre_") for view in plan.materialized)
+        assert "__pre_" not in plan.relation_sql[relation]
 
 
 def test_count_distinct_is_not_in_the_dialect():
@@ -187,13 +203,13 @@ def test_every_preaggregated_read_scans_the_preaggregate_not_its_base(workloads)
     checked = []
     for name, session in sessions.items():
         plan, runtime = session.plan, session.runtime
-        for relation, pre in plan.preaggregates.items():
+        for relation, view, base, binding in preaggregated_reads(plan):
             for db_id in evaluated_on(plan, relation):
                 engine = runtime.engine if db_id == plan.coordinator else runtime.federation.instances[db_id].engine
                 opened = opened_tables(engine, plan.relation_sql[relation])
-                assert pre.table in opened and pre.base not in opened, (name, relation, opened)
+                assert view in opened and base not in opened, (name, relation, opened)
                 details = [row[3] for row in engine.conn.execute("EXPLAIN QUERY PLAN " + plan.relation_sql[relation])]
-                assert f"SCAN {pre.binding}" in details, details
+                assert f"SCAN {binding}" in details, details
                 checked.append((name, relation, db_id))
     assert sorted(checked) == [
         ("connect_templates", "distAll", "main"),
@@ -206,10 +222,10 @@ def test_every_preaggregated_read_scans_the_preaggregate_not_its_base(workloads)
 def test_the_preaggregate_holds_one_row_per_key_with_its_aggregates():
     session = Session.build(EXAMPLES["zoom_histogram"].config())
     engine = session.runtime.engine
-    assert session.plan.preaggregate_fill == {("main", "__pre_flights_delay"): (
-        "INSERT INTO __pre_flights_delay (delay, __count) "
-        "SELECT delay, COUNT(*) FROM flights GROUP BY delay"
-    )}
+    assert session.plan.materialized == {"__pre_flights_delay": frozenset()}
+    assert session.plan.relation_sql["__pre_flights_delay"] == (
+        "SELECT delay, COUNT(*) AS __count FROM flights GROUP BY delay"
+    )
     assert engine.run_query('SELECT * FROM "__pre_flights_delay"')[1] == engine.run_query(
         "SELECT delay, COUNT(*) FROM flights GROUP BY delay ORDER BY delay")[1]
     assert "CREATE TABLE __pre_flights_delay (delay INTEGER, __count);" in session.plan.programs["main"]
@@ -218,7 +234,8 @@ def test_the_preaggregate_holds_one_row_per_key_with_its_aggregates():
 def test_dump_plan_lists_each_preaggregate():
     plan = Session.build(EXAMPLES["connect_templates"].config()).plan
     assert (
-        "== preaggregates ==\n__pre_flights_delay <- flights (delay) @ main, read by distAll\n== outputs =="
+        "== materialized ==\n__pre_flights_delay @ main, filled once\n"
+        "filteredFlights @ main, refreshed on originSelItx\n== outputs =="
         in dump_plan(plan)
     )
 
@@ -230,9 +247,9 @@ def test_cli_dump_plan_prints_the_preaggregates(tmp_path, capsys):
     args = ["run", "--diel", str(example / "program.diel"), "--db", f"main=quick:{CORPUS / 'data' / 'flights.csv'}",
             "--seed", "7", "--trace", str(example / "trace.jsonl"), "--out", str(tmp_path), "--dump-plan"]
     assert main(args) == 0
-    assert "__pre_flights_delay <- flights (delay) @ main, read by flightDelayDist" in capsys.readouterr().out
+    assert "== materialized ==\n__pre_flights_delay @ main, filled once\n" in capsys.readouterr().out
     assert main(args + ["--no-materialize"]) == 0
-    assert "== preaggregates ==" not in capsys.readouterr().out
+    assert "== materialized ==" not in capsys.readouterr().out
 
 
 # --- the log is the one without pre-aggregates ----------------------------------------
@@ -322,5 +339,6 @@ def test_a_preaggregated_view_is_filled_wherever_it_is_created(seed):
         session.run_replay(zoom_trace(seed, 10))
         finals.append([f.rows for f in session.runtime.frames][-1])
     assert session.plan.leaders == {"labelled": "r1"}
-    assert sorted(session.plan.preaggregate_fill) == [("main", "__pre_flights_delay"), ("r1", "__pre_flights_delay")]
+    assert session.plan.materialized == {"__pre_flights_delay": frozenset()}
+    assert materialized_on(session.plan, "__pre_flights_delay") == ["main", "r1"]
     assert finals[0] == finals[1] and finals[0]
