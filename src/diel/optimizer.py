@@ -2,11 +2,14 @@
 request cache and empty-delta checks.
 
 All four are semantically transparent: materialization trades view
-re-evaluation for refresh-on-change, a pre-aggregate groups a fixed table
-once so that a grouped query re-aggregates its groups instead of its rows,
-the cache replays stored result rows as ordinary async result events, so
-concurrency policies apply to hits and misses alike, and an output whose
-delta is provably empty keeps its rows.
+re-evaluation for refresh-on-change, a pre-aggregate is a count tile, a fixed
+table counted once per key, so that a grouped query sums the counts of its
+groups instead of counting rows (`COUNT(*)` alone: a sum of group sums adds
+its terms in another order; tiles enter the compiled catalog before the
+planner places them, as it places any view), the cache replays stored
+result rows as ordinary async result events, so concurrency policies apply to
+hits and misses alike, and an output whose delta is provably empty keeps its
+rows.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, replace
 from .ast_nodes import (
     BinaryOp,
     CaseExpr,
+    ColumnDef,
     ColumnRef,
     Expr,
     FuncCall,
@@ -41,10 +45,12 @@ from .compiler import (
     RelationDef,
     RelationKind,
     all_queries,
+    build_dependency_graph,
     closure_relations,
     closure_table_refs,
     dependency_closure,
     referenced_relations,
+    resolve_query,
 )
 from .udfs import AGGREGATE_FUNCTIONS
 
@@ -94,32 +100,21 @@ def materialize_shared_views(
 
 # --- pre-aggregates ---------------------------------------------------------------
 
-# the aggregates a pre-aggregate can stand in for: each is an aggregate of
-# the per-group aggregates (COUNT and SUM the SUM of them)
-PREAGGREGABLE = ("COUNT", "SUM", "MIN", "MAX")
-
 
 @dataclass(frozen=True)
 class PreAggregate:
-    """A grouped query's fixed base table, grouped once at setup by the base
-    columns the query reads outside its aggregates (`keys`, in the base
-    table's column order), with one column per aggregate the query computes:
-    (function, column), ("COUNT", None) for COUNT(*). `binding` is the name
-    the query reads the base table under, which the pre-aggregate keeps."""
+    """A count tile: a grouped query's fixed base table, counted once at setup
+    per value of the base columns the query reads (`keys`, in the base table's
+    column order). `binding` is the name the query reads the base table under,
+    which the tile keeps."""
 
     base: str
     binding: str
     keys: tuple[str, ...]
-    aggregates: tuple[tuple[str, str | None], ...]
 
     @property
     def table(self) -> str:
         return "__pre_" + "_".join((self.base, *self.keys))
-
-
-def aggregate_column(function: str, column: str | None) -> str:
-    """The pre-aggregate column that holds one aggregate of each group."""
-    return "__count" if column is None else f"__{function.lower()}_{column}"
 
 
 def _is_aggregate(node: Expr) -> bool:
@@ -129,14 +124,10 @@ def _is_aggregate(node: Expr) -> bool:
     return node.name.upper() not in ("MIN", "MAX") or len(node.args) == 1
 
 
-def _aggregate_key(call: FuncCall) -> tuple[str, str | None]:
-    return ("COUNT", None) if call.star else (call.name.upper(), call.args[0].column)
-
-
 def preaggregates(catalog: Catalog) -> dict[str, PreAggregate]:
-    """Query relations whose grouped query reads a pre-aggregate instead of
-    its base table: relation -> the pre-aggregate. The rule and each
-    exclusion are in "Pre-aggregates" in docs/dialect.md."""
+    """Query relations whose grouped query reads a count tile instead of its
+    base table: relation -> the tile. The rule and each exclusion are in
+    "Pre-aggregates" in docs/dialect.md."""
     found: dict[str, PreAggregate] = {}
     sources: dict[str, tuple] = {}  # table -> the (base, keys) it was first named for
     for rel in catalog.by_kind(*QUERY_KINDS):
@@ -150,9 +141,9 @@ def preaggregates(catalog: Catalog) -> dict[str, PreAggregate]:
 
 
 def _preaggregate(relation: RelationDef, catalog: Catalog) -> PreAggregate | None:
-    """The pre-aggregate of a query over one base table B joined only to
-    LATEST event rows, whose GROUP BY reads a LATEST column; None when the
-    query is not one, or computes what per-group aggregates cannot give."""
+    """The tile of a query over one base table B joined only to LATEST event
+    rows, whose GROUP BY reads a LATEST column and whose only aggregate is
+    COUNT(*); None when the query is not one."""
     query, bindings = relation.query, relation.bindings
     refs = query.table_refs()
     fixed = [ref for ref in refs if not ref.latest]
@@ -191,24 +182,17 @@ def _preaggregate(relation: RelationDef, catalog: Catalog) -> PreAggregate | Non
     ):
         return None
 
-    calls = [node for node in nodes if _is_aggregate(node)]
-    for call in calls:
-        if call.star:
-            if call.name.upper() != "COUNT":
-                return None
-            continue
-        arg = call.args[0] if len(call.args) == 1 else None
-        if call.name.upper() not in PREAGGREGABLE or not base_column(arg) or arg.column not in types:
-            return None
-        if call.name.upper() == "SUM" and types[arg.column] != "INT":
-            return None
-    aggregated = {id(node) for call in calls for node in walk(call)}
-    keys = {node.column for node in nodes if id(node) not in aggregated and base_column(node)}
+    # COUNT(*) alone: a sum of group sums adds its terms in another order,
+    # which can round or overflow differently (COUNT(x), MIN and MAX would
+    # regroup exactly, but no workload asks for them)
+    if any(_is_aggregate(node) and not (node.star and node.name.upper() == "COUNT") for node in nodes):
+        return None
+    keys = {node.column for node in nodes if base_column(node)}
     if not keys or any(types.get(key) is None for key in keys):
         return None  # a rowid or an untyped column, whose equal values may differ in type
 
     # a base column outside an aggregate and outside every grouped expression
-    # takes an arbitrary row's value, which the pre-aggregate cannot give
+    # takes an arbitrary row's value, which the tile cannot give
     grouped = [alias(g) or g for g in query.group_by]
 
     def bare(expr: Expr) -> bool:
@@ -221,23 +205,19 @@ def _preaggregate(relation: RelationDef, catalog: Catalog) -> PreAggregate | Non
     selected = [item.expr for item in query.items] + [o.expr for o in query.order_by]
     if any(bare(expr) for expr in selected + ([query.having] if query.having is not None else [])):
         return None
-    aggregates = tuple(dict.fromkeys(_aggregate_key(call) for call in calls))
-    if {aggregate_column(*a) for a in aggregates} & (types.keys() | others | aliases):
+    if "__count" in types.keys() | others | aliases:
         return None
-    return PreAggregate(base.name, base.binding, tuple(c for c in types if c in keys), aggregates)
+    return PreAggregate(base.name, base.binding, tuple(c for c in types if c in keys))
 
 
 def preaggregated_query(query: SelectQuery, pre: PreAggregate) -> SelectQuery:
-    """`query` over its pre-aggregate, read under the base table's binding:
-    COUNT(*) becomes the SUM of the per-group counts, COUNT(x) and SUM(x) the
-    SUM of their per-group columns, MIN and MAX the MIN and MAX of theirs.
-    What does not change is shared with `query`."""
+    """`query` over its tile, read under the base table's binding: each
+    COUNT(*) becomes the SUM of the per-group counts. What does not change is
+    shared with `query`."""
 
     def over(expr: Expr | None) -> Expr | None:
-        if _is_aggregate(expr):
-            function, column = _aggregate_key(expr)
-            combine = "SUM" if function in ("COUNT", "SUM") else function
-            return FuncCall(combine, [ColumnRef(aggregate_column(function, column), pre.binding)])
+        if _is_aggregate(expr):  # a COUNT(*), the one aggregate a tile's reader computes
+            return FuncCall("SUM", [ColumnRef("__count", pre.binding)])
         if isinstance(expr, BinaryOp):
             return BinaryOp(expr.op, over(expr.left), over(expr.right))
         if isinstance(expr, UnaryOp):
@@ -262,6 +242,38 @@ def preaggregated_query(query: SelectQuery, pre: PreAggregate) -> SelectQuery:
         having=over(query.having),
         order_by=[OrderItem(over(order.expr), order.descending) for order in query.order_by],
     )
+
+
+def add_preaggregates(catalog: Catalog) -> tuple[list[str], Catalog]:
+    """The tiles of `preaggregates` by name, and a copy of the compiled
+    `catalog` that holds each one as a view, `SELECT keys, COUNT(*) AS __count
+    FROM base GROUP BY keys` (each key typed as its base column, `__count`
+    untyped), and in which each reader is replaced, never changed, by one over
+    `preaggregated_query`; `catalog` itself when no query qualifies. The
+    planner places a tile as it places any view."""
+    found = preaggregates(catalog)
+    if not found:
+        return [], catalog
+    catalog = replace(catalog, relations=dict(catalog.relations))
+    tiles = {pre.table: pre for pre in found.values()}
+    for table, pre in sorted(tiles.items()):
+        query = SelectQuery(
+            items=[SelectItem(ColumnRef(key)) for key in pre.keys]
+            + [SelectItem(FuncCall("COUNT", star=True), "__count")],
+            table=TableRef(pre.base),
+            group_by=[ColumnRef(key) for key in pre.keys],
+        )
+        types = {c.name: c.type for c in catalog.relations[pre.base].columns}
+        columns = [ColumnDef(key, types[key]) for key in pre.keys] + [ColumnDef("__count", None)]
+        catalog.relations[table] = RelationDef(
+            table, RelationKind.VIEW, columns, query=query, bindings=resolve_query(query, catalog)
+        )
+    for name, pre in found.items():
+        reader = replace(catalog.relations[name], query=preaggregated_query(catalog.relations[name].query, pre))
+        reader.bindings = resolve_query(reader.query, catalog)
+        catalog.relations[name] = reader
+    catalog.graph = build_dependency_graph(catalog)
+    return sorted(tiles), catalog
 
 
 # --- request cache ---------------------------------------------------------------

@@ -57,7 +57,6 @@ from .compiler import (
     build_dependency_graph,
     closure_table_refs,
     dependency_closure,
-    infer_output_columns,
     resolve_query,
 )
 from .engine import sql_type
@@ -67,19 +66,10 @@ from .errors import (
     DuplicateRelationError,
     UnknownRelationError,
 )
-from .optimizer import (
-    PreAggregate,
-    aggregate_column,
-    cacheable_views,
-    calls_random,
-    delta_paths,
-    preaggregated_query,
-)
+from .optimizer import cacheable_views, calls_random, delta_paths
 from .printer import expr_sql, query_sql, quote_ident
 
 KIND_QUICK = "quick"
-KIND_BACKGROUND = "background"
-KIND_REMOTE = "remote"
 
 
 @dataclass
@@ -396,42 +386,6 @@ def plan_federation(catalog: Catalog, dbs: list[DbDescriptor]) -> FederationPlan
         waits_on=waits_on,
     )
     return plan
-
-
-def add_preaggregates(plan: FederationPlan, found: dict[str, PreAggregate]) -> list[str]:
-    """Add each pre-aggregate (`optimizer.preaggregates`, relation -> the one
-    it reads) to the plan as a view, placed by `locate_relations`' rule, and
-    return them by name. A view is `SELECT keys, aggregates FROM base GROUP BY
-    keys`: each key column takes its base column's type, and each aggregate any
-    reader computes has none. Each reader's RelationDef is replaced, never
-    changed (the session's catalog shares it), by one over `preaggregated_query`."""
-    catalog = plan.catalog
-    computed: dict[str, tuple[PreAggregate, set]] = {}
-    for pre in found.values():
-        computed.setdefault(pre.table, (pre, set()))[1].update(pre.aggregates)
-    for table, (pre, aggregates) in sorted(computed.items()):
-        ordered = sorted(aggregates, key=lambda a: (a[0], a[1] or ""))
-        query = SelectQuery(
-            items=[SelectItem(ColumnRef(key)) for key in pre.keys] + [
-                SelectItem(FuncCall(fn, [] if col is None else [ColumnRef(col)], star=col is None),
-                           aggregate_column(fn, col))
-                for fn, col in ordered
-            ],
-            table=TableRef(pre.base),
-            group_by=[ColumnRef(key) for key in pre.keys],
-        )
-        view = RelationDef(table, RelationKind.VIEW, query=query, bindings=resolve_query(query, catalog))
-        view.columns = infer_output_columns(query, catalog, view.bindings)
-        catalog.relations[table] = view
-    for name, pre in found.items():
-        reader = replace(catalog.relations[name], query=preaggregated_query(catalog.relations[name].query, pre))
-        reader.bindings = resolve_query(reader.query, catalog)
-        catalog.relations[name] = reader
-    catalog.graph = build_dependency_graph(catalog)
-    for table in computed:
-        if not remote_bases(table, catalog, plan.placement, plan.coordinator):
-            plan.placement[table] = plan.coordinator
-    return sorted(computed)
 
 
 # --- SQL emission -------------------------------------------------------------------

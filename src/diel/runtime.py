@@ -167,20 +167,18 @@ class Runtime:
             if reads
         }
         # trigger -> the commands of the programs it runs, in program order:
-        # (program, statements, (table, staged history INSERT) or None)
-        self._triggered: dict[str, list[tuple[str, list[str], tuple[str, str] | None]]] = {}
+        # (program, statements, (history table, the position in a command row
+        # of each of the table's columns, None for one the INSERT leaves out)
+        # or None)
+        self._triggered: dict[str, list[tuple[str, list[str], tuple[str, list[int | None]] | None]]] = {}
         for program in self.catalog.programs.values():
             commands = []
             for command, sqls in zip(program.commands, plan.program_sql[program.name]):
                 target = None
                 if isinstance(command, InsertStatement):
-                    names = command.columns or [
-                        c.name for c in self.catalog.relations[command.table].columns
-                    ]
-                    col_sql = ", ".join(quote_ident(c) for c in names + ["timestep"])
-                    marks = ", ".join("?" * (len(names) + 1))
-                    insert = f"INSERT INTO {quote_ident(command.table)} ({col_sql}) VALUES ({marks})"
-                    target = (command.table, insert)
+                    names = [c.name for c in self.catalog.relations[command.table].columns]
+                    given = command.columns or names
+                    target = (command.table, [given.index(c) if c in given else None for c in names])
                 commands.append((program.name, sqls, target))
             for trigger in dict.fromkeys(program.triggers):
                 self._triggered.setdefault(trigger, []).extend(commands)
@@ -439,12 +437,16 @@ class Runtime:
                     self.engine.execute(insert, context=f"refresh {view}")
                     changed.add(view)
 
-            # (2) state programs; inserts are staged until the end of the pass
-            staged: list[tuple[str, str, list[tuple]]] = []  # (table, INSERT, rows)
+            # (2) state programs; inserts are staged until the end of the pass,
+            # each row full width: the table's columns, then its timestep
+            staged: list[tuple[str, list[tuple]]] = []  # (history table, rows)
             for program, sqls, target in self._triggered.get(triggering, ()):
                 rows = [row for sql in sqls for row in self.engine.read(sql, context=f"program {program}")]
                 if target is not None:
-                    staged.append((*target, rows))
+                    table, positions = target
+                    staged.append((table, [
+                        tuple(None if i is None else row[i] for i in positions) + (t,) for row in rows
+                    ]))
 
             # (3) re-evaluate outputs whose dependency closure changed, unless
             # the output is rewritten and waits on the triggering event table:
@@ -490,10 +492,9 @@ class Runtime:
                     for callback in self.bindings.get(frame.output, []):
                         callback(frame)
             finally:
-                for table, insert, rows in staged:
-                    for row in rows:
-                        self.engine.execute(insert, row + (t,), context=f"history insert {table}")
+                for table, rows in staged:
                     if rows:
+                        self.engine.insert_rows(table, rows, context=f"history insert {table}")
                         self._dirty_next.add(table)
         except BaseException:
             self._empty.clear()  # a pass cut short may leave a change no probe saw

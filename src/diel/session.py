@@ -18,12 +18,11 @@ from .compiler import Catalog, compile_program
 from .engine import introspect_sqlite, read_csv_table
 from .errors import ConfigError, TraceParseError
 from .federation import Link, LatencySpec, parse_latency_spec, run_until_quiescent
-from .optimizer import materialize_shared_views, preaggregates
+from .optimizer import add_preaggregates, materialize_shared_views
 from .parser import parse_diel
 from .planner import (
     DbDescriptor,
     FederationPlan,
-    add_preaggregates,
     base_schemas_of,
     emit_per_db_sql,
     plan_federation,
@@ -152,13 +151,14 @@ class Session:
             )
         source = "\n".join(config.diel_sources)
         catalog = compile_program(parse_diel(source), base_schemas_of(descriptors), config.udfs)
-        plan = plan_federation(catalog, descriptors)
+        # the planner places each count tile as it places any view
+        tiles, planned = add_preaggregates(catalog) if config.materialize else ([], catalog)
+        plan = plan_federation(planned, descriptors)
 
         if config.materialize:
-            preaggregated = add_preaggregates(plan, preaggregates(plan.catalog))
             local = {name for name, db_id in plan.placement.items() if db_id == plan.coordinator}
             shared = materialize_shared_views(plan.catalog, plan.catalog.graph, local)
-            plan.materialized = dict.fromkeys(preaggregated, frozenset()) | shared
+            plan.materialized = dict.fromkeys(tiles, frozenset()) | shared
         emit_per_db_sql(plan)
         if not config.cache:
             plan.cached_views = set()

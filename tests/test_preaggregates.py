@@ -1,13 +1,15 @@
 """Pre-aggregates: a grouped query over one fixed base table, joined only to
-LATEST event rows and grouped on a LATEST column, reads that table grouped
-once at setup, as a materialized view. The candidates are exact, each
-exclusion holds, the plan reads only the pre-aggregate, and the log is the
-one without it."""
+LATEST event rows and grouped on a LATEST column, whose only aggregate is
+COUNT(*), reads a count tile of that table, filled once at setup as a
+materialized view. The candidates are exact, each exclusion holds, the plan
+reads only the tile, and the log is the one without it."""
 
 from __future__ import annotations
 
 import importlib
+import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from diel.ast_nodes import ColumnDef
 from diel.compiler import compile_program
 from diel.corpus import load_examples
-from diel.errors import ParseError
+from diel.errors import EngineError, ParseError
 from diel.optimizer import PreAggregate, preaggregates
 from diel.parser import parse_diel
 from diel.planner import FederationPlan, dump_plan, evaluated_on, materialized_on
@@ -23,10 +25,11 @@ from diel.session import DbConfig, RunConfig, Session, TraceEntry
 from diel.udfs import UdfDef
 
 from conftest import FLIGHT_COLUMNS
+from replays import bench_runs, corpus_runs
 
 EXAMPLES = load_examples()
 CORPUS = Path(__file__).resolve().parent.parent / "src" / "diel" / "corpus"
-DELAY_COUNT = PreAggregate("flights", "flights", ("delay",), (("COUNT", None),))
+DELAY_COUNT = PreAggregate("flights", "flights", ("delay",))
 
 
 @pytest.fixture
@@ -59,14 +62,13 @@ def workload_config(workload, materialize: bool = True) -> RunConfig:
 
 
 def test_only_the_zoom_histograms_read_a_preaggregate(workloads):
-    """The decision is made over the planned catalog, which the build without
-    materialization leaves as it is."""
+    """The decision is made over the compiled catalog, `Session.catalog`."""
     found = {}
-    configs = {name: example.config(materialize=False) for name, example in EXAMPLES.items()}
+    configs = {name: example.config() for name, example in EXAMPLES.items()}
     for name, make in workloads.WORKLOADS.items():
-        configs[name] = workload_config(make(1, scale=0.2), materialize=False)
+        configs[name] = workload_config(make(1, scale=0.2))
     for name, config in configs.items():
-        for relation, pre in preaggregates(Session.build(config).plan.catalog).items():
+        for relation, pre in preaggregates(Session.build(config).catalog).items():
             found[name, relation] = pre
     assert found == {
         ("zoom_histogram", "flightDelayDist"): DELAY_COUNT,
@@ -87,21 +89,26 @@ JOIN_ZOOM = "flights JOIN LATEST zoomItx z"
 M_COLUMNS = [ColumnDef("k", "INT"), ColumnDef("r", "REAL"), ColumnDef("u", None)]
 SCHEMAS = {"flights": FLIGHT_COLUMNS, "m": M_COLUMNS}
 
-# every aggregate a pre-aggregate stands in for, and a base column in WHERE
-# and inside a grouped expression
-EVERY_AGGREGATE = (
-    f"SELECT {BIN}, COUNT(), COUNT(distance) AS n, SUM(distance) AS s, MIN(origin) AS lo, "
-    f"MAX(distance) AS hi FROM {JOIN_ZOOM} WHERE flight_year > z.minD / 20 + 1996 "
-    "GROUP BY bin HAVING bin >= z.minD ORDER BY bin DESC"
+
+def grouped_by_bin(aggregates: str) -> str:
+    """A grouped query over flights with a base column in WHERE and inside a
+    grouped expression, computing `aggregates`."""
+    return (
+        f"SELECT {BIN}, {aggregates} FROM {JOIN_ZOOM} WHERE flight_year > z.minD / 20 + 1996 "
+        "GROUP BY bin HAVING bin >= z.minD ORDER BY bin DESC"
+    )
+
+
+# every aggregate but AVG and TOTAL, which the exclusions below list too
+EVERY_AGGREGATE = grouped_by_bin(
+    "COUNT(), COUNT(distance) AS n, SUM(distance) AS s, MIN(origin) AS lo, MAX(distance) AS hi"
 )
+COUNT_BY_BIN = grouped_by_bin("COUNT() AS n, COUNT(*) + 1 AS m")
 
 
-def test_every_preaggregable_aggregate_gets_a_column():
-    catalog = compile_program(parse_diel(ZOOM + f"CREATE OUTPUT o AS {EVERY_AGGREGATE};"), SCHEMAS)
-    assert preaggregates(catalog) == {"o": PreAggregate(
-        "flights", "flights", ("flight_year", "delay"),
-        (("COUNT", None), ("COUNT", "distance"), ("SUM", "distance"), ("MIN", "origin"), ("MAX", "distance")),
-    )}
+def test_a_count_tile_is_keyed_on_every_base_column_its_query_reads():
+    catalog = compile_program(parse_diel(ZOOM + f"CREATE OUTPUT o AS {COUNT_BY_BIN};"), SCHEMAS)
+    assert preaggregates(catalog) == {"o": PreAggregate("flights", "flights", ("flight_year", "delay"))}
 
 
 # exclusion -> a query it excludes (each over flights or m, joined to LATEST zoomItx)
@@ -111,6 +118,11 @@ EXCLUDED = {
     "history table": f"SELECT {BIN}, COUNT() FROM {JOIN_ZOOM} JOIN LATEST zooms h ON h.minD = z.minD GROUP BY bin",
     "plain event table": f"SELECT {BIN}, COUNT() FROM {JOIN_ZOOM} JOIN zoomItx a ON a.minD = z.minD GROUP BY bin",
     "real sum": "SELECT ROUND(k / z.maxD) AS bin, SUM(r) FROM m JOIN LATEST zoomItx z GROUP BY bin",
+    # COUNT(x), MIN and MAX would regroup exactly, but no workload asks for them
+    "count of a column": grouped_by_bin("COUNT(), COUNT(distance) AS n"),
+    "integer sum": grouped_by_bin("COUNT(), SUM(distance) AS s"),
+    "min": grouped_by_bin("COUNT(), MIN(origin) AS lo"),
+    "max": grouped_by_bin("COUNT(), MAX(distance) AS hi"),
     "avg": f"SELECT {BIN}, AVG(distance) FROM {JOIN_ZOOM} GROUP BY bin",
     "total": f"SELECT {BIN}, TOTAL(distance) FROM {JOIN_ZOOM} GROUP BY bin",
     "aggregate of a latest column": f"SELECT {BIN}, SUM(z.maxD) FROM {JOIN_ZOOM} GROUP BY bin",
@@ -162,7 +174,7 @@ CREATE OUTPUT shadowed AS SELECT ROUND(k / z.maxD) AS bin, COUNT() FROM e JOIN L
   WHERE __count > 0 GROUP BY bin;
 """
     catalog = compile_program(parse_diel(program), schemas)
-    assert preaggregates(catalog) == {"first": PreAggregate("a_b", "a_b", ("c",), (("COUNT", None),))}
+    assert preaggregates(catalog) == {"first": PreAggregate("a_b", "a_b", ("c",))}
 
 
 def test_corpus_exclusions_stay_on_their_base_tables():
@@ -306,13 +318,71 @@ def nullable_flights(seed: int, n: int = 2000) -> list[tuple]:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_aggregate_renders_as_without_its_preaggregate(seed):
-    program = ZOOM + f"CREATE OUTPUT o AS {EVERY_AGGREGATE};"
+    """`o` is no candidate; `c` reads a count tile whose keys are NULL now and then."""
+    program = ZOOM + f"CREATE OUTPUT o AS {EVERY_AGGREGATE};\nCREATE OUTPUT c AS {COUNT_BY_BIN};"
     databases = [DbConfig("main", "quick", tables={"flights": (FLIGHT_COLUMNS, nullable_flights(seed))})]
+    config = RunConfig([program], databases, seed=seed)
+    assert list(preaggregates(Session.build(config).catalog)) == ["c"]
     on, off = (
         replay_log(RunConfig([program], databases, seed=seed, materialize=m), zoom_trace(seed))
         for m in (True, False)
     )
-    assert on == off and on.count("[[") > 20
+    shown = Counter(frame["output"] for frame in map(json.loads, on.splitlines()) if frame["rows"])
+    assert on == off and shown["o"] > 20 and shown["c"] > 20
+
+
+# a sum of group sums adds its terms in another order than the sum of the
+# rows: an INT column holds the REAL values given rows (or a .db file) bring
+SUMMED = ZOOM + (
+    "CREATE OUTPUT o AS SELECT ROUND(k / z.maxD) AS bin, SUM(x) AS s FROM m JOIN LATEST zoomItx z GROUP BY bin;"
+)
+# rows of m(k, x) -> what the sum of the rows gives (a sum of group sums gives
+# [[0.0,1.0]] and [[0.0,0]])
+SUMMED_ROWS = {
+    "rounding": ([(1, 10**16), (2, 0.5), (1, -10**16), (2, 0.5)], '"rows":[[0.0,0.5]]'),
+    "overflow": ([(1, 2**62), (2, 2**62), (1, -2**62), (2, -2**62)], "integer overflow"),
+}
+
+
+def replay_outcome(config: RunConfig, trace: list[TraceEntry]) -> str:
+    """The log, or the error the replay raised."""
+    try:
+        return replay_log(config, trace)
+    except EngineError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("rows", sorted(SUMMED_ROWS))
+def test_a_sum_renders_as_without_materialization(rows):
+    given, expected = SUMMED_ROWS[rows]
+    table = {"m": ([ColumnDef("k", "INT"), ColumnDef("x", "INT")], given)}
+    trace = [TraceEntry(0, "zoomItx", {"minD": 0, "maxD": 100})]
+    on, off = (
+        replay_outcome(RunConfig([SUMMED], [DbConfig("main", "quick", tables=table)], seed=1, materialize=m), trace)
+        for m in (True, False)
+    )
+    assert on == off and expected in on
+
+
+def test_every_tile_of_the_corpus_and_benchmark_programs_holds_its_keys_and_a_count():
+    """Each planned tile declares exactly its keys, typed as their base
+    columns, and `__count`, untyped."""
+    tiles = {}
+    for name, _seed, config, _trace in [*corpus_runs(seeds=(1,)), *bench_runs(seeds=(1,))]:
+        session = Session.build(config)
+        found = {pre.table: pre for pre in preaggregates(session.catalog).values()}
+        assert sorted(found) == sorted(view for view in session.plan.materialized if view.startswith("__pre_"))
+        for table, pre in found.items():
+            types = {c.name: c.type for c in session.catalog.relations[pre.base].columns}
+            assert session.plan.catalog.relations[table].columns == [
+                *(ColumnDef(key, types[key]) for key in pre.keys), ColumnDef("__count", None)
+            ]
+            keys = ", ".join(pre.keys)
+            assert session.plan.relation_sql[table] == (
+                f"SELECT {keys}, COUNT(*) AS __count FROM {pre.base} GROUP BY {keys}"
+            )
+            tiles.setdefault(table, []).append(name)
+    assert tiles == {"__pre_flights_delay": ["connect_templates", "zoom_histogram", "local_dashboard"]}
 
 
 # a view over local flights that an async view led by r1 reads: the view is

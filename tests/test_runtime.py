@@ -734,6 +734,21 @@ def test_program_with_values_insert_and_udf_command():
     assert rows == [(42, 1), (42, 2)]
 
 
+def test_a_program_insert_fills_the_columns_it_leaves_out_with_null():
+    session = local_session(
+        "CREATE EVENT TABLE tick(x INT);"
+        "CREATE TABLE marks(a INT, b TEXT, c INT);"
+        "CREATE PROGRAM AFTER (tick) BEGIN"
+        "  INSERT INTO marks (c, a) SELECT x, x + 1 FROM LATEST tick;"
+        "  INSERT INTO marks (b) VALUES ('one'), ('two');"
+        " END;"
+        "CREATE OUTPUT o AS SELECT a, b, c FROM marks;"
+    )
+    session.runtime.new_event("tick", {"x": 7}, at_ms=0)
+    _, rows = session.runtime.engine.run_query("SELECT a, b, c, timestep FROM marks ORDER BY rowid")
+    assert rows == [(8, None, 7, 1), (None, "one", None, 1), (None, "two", None, 1)]
+
+
 def test_event_outside_closure_produces_no_frame():
     session = local_session(
         "CREATE EVENT TABLE a(x INT); CREATE EVENT TABLE b(y INT);"
