@@ -37,6 +37,12 @@ def sql_type(type_: str | None) -> str:
     return _SQL_TYPES.get(type_ or "", "")
 
 
+def quote_name(name: str) -> str:
+    """A table or column name as SQL text: always double-quoted, each `"`
+    inside it doubled."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 class SqlEngine:
     def __init__(self, db_id: str, seed: int | None = None, udfs: dict[str, UdfDef] | None = None):
         self.db_id = db_id
@@ -104,7 +110,7 @@ class SqlEngine:
             return
         key = (table, len(rows[0]))
         sql = self._inserts.get(key) or self._inserts.setdefault(
-            key, f'INSERT INTO "{table}" VALUES ({", ".join("?" * key[1])})'
+            key, f'INSERT INTO {quote_name(table)} VALUES ({", ".join("?" * key[1])})'
         )
         try:
             if len(rows) == 1:  # one statement is its own transaction
@@ -141,10 +147,8 @@ class SqlEngine:
             raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
         try:
             for table, columns in tables.items():
-                cols = ", ".join(f'"{c}"' for c in columns)
-                self.conn.execute(
-                    f'INSERT INTO main."{table}" ({cols}) SELECT {cols} FROM source."{table}"'
-                )
+                name, cols = quote_name(table), ", ".join(quote_name(c) for c in columns)
+                self.conn.execute(f"INSERT INTO main.{name} ({cols}) SELECT {cols} FROM source.{name}")
         except sqlite3.Error as exc:
             raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
         finally:
@@ -181,13 +185,13 @@ def introspect_sqlite(
             name for type_, name, _sql in schema
             if type_ == "table" and not name.lower().startswith("sqlite_")
         ]
-        columns = {name: conn.execute(f'PRAGMA table_xinfo("{name}")').fetchall() for name in names}
+        columns = {name: conn.execute(f"PRAGMA table_xinfo({quote_name(name)})").fetchall() for name in names}
         result: dict[str, tuple[list[ColumnDef], int]] = {}
         for name in names:
             cols = [
                 ColumnDef(col, _diel_type(decl)) for _, col, decl, *_, hidden in columns[name] if not hidden
             ]
-            count = conn.execute(f'SELECT COUNT(*) FROM "{name}"').fetchone()[0]
+            count = conn.execute(f"SELECT COUNT(*) FROM {quote_name(name)}").fetchone()[0]
             result[name] = (cols, count)
         return result, _row_copy_reason(conn, schema, columns, result)
     except sqlite3.Error as exc:
@@ -240,8 +244,9 @@ def _row_copy_reason(
                 return f"column {name}.{col} shadows the rowid"
             if _affinity(decl) != _affinity(sql_type(_diel_type(decl))):
                 return f"{name}.{col} declared {decl or 'without a type'}"
+        quoted = quote_name(name)
         if count and conn.execute(
-            f'SELECT (SELECT MIN(_rowid_) FROM "{name}"), (SELECT MAX(_rowid_) FROM "{name}")'
+            f"SELECT (SELECT MIN(_rowid_) FROM {quoted}), (SELECT MAX(_rowid_) FROM {quoted})"
         ).fetchone() != (1, count):
             return f"rowids of {name} are not 1..{count}"
     return None
@@ -331,11 +336,11 @@ def import_csv(csv_path: str | Path, table: str, db_path: str | Path) -> int:
     columns, rows = read_csv_table(csv_path)
     conn = sqlite3.connect(str(db_path))
     try:
-        decls = ", ".join(f'"{c.name}" {sql_type(c.type)}'.strip() for c in columns)
-        conn.execute(f'CREATE TABLE "{table}" ({decls})')
+        decls = ", ".join(f"{quote_name(c.name)} {sql_type(c.type)}".strip() for c in columns)
+        conn.execute(f"CREATE TABLE {quote_name(table)} ({decls})")
         if rows:
             marks = ", ".join("?" * len(columns))
-            conn.executemany(f'INSERT INTO "{table}" VALUES ({marks})', rows)
+            conn.executemany(f"INSERT INTO {quote_name(table)} VALUES ({marks})", rows)
         conn.commit()
     except sqlite3.Error as exc:
         raise ConfigError(f"import into {db_path}:{table} failed: {exc}") from exc

@@ -59,7 +59,7 @@ from .compiler import (
     dependency_closure,
     resolve_query,
 )
-from .engine import sql_type
+from .engine import quote_name, sql_type
 from .errors import (
     CompileError,
     ConfigError,
@@ -124,6 +124,10 @@ class FederationPlan:
     # refresh, in dependency order; set before emit_per_db_sql, which reads it
     materialized: dict[str, frozenset[str]] = field(default_factory=dict)
     programs: dict[str, str] = field(default_factory=dict)
+    # instance -> the tables its program creates, in program order (the one
+    # storage rule, `emit_per_db_sql`); setup loads each base table into
+    # exactly the instances that list it
+    stored: dict[str, list[str]] = field(default_factory=dict)
     # every index the programs create, in program order (`planned_indexes`);
     # set by emit_per_db_sql
     indexes: list[PlannedIndex] = field(default_factory=list)
@@ -464,7 +468,7 @@ def output_read_sql(rel: RelationDef) -> str:
     sql = f"SELECT * FROM {quote_ident(rel.name)}"
     if rel.query.order_by:
         return sql
-    columns = ['"' + c.name.replace('"', '""') + '"' for c in rel.columns]
+    columns = [quote_name(c.name) for c in rel.columns]
     return sql + " ORDER BY " + ", ".join(f"{c}, typeof({c})" for c in columns)
 
 
@@ -568,6 +572,7 @@ def emit_per_db_sql(plan: FederationPlan) -> dict[str, str]:
         db_id: [rel for rel in catalog.relations.values() if stores(rel, db_id)]
         for db_id in [plan.coordinator, *sorted(set(plan.placement.values()) - {plan.coordinator})]
     }
+    plan.stored = {db_id: [rel.name for rel in tables] for db_id, tables in stored.items()}
     plan.indexes = planned_indexes(plan, stored)
     indexed = {(index.table, index.instance): index.column for index in plan.indexes}
     for db_id, tables in stored.items():
@@ -616,9 +621,12 @@ def dump_plan(plan: FederationPlan) -> str:
         for table, reason in sorted(plan.file_loads.items()):
             load = "page copy" if reason is None else f"row copy ({reason})"
             lines.append(f"{table} @ {plan.placement[table]}: {load}")
-        for spec in plan.shipments:
-            if spec.snapshot and spec.relation in plan.file_loads:
-                lines.append(f"{spec.relation} -> {spec.destination}: row copy (snapshot)")
+        snapshots = sorted(
+            (table, db_id) for db_id, tables in plan.stored.items() for table in tables
+            if table in plan.file_loads and db_id != plan.placement[table]
+        )
+        for table, db_id in snapshots:
+            lines.append(f"{table} -> {db_id}: row copy (snapshot)")
     if plan.indexes:
         lines.append("== indexes ==")
         for index in plan.indexes:

@@ -508,11 +508,10 @@ class Runtime:
 
 def setup(
     plan: FederationPlan,
-    base_rows: dict[str, list[tuple]],
+    sources: dict[str, list[tuple] | Path],
     links=None,
     bindings: dict | None = None,
     seed: int | None = None,
-    base_files: dict[str, Path] | None = None,
 ) -> Runtime:
     """Execute per-instance programs, load base data, open shipping
     channels, and return the runtime at clock 0, its materialized views
@@ -521,20 +520,17 @@ def setup(
     Every decision made at plan time is read from `plan`: the per-instance
     programs, the UDF registry every engine registers (`catalog.udfs`), the
     materialized views (`materialized`) and the async views the request
-    cache serves (`cached_views`). `base_rows` maps a base table to its rows
-    as Python values; `base_files` maps a base table to the SQLite file it is
-    copied from, by pages or by rows as `file_loads` says. Each base table is
-    loaded from that source alone, into its owner and into every instance the
-    plan snapshots it to, the coordinator included."""
+    cache serves (`cached_views`). `sources` maps each base table to its
+    rows as Python values or to the SQLite file it is copied from. Each base
+    table is loaded from that source alone, into exactly the instances whose
+    program creates it (`plan.stored`); the owner that starts as the page
+    copy of a file (`file_loads`) creates none of the file's tables."""
     remote_ids = sorted(set(plan.programs) - {plan.coordinator})
     for db_id in remote_ids:
         if links is None or db_id not in links:
             raise SetupError(db_id, "no latency link configured for this instance")
 
-    # an owner that takes the page copy of its file starts as that copy
-    base_files = base_files or {}
-    page_copied = plan.page_copied
-    page_copies = {plan.placement[relation]: base_files[relation] for relation in page_copied}
+    page_copies = {plan.placement[relation]: sources[relation] for relation in plan.page_copied}
 
     def start(db_id: str) -> SqlEngine:
         new_engine = SqlEngine(db_id, seed=seed, udfs=plan.catalog.udfs)
@@ -554,25 +550,22 @@ def setup(
     def engine_of(db_id: str) -> SqlEngine:
         return engine if db_id == plan.coordinator else instances[db_id].engine
 
-    # given rows are inserted; a file's table is copied row by row (each
-    # engine attaches each file once), except into the file's page copy
-    holders = {relation: [plan.placement[relation]] for relation in [*base_rows, *base_files]}
-    for spec in plan.shipments:
-        if spec.snapshot and spec.relation in holders:
-            holders[spec.relation].append(spec.destination)
-    copies: dict[tuple[str, Path], list[str]] = {}
-    for relation, db_ids in holders.items():
-        for db_id in db_ids:
-            if relation in base_rows:
-                engine_of(db_id).insert_rows(relation, base_rows[relation], context=f"load {relation}")
-            elif page_copies.get(db_id) != base_files[relation]:
-                copies.setdefault((db_id, base_files[relation]), []).append(relation)
-    for (db_id, path), relations in copies.items():
-        engine_of(db_id).copy_tables(
-            path,
-            {r: [c.name for c in plan.catalog.relations[r].columns] for r in relations},
-            context="load",
-        )
+    # given rows are inserted; a file's tables are copied row by row, each
+    # file attached once per engine
+    for db_id, tables in plan.stored.items():
+        copies: dict[Path, list[str]] = {}
+        for relation in tables:
+            source = sources.get(relation)
+            if isinstance(source, Path):
+                copies.setdefault(source, []).append(relation)
+            elif source is not None:
+                engine_of(db_id).insert_rows(relation, source, context=f"load {relation}")
+        for path, relations in copies.items():
+            engine_of(db_id).copy_tables(
+                path,
+                {r: [c.name for c in plan.catalog.relations[r].columns] for r in relations},
+                context="load",
+            )
 
     # each materialized view is filled once its inputs are loaded, in
     # dependency order, on each instance that keeps it as a table

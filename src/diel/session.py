@@ -39,28 +39,32 @@ class DbConfig:
     path: str | None = None  # .db/.sqlite or .csv file
     latency: str | None = None
     tables: dict[str, tuple[list[ColumnDef], list[tuple]]] = field(default_factory=dict)
-    # schema and row count of each table in the SQLite file at `path`, and why
-    # this instance copies their rows rather than the file's pages (None: it
-    # copies the pages), set by load(); setup copies them from the file itself
-    file_tables: dict[str, tuple[list[ColumnDef], int]] = field(default_factory=dict)
-    row_copy_reason: str | None = None
 
-    def load(self) -> None:
-        if self.path is None or self.path in ("", "mem"):
-            return
-        path = Path(self.path)
-        if not path.exists():
-            raise ConfigError(f"database source {self.path} does not exist")
-        if path.suffix == ".csv":
-            columns, rows = read_csv_table(path)
-            self.tables[path.stem] = (columns, rows)
-        else:
-            self.file_tables, self.row_copy_reason = introspect_sqlite(path)
-
-    def schemas(self) -> dict[str, tuple[list[ColumnDef], int]]:
-        """Columns and row count of every table this instance provides."""
-        given = {t: (cols, len(rows)) for t, (cols, rows) in self.tables.items()}
-        return {**given, **self.file_tables}
+    def load(self) -> tuple[DbDescriptor, dict[str, list[tuple] | Path]]:
+        """The planner's descriptor of this instance, and the source of each
+        table it provides: its given rows (a CSV file's included), or the
+        SQLite file at `path` they are copied from. A file's table wins over a
+        given one of the same name. The configuration is left as it is."""
+        given = dict(self.tables)
+        files: dict[str, tuple[list[ColumnDef], int]] = {}
+        path = reason = None
+        if self.path not in (None, "", "mem"):
+            path = Path(self.path)
+            if not path.exists():
+                raise ConfigError(f"database source {self.path} does not exist")
+            if path.suffix == ".csv":
+                given[path.stem] = read_csv_table(path)
+            else:
+                files, reason = introspect_sqlite(path)
+        schemas = {t: (cols, len(rows)) for t, (cols, rows) in given.items()} | files
+        descriptor = DbDescriptor(
+            db_id=self.name,
+            kind=self.kind,
+            tables={t: cols for t, (cols, _count) in schemas.items()},
+            row_estimates={t: count for t, (_cols, count) in schemas.items()},
+            file_loads=dict.fromkeys(files, reason),
+        )
+        return descriptor, {t: rows for t, (_cols, rows) in given.items()} | dict.fromkeys(files, path)
 
 
 def parse_db_flag(text: str) -> DbConfig:
@@ -135,20 +139,11 @@ class Session:
         names = [db.name for db in config.databases]
         if len(names) != len(set(names)):
             raise ConfigError(f"duplicate database names in config: {names}")
+        descriptors, sources = [], {}
         for db in config.databases:
-            db.load()
-        descriptors = []
-        for db in config.databases:
-            schemas = db.schemas()
-            descriptors.append(
-                DbDescriptor(
-                    db_id=db.name,
-                    kind=db.kind,
-                    tables={t: cols for t, (cols, _count) in schemas.items()},
-                    row_estimates={t: count for t, (_cols, count) in schemas.items()},
-                    file_loads={t: db.row_copy_reason for t in db.file_tables},
-                )
-            )
+            descriptor, provided = db.load()
+            descriptors.append(descriptor)
+            sources |= provided
         source = "\n".join(config.diel_sources)
         catalog = compile_program(parse_diel(source), base_schemas_of(descriptors), config.udfs)
         # the planner places each count tile as it places any view
@@ -163,15 +158,6 @@ class Session:
         if not config.cache:
             plan.cached_views = set()
 
-        base_rows = {}
-        base_files = {}
-        for db in config.databases:
-            for table, (_cols, rows) in db.tables.items():
-                if table not in db.file_tables:
-                    base_rows[table] = rows
-            for table in db.file_tables:
-                base_files[table] = Path(db.path)
-
         links = {}
         for db in config.databases:
             if db.kind == "quick":
@@ -183,14 +169,7 @@ class Session:
                 down=spec.build("down", config.seed, db.name),
             )
 
-        runtime = setup(
-            plan,
-            base_rows,
-            links=links,
-            bindings=bindings,
-            seed=config.seed,
-            base_files=base_files,
-        )
+        runtime = setup(plan, sources, links=links, bindings=bindings, seed=config.seed)
         return cls(config, catalog, plan, runtime)
 
     # -- drivers -----------------------------------------------------------------

@@ -34,23 +34,81 @@ def corpus_runs(seeds=SEEDS, latency: str | None = None, remote_only: bool = Fal
             yield name, seed, dataclasses.replace(config, seed=seed, databases=databases), example.trace()
 
 
-def bench_runs(seeds=SEEDS, latency: str | None = None):
-    """(name, seed, config, trace) of each benchmark program at each seed, on
-    tables and a trace a fifth of the benchmark's size."""
+# ORDER BY RANDOM() draws from a generator of the instance that evaluates it
+# (seeded `{seed}/engine/{db_id}`), so its frames depend on the placement
+DRAWS_PER_INSTANCE = {"reconfigure_sample"}
+
+
+def placements(tables: list[str]) -> dict[str, dict[str, str]]:
+    """The placements of the sweep, by name: table -> the remote instance it
+    moves to (the others stay on the coordinator). Each table moves to r1
+    alone; with several tables, all move to r1, and they also split over r1
+    and r2 in turn."""
+    moved = {f"{table}@r1": {table: "r1"} for table in tables}
+    if len(tables) > 1:
+        moved["all@r1"] = dict.fromkeys(tables, "r1")
+        moved["split"] = {table: ("r1", "r2")[i % 2] for i, table in enumerate(tables)}
+    return moved
+
+
+def placement_runs(latency: str = "fixed(0)"):
+    """(name, placement, config, trace) of each corpus example with base
+    tables, but those in DRAWS_PER_INSTANCE: first with every table on the
+    coordinator (placement "local"), then in each of its `placements`, each
+    remote instance behind `latency`."""
+    for name, example in sorted(load_examples().items()):
+        config = example.config()
+        tables = {t: data for db in config.databases for t, data in db.tables.items()}
+        if not tables or name in DRAWS_PER_INSTANCE:
+            continue
+        coordinator = next(db.name for db in config.databases if db.kind == "quick")
+        for placement, moved in {"local": {}, **placements(sorted(tables))}.items():
+            databases = [DbConfig(coordinator, "quick", tables={
+                t: data for t, data in tables.items() if t not in moved
+            })]
+            databases += [
+                DbConfig(db_id, "remote", latency=latency, tables={
+                    t: data for t, data in tables.items() if moved.get(t) == db_id
+                })
+                for db_id in sorted(set(moved.values()))
+            ]
+            yield name, placement, dataclasses.replace(config, databases=databases), example.trace()
+
+
+BENCH_WORKLOADS = ("local_dashboard", "remote_brush", "remote_reorder_cached")
+
+
+def _workload(name: str, seed: int):
+    """A benchmark workload on tables and a trace a fifth of its size."""
     sys.path.insert(0, str(BENCH))
     try:
         workloads = importlib.import_module("workloads")
     finally:
         sys.path.remove(str(BENCH))
-    for name in ("local_dashboard", "remote_brush", "remote_reorder_cached"):
+    return workloads.WORKLOADS[name](seed, scale=0.2)
+
+
+def bench_runs(seeds=SEEDS, latency: str | None = None):
+    """(name, seed, config, trace) of each benchmark program at each seed, on
+    tables and a trace a fifth of the benchmark's size."""
+    for name in BENCH_WORKLOADS:
         for seed in seeds:
-            workload = workloads.WORKLOADS[name](seed, scale=0.2)
+            workload = _workload(name, seed)
             databases = [
                 DbConfig(inst.name, inst.kind, latency=inst.latency, tables=dict(inst.tables))
                 for inst in workload.instances
             ]
             trace: list[TraceEntry] = workload.trace
             yield name, seed, RunConfig([workload.program], _relinked(databases, latency), seed=seed), trace
+
+
+def bench_file_runs(directory: Path, seed: int = 1):
+    """(name, seed, config, trace) of each benchmark program as the benchmark
+    builds it, its tables in SQLite files written under `directory`, on
+    tables and a trace a fifth of the benchmark's size."""
+    for name in BENCH_WORKLOADS:
+        workload = _workload(name, seed)
+        yield name, seed, workload.config(workload.write_sources(directory)), workload.trace
 
 
 # a view over a fixed table alone, read by an output on the coordinator and by

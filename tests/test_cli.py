@@ -58,6 +58,42 @@ def test_dump_flags_print_ir_and_plan(tmp_path, capsys):
     assert "== placement ==" in out
 
 
+def test_dump_ir_lists_programs_staged_writes_constraints_and_diagnostics(tmp_path, capsys):
+    undo = CORPUS / "examples" / "undo" / "program.diel"
+    assert main(["run", "--diel", str(undo), "--db", "main=quick:mem", "--dump-ir"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("== programs =="):] == [
+        "== programs ==",
+        "program_1 AFTER (clickItx, undoItx)",
+        "== dependencies ==",
+        "curUndoSel <- allSels, clickItx, undoItx",
+        "currSel <- clickItx, curUndoSel",
+        "clickItx ~> allSels (staged)",
+        "undoItx ~> allSels (staged)",
+    ]
+    program = tmp_path / "app.diel"
+    program.write_text(
+        "CREATE EVENT TABLE pick(k INT);\n"
+        "CREATE VIEW big AS SELECT k FROM t WHERE k > 1;\n"
+        "CREATE OUTPUT all_t AS SELECT k FROM t;\n"
+        "CREATE OUTPUT picked AS SELECT k FROM LATEST pick;\n"
+        "big NOT EMPTY;\n"
+    )
+    (tmp_path / "t.csv").write_text("k:INT\n1\n2\n")
+    assert main(["run", "--diel", str(program), "--db", f"main=quick:{tmp_path / 't.csv'}", "--dump-ir"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("== constraints =="):] == [
+        "== constraints ==",
+        "big NOT EMPTY",
+        "== dependencies ==",
+        "all_t <- t",
+        "big <- t",
+        "picked <- pick",
+        "== diagnostics ==",
+        "output 'all_t' depends on no event table; it will never re-render",
+    ]
+
+
 def test_dump_plan_lists_how_each_file_backed_table_loads(tmp_path, capsys):
     """r1's imported flights are taken by page copy; r2's airports.db has an
     index, so r2 copies its rows, and r1, the leader, snapshots them."""

@@ -20,12 +20,14 @@ from diel.compiler import (
 )
 from diel.engine import SqlEngine
 from diel.errors import (
+    AmbiguousColumnError,
     CompileError,
     CyclicDependencyError,
     DuplicateRelationError,
     LatestOnNonEventError,
     MissingBindingError,
     ReservedColumnNameError,
+    SubstitutionParseError,
     UnknownColumnError,
     UnknownSourceRelationError,
     UnknownTemplateError,
@@ -33,7 +35,7 @@ from diel.errors import (
 )
 from diel.parser import parse_diel, parse_query
 from diel.printer import query_sql
-from diel.session import Session
+from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
 from conftest import BASE_SCHEMAS
 from latest_oracle import desugar_latest
@@ -99,6 +101,16 @@ def test_template_substitution_is_token_level():
     query = statements[0].query
     assert query.table.name == "rel"
     assert query.items[0].expr.column == "var_tab"
+
+
+def test_a_binding_that_does_not_parse_after_substitution_is_a_typed_error():
+    with pytest.raises(SubstitutionParseError, match="template 't' body does not parse"):
+        expand_templates(
+            parse_diel(
+                "CREATE TEMPLATE t(col) AS SELECT {col} FROM flights;"
+                "CREATE OUTPUT o AS USE TEMPLATE t(col='x FROM');"
+            )
+        )
 
 
 # --- schema copy ----------------------------------------------------------------
@@ -370,6 +382,34 @@ def test_not_empty_on_unknown_view_is_diagnosed():
 def test_unknown_column_rejected():
     with pytest.raises(UnknownColumnError):
         compile_listing("CREATE VIEW v AS SELECT nope FROM flights;")
+
+
+def test_an_unqualified_name_falls_back_to_the_enclosing_scope():
+    """`k` in the subquery is not a column of u, so it names the outer t.k."""
+    t = ([ColumnDef("k", "INT"), ColumnDef("v", "INT")], [(1, 5), (2, 1), (3, 9)])
+    u = ([ColumnDef("j", "INT"), ColumnDef("x", "INT")], [(1, 4), (2, 3), (3, 10)])
+    program = (
+        "CREATE EVENT TABLE pick(n INT);"
+        "CREATE OUTPUT o AS SELECT v FROM t JOIN LATEST pick p ON t.v > 0 "
+        "WHERE v > (SELECT MIN(x) FROM u WHERE u.j = k);"
+    )
+    session = Session.build(RunConfig([program], [DbConfig("main", "quick", tables={"t": t, "u": u})], seed=1))
+    session.run_replay([TraceEntry(0, "pick", {"n": 1})])
+    assert session.runtime.frames[-1].rows == ((5,),)
+
+
+@pytest.mark.parametrize("query, message", [
+    ("SELECT k FROM a, b, c", "column 'k' is ambiguous across ['a', 'b', 'c']"),
+    ("SELECT a.x FROM a JOIN b ON a.x = b.y JOIN c ON k", "join column 'k' is ambiguous across ['a', 'b']"),
+])
+def test_a_name_two_tables_hold_is_ambiguous(query, message):
+    schemas = {
+        name: [ColumnDef("k", "INT"), ColumnDef(other, "INT")]
+        for name, other in (("a", "x"), ("b", "y"), ("c", "z"))
+    }
+    with pytest.raises(AmbiguousColumnError) as exc_info:
+        compile_program(parse_diel(f"CREATE VIEW v AS {query};"), schemas)
+    assert str(exc_info.value) == message
 
 
 def test_unknown_function_rejected():

@@ -4,18 +4,20 @@ on a remote instance, and the same log with materialization on and off."""
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from diel.ast_nodes import ColumnDef
+from diel.compiler import SYSTEM_COLUMNS
 from diel.corpus import load_examples
 from diel.engine import read_csv_table
 from diel.errors import ReservedColumnNameError
 from diel.planner import materialized_on
 from diel.session import DbConfig, RunConfig, Session, TraceEntry
 
-from replays import fixed_shared_view_run
+from replays import DRAWS_PER_INSTANCE, fixed_shared_view_run, placement_runs
 
 T = {"t": ([ColumnDef("k", "INT"), ColumnDef("v", "INT")], [(1, 10), (2, 20), (3, 30)])}
 PICKS = [TraceEntry(30 * i, "pick", {"k": k}) for i, k in enumerate((1, 2, 3))]
@@ -244,3 +246,35 @@ def test_a_materialized_view_read_by_remote_leaders_stays_a_view_there():
     assert "CREATE VIEW sel(y)" in remote.plan.programs["r1"]
     for latency, seed in REMOTE_RUNS:
         assert final_frames(program, trace, latency, seed, FLIGHTS) == local, (latency, seed)
+
+
+def without_clock(frame) -> tuple[tuple, list[tuple]]:
+    """A frame's columns and rows without its system columns."""
+    kept = [i for i, column in enumerate(frame.columns) if column not in SYSTEM_COLUMNS]
+    return tuple(frame.columns[i] for i in kept), [tuple(row[i] for i in kept) for row in frame.rows]
+
+
+@pytest.mark.parametrize("latency", ["fixed(0)", "uniform(0,50)", "fixed(30)"])
+def test_each_corpus_example_renders_its_all_local_final_frames_wherever_its_tables_live(latency):
+    """Every base table of each corpus example moved to r1, alone and all
+    together, and split over r1 and r2 (`replays.placements`), with the
+    request cache on and off: the last frame of each output, rows in order
+    and columns by name, is the all-local run's, as C04 compares them,
+    system columns aside: the clock counts each async result as a timestep
+    of its own, stamped with its arrival time, so an event's timestep
+    (brush_select's curBrush) and a result's timestamp (latest_request's
+    distData) depend on placement. An example whose draws of RANDOM()
+    depend on the instance is left out."""
+    local: dict[str, dict] = {}
+    differ, placed = [], set()
+    for name, placement, config, trace in placement_runs(latency):
+        for cache in (True, False):
+            session = Session.build(dataclasses.replace(config, cache=cache))
+            session.run_replay(trace)
+            final = {frame.output: without_clock(frame) for frame in session.runtime.frames}
+            if final != local.setdefault(name, final):
+                differ.append((name, placement, cache))
+            placed.add(placement)
+    assert not differ, differ
+    assert len(local) >= 12 and DRAWS_PER_INSTANCE.isdisjoint(local)
+    assert {"all@r1", "split"} <= placed

@@ -331,6 +331,28 @@ def test_every_aggregate_renders_as_without_its_preaggregate(seed):
     assert on == off and shown["o"] > 20 and shown["c"] > 20
 
 
+# COUNT(*) inside each kind of expression the tile's reader rewrites
+COUNT_INSIDE = {
+    "case": "CASE WHEN COUNT() > 5 THEN COUNT() ELSE 0 END AS n",
+    "not": "NOT COUNT() > 5 AS few",
+    "is null": "COUNT() IS NULL AS none, COUNT(*) IS NOT NULL AS some",
+    "unary minus": "-COUNT() AS n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COUNT_INSIDE))
+def test_a_count_inside_any_expression_reads_the_tile(kind):
+    program = ZOOM + f"CREATE OUTPUT o AS SELECT {BIN}, {COUNT_INSIDE[kind]} FROM {JOIN_ZOOM} GROUP BY bin;"
+    databases = [DbConfig("main", "quick", tables={"flights": (FLIGHT_COLUMNS, nullable_flights(1))})]
+    plan = Session.build(RunConfig([program], databases, seed=1)).plan
+    assert [(rel, view) for rel, view, *_ in preaggregated_reads(plan)] == [("o", "__pre_flights_delay")]
+    assert "SUM(flights.__count)" in plan.relation_sql["o"]
+    on, off = (
+        replay_log(RunConfig([program], databases, seed=1, materialize=m), zoom_trace(1)) for m in (True, False)
+    )
+    assert on == off and '"rows":[[' in on
+
+
 # a sum of group sums adds its terms in another order than the sum of the
 # rows: an INT column holds the REAL values given rows (or a .db file) bring
 SUMMED = ZOOM + (

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import csv
+import dataclasses
 import json
 import sqlite3
 from typing import NamedTuple
@@ -337,9 +340,10 @@ def test_db_csv_and_python_rows_load_identically(tmp_path, placement, shape):
     for kind in ("db", "csv", "rows"):
         (tmp_path / kind).mkdir()
         config = _items_config(kind, placement, tmp_path / kind, shape)
-        logs[kind] = _run(config)
+        plans = []
+        logs[kind] = _run(config, lambda session: plans.append(session.plan))
         if kind == "db":
-            assert config.databases[-1].row_copy_reason == FILE_SHAPES[shape].load
+            assert plans[0].file_loads == {"items": FILE_SHAPES[shape].load}
     assert logs["db"] == logs["csv"] == logs["rows"]
     if shape == "declared":
         final = json.loads(logs["db"].splitlines()[-1])
@@ -348,6 +352,67 @@ def test_db_csv_and_python_rows_load_identically(tmp_path, placement, shape):
             [2, "007", 5.0, 3, "a", 3],
             [3, "42", 7.5, None, "b", 3],
         ]
+
+
+QUOTED_PROGRAM = """\
+CREATE EVENT TABLE pick (n INT);
+CREATE OUTPUT picked AS SELECT i.*, a.n FROM items i JOIN anchor a JOIN LATEST pick p ON a.n = p.n;
+"""
+QUOTED_COLUMNS = [ColumnDef('my"col', "TEXT"), ColumnDef("id", "INT")]
+QUOTED_ROWS = [("a", 1), (2.5, 2), (None, 3)]
+
+
+def _quoted_items(directory, kind: str) -> dict:
+    """DbConfig keyword arguments that provide `items (my"col, id)`: as
+    Python values, from a file with a NUMERIC column (its owner copies rows)
+    or from an import_csv file (its owner takes the page copy)."""
+    if kind == "rows":
+        return {"tables": {"items": (QUOTED_COLUMNS, QUOTED_ROWS)}}
+    path = directory / "items.db"
+    if kind == "numeric":
+        conn = sqlite3.connect(path)
+        conn.execute('CREATE TABLE items ("my""col" NUMERIC, id INTEGER)')
+        conn.executemany("INSERT INTO items VALUES (?, ?)", QUOTED_ROWS)
+        conn.commit()
+        conn.close()
+    else:
+        csv_path = directory / "items.csv"
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            rows = [["" if v is None else v for v in row] for row in QUOTED_ROWS]
+            csv.writer(fh).writerows([[f"{c.name}:{c.type}" for c in QUOTED_COLUMNS], *rows])
+        import_csv(csv_path, "items", path)
+    return {"path": str(path)}
+
+
+@pytest.mark.parametrize("placement", ["coordinator", "remote"])
+@pytest.mark.parametrize("kind", ["numeric", "import_csv"])
+def test_a_column_name_holding_a_double_quote_loads_from_a_file(tmp_path, placement, kind):
+    """engine.py quotes every name it writes into SQL by one rule
+    (`quote_name`), so a column named my"col loads, into its owner and into
+    the leader's snapshot, and renders what the same rows give as Python
+    values."""
+    sessions = {}
+    for source in (kind, "rows"):
+        (tmp_path / source).mkdir()
+        config = _config_over(_quoted_items(tmp_path / source, source), placement)
+        sessions[source] = Session.build(dataclasses.replace(config, diel_sources=[QUOTED_PROGRAM]))
+        sessions[source].run_replay(ITEMS_TRACE)
+    assert sessions[kind].output_log_text() == sessions["rows"].output_log_text()
+    final = sessions[kind].runtime.frames[-1]
+    assert final.columns == ('my"col', "id", "n")
+    assert final.rows == ((None, 3, 3), ("2.5", 2, 3), ("a", 1, 3))  # canonical order
+
+
+@pytest.mark.parametrize("placement", ["coordinator", "remote"])
+@pytest.mark.parametrize("kind", ["db", "csv", "rows"])
+def test_a_build_leaves_its_configuration_as_it_was(tmp_path, kind, placement):
+    """DbConfig holds configuration only: `load` returns what its source
+    holds and writes nothing back, not even a CSV file's rows."""
+    assert [f.name for f in dataclasses.fields(DbConfig)] == ["name", "kind", "path", "latency", "tables"]
+    config = _items_config(kind, placement, tmp_path)
+    before = copy.deepcopy(config)
+    Session.build(config)
+    assert config == before
 
 
 @pytest.mark.parametrize("shape", ["import_csv", "index"])
