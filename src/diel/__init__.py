@@ -14,13 +14,10 @@ from .compiler import (
     RelationDef,
     RelationKind,
     ViewConstraint,
-    augment_system_columns,
     build_dependency_graph,
     check_constraints_wellformed,
     compile_program,
     dump_ir,
-    expand_templates,
-    resolve_schema_copy,
 )
 from .engine import SqlEngine, import_csv
 from .errors import DielError, ParseError
@@ -81,7 +78,6 @@ __all__ = [
     "TableRef",
     "TraceEntry",
     "ViewConstraint",
-    "augment_system_columns",
     "build_dependency_graph",
     "check_constraints_wellformed",
     "choose_leader",
@@ -90,7 +86,6 @@ __all__ = [
     "dump_plan",
     "emit_per_db_sql",
     "encode_message",
-    "expand_templates",
     "import_csv",
     "load_trace",
     "locate_relations",
@@ -102,7 +97,6 @@ __all__ = [
     "plan_federation",
     "program_sql",
     "query_sql",
-    "resolve_schema_copy",
     "rewrite_remote_output",
     "run_until_quiescent",
     "setup",

@@ -1,17 +1,21 @@
 """Resolve parsed statements into a relation catalog plus a dependency graph.
 
-Pipeline: template expansion -> schema copy -> catalog construction ->
-dependency graph -> system-column augmentation -> name resolution,
+Pipeline: one pass over the statements builds the catalog (each template
+use instantiated where it stands, each schema copy typed from a table
+already read, each table's names checked as it enters; a relation's system
+columns follow from its kind) -> dependency graph -> name resolution,
 shorthand rewriting and result columns of every query relation (in
 dependency order), then of program commands -> well-formedness diagnostics.
-Names are resolved once, here: each relation and program keeps what every
-name in its queries resolves to (`Bindings`), the record the planner and
+Each query is walked once, here: each relation and program keeps what every
+name in its queries resolves to, and the table references, RANDOM() calls
+and timestep ranges met on the way (`Bindings`), the record the planner and
 optimizer read. The catalog keeps queries in their sugared form (LATEST
 flags intact); the printer lowers LATEST while printing (`query_sql(q, lower=True)`).
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -49,6 +53,7 @@ from .errors import (
     DuplicateRelationError,
     LatestOnNonEventError,
     MissingBindingError,
+    NameClashError,
     ParseError,
     ReservedColumnNameError,
     SubstitutionParseError,
@@ -66,6 +71,12 @@ SYSTEM_COLUMNS = ("timestep", "timestamp", "request_timestep")
 # SQLite's names for a table's rowid; a declared column of the same name
 # (matched case-insensitively) would take the name over
 ROWID_NAMES = ("rowid", "_rowid_", "oid")
+_ASCII_LOWER = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+
+
+def fold_case(name: str) -> str:
+    """A name as SQLite compares names: ASCII letters in lower case."""
+    return name.translate(_ASCII_LOWER)
 
 
 class RelationKind(Enum):
@@ -84,6 +95,24 @@ QUERY_KINDS = (RelationKind.VIEW, RelationKind.ASYNC_VIEW, RelationKind.OUTPUT)
 GROWING_KINDS = (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE, RelationKind.ASYNC_VIEW)
 # the comparisons that read a range of an ordered column
 RANGE_OPS = ("<", "<=", ">", ">=")
+# the system columns each kind of relation carries after its own
+SYSTEM_COLUMNS_BY_KIND = {
+    RelationKind.EVENT_TABLE: ("timestep", "timestamp"),
+    RelationKind.ASYNC_VIEW: SYSTEM_COLUMNS,
+    RelationKind.HISTORY_TABLE: ("timestep",),
+}
+# the kind of relation each statement adds (by its class, or a template use
+# by its target)
+STATEMENT_KINDS = {
+    CreateEventTable: RelationKind.EVENT_TABLE,
+    CreateTable: RelationKind.TABLE,
+    CreateView: RelationKind.VIEW,
+    CreateAsyncView: RelationKind.ASYNC_VIEW,
+    CreateOutput: RelationKind.OUTPUT,
+    "view": RelationKind.VIEW,
+    "async_view": RelationKind.ASYNC_VIEW,
+    "output": RelationKind.OUTPUT,
+}
 
 
 @dataclass
@@ -106,10 +135,18 @@ class Bindings:
     """What each ColumnRef (one binding) and Star (one per table reference it
     expands to) of a query and its subqueries resolves to (`resolve_query`).
     AST nodes compare by structure, so two `x` of two scopes are equal: the
-    record is keyed by identity and holds each node, which keeps its id its own."""
+    record is keyed by identity and holds each node, which keeps its id its own.
+
+    The same walk records every table reference at every depth, outermost
+    first (`table_refs`), whether a query calls RANDOM() (`calls_random`),
+    and the event and history tables whose timestep is compared with <, <=,
+    > or >= (`ranged_tables`): the range reads a timestep index serves."""
 
     def __init__(self) -> None:
         self._record: dict[int, tuple[Expr, tuple[Binding, ...]]] = {}
+        self.table_refs: list[TableRef] = []
+        self.calls_random = False
+        self.ranged_tables: set[str] = set()
 
     def add(self, node: Expr, *bindings: Binding) -> None:
         self._record[id(node)] = (node, bindings)
@@ -127,23 +164,6 @@ class Bindings:
         return [node for node, bindings in self._record.values()
                 if any(b.ref is not None and b.ref.name == relation for b in bindings)]
 
-    def ranged(self, queries: list[SelectQuery]) -> frozenset[str]:
-        """The event and history tables whose timestep `queries` compare with
-        <, <=, > or >=, at any depth: the range reads a timestep index serves."""
-        timesteps = {
-            id(node): bindings[0].ref.name for node, bindings in self._record.values()
-            if isinstance(node, ColumnRef) and node.column == "timestep"
-            and bindings[0].kind in (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE)
-        }
-        if not timesteps:
-            return frozenset()
-        return frozenset(
-            timesteps[id(operand)]
-            for query in queries for q in all_queries(query) for clause in q.clauses()
-            for node in walk(clause) if isinstance(node, BinaryOp) and node.op in RANGE_OPS
-            for operand in (node.left, node.right) if id(operand) in timesteps
-        )
-
 
 @dataclass
 class RelationDef:
@@ -153,18 +173,17 @@ class RelationDef:
     # resolves to, both set once by compile_program (by the planner for a
     # coordination output it makes)
     columns: list[ColumnDef] = field(default_factory=list)
-    system_columns: tuple[str, ...] = ()
     query: SelectQuery | None = None
     is_base: bool = False  # pre-existing table owned by a database instance
     bindings: Bindings = field(default_factory=Bindings)
 
     @property
-    def physical_columns(self) -> list[ColumnDef]:
-        return self.columns + [ColumnDef(c, "INT") for c in self.system_columns]
+    def system_columns(self) -> tuple[str, ...]:
+        return SYSTEM_COLUMNS_BY_KIND.get(self.kind, ())
 
     @property
-    def ranged(self) -> frozenset[str]:
-        return self.bindings.ranged([self.query] if self.query is not None else [])
+    def physical_columns(self) -> list[ColumnDef]:
+        return self.columns + [ColumnDef(c, "INT") for c in self.system_columns]
 
 
 @dataclass
@@ -180,10 +199,6 @@ class ProgramDef:
 
     def insert_targets(self) -> list[str]:
         return [c.table for c in self.commands if isinstance(c, InsertStatement)]
-
-    @property
-    def ranged(self) -> frozenset[str]:
-        return self.bindings.ranged(self.queries())
 
 
 @dataclass
@@ -244,26 +259,86 @@ class Catalog:
         return self.relation(name).physical_columns
 
 
-# --- template expansion -------------------------------------------------------
+# --- catalog construction -------------------------------------------------------
 
 
-def expand_templates(statements: list[Statement]) -> list[Statement]:
+def build_catalog(
+    statements: list[Statement],
+    base_schemas: dict[str, list[ColumnDef]] | None = None,
+    udfs: dict[str, UdfDef] | None = None,
+) -> Catalog:
+    """The catalog of a program, in one pass over its statements: a template
+    is registered as it is read and each use of one is added where it stands;
+    a schema copy takes the column names and types of a table already in the
+    catalog; each table's names are checked as it enters."""
+    catalog = Catalog(udfs=dict(BUILTIN_UDFS))
+    if udfs:
+        catalog.udfs.update(udfs)
     templates: dict[str, CreateTemplate] = {}
-    out: list[Statement] = []
+    folded: dict[str, str] = {}  # each relation's name up to ASCII case -> the name
+
+    def add(rel: RelationDef) -> None:
+        if rel.name in catalog.relations:
+            raise DuplicateRelationError(f"relation {rel.name!r} declared twice")
+        other = folded.setdefault(fold_case(rel.name), rel.name)
+        if other != rel.name:
+            raise NameClashError(f"relations {other!r} and {rel.name!r} are one name to SQLite")
+        _check_names(rel)
+        catalog.relations[rel.name] = rel
+
+    for name, cols in (base_schemas or {}).items():
+        add(RelationDef(name=name, kind=RelationKind.TABLE, columns=list(cols), is_base=True))
     for stmt in statements:
         if isinstance(stmt, CreateTemplate):
             if stmt.name in templates:
                 raise CompileError(f"template {stmt.name!r} declared twice")
             templates[stmt.name] = stmt
-            continue
-        if isinstance(stmt, UseTemplate):
-            out.append(_instantiate(stmt, templates))
-            continue
-        out.append(stmt)
-    return out
+        elif isinstance(stmt, UseTemplate):
+            add(RelationDef(stmt.name, STATEMENT_KINDS[stmt.target], query=_instantiate(stmt, templates)))
+        elif isinstance(stmt, SchemaCopy):
+            source = catalog.relations.get(stmt.source)
+            if source is None or source.kind not in TABLE_KINDS:
+                raise UnknownSourceRelationError(
+                    f"schema copy {stmt.name!r}: unknown source relation {stmt.source!r}"
+                )
+            # types only; CHECK constraints do not travel with a copy
+            columns = [ColumnDef(c.name, c.type) for c in source.columns]
+            add(RelationDef(stmt.name, RelationKind.EVENT_TABLE if stmt.event else RelationKind.TABLE, columns))
+        elif isinstance(stmt, (CreateEventTable, CreateTable)):
+            add(RelationDef(stmt.name, STATEMENT_KINDS[type(stmt)], list(stmt.columns)))
+        elif isinstance(stmt, (CreateView, CreateAsyncView, CreateOutput)):
+            add(RelationDef(stmt.name, STATEMENT_KINDS[type(stmt)], query=stmt.query))
+        elif isinstance(stmt, CreateProgram):
+            catalog.programs[stmt.name] = ProgramDef(stmt.name, stmt.triggers, stmt.commands)
+        elif isinstance(stmt, NotEmptyConstraint):
+            catalog.constraints.append(ViewConstraint(view=stmt.name))
+        elif isinstance(stmt, InsertStatement):
+            raise CompileError("top-level INSERT is not part of the dialect")
+        else:
+            raise CompileError(f"unexpected statement {stmt.kind}")
+
+    for program in catalog.programs.values():
+        for target in program.insert_targets():
+            rel = catalog.relation(target)
+            if rel.kind is RelationKind.TABLE and not rel.is_base:
+                rel.kind = RelationKind.HISTORY_TABLE
+                _check_names(rel)
+            elif rel.kind is not RelationKind.HISTORY_TABLE:
+                raise CompileError(
+                    f"program {program.name} inserts into {target!r}, "
+                    "which is not a history table"
+                )
+        for trigger in program.triggers:
+            rel = catalog.relation(trigger)
+            if rel.kind not in (RelationKind.EVENT_TABLE, RelationKind.ASYNC_VIEW):
+                raise CompileError(
+                    f"program {program.name} trigger {trigger!r} is not an event table"
+                )
+
+    return catalog
 
 
-def _instantiate(use: UseTemplate, templates: dict[str, CreateTemplate]) -> Statement:
+def _instantiate(use: UseTemplate, templates: dict[str, CreateTemplate]) -> SelectQuery:
     template = templates.get(use.template)
     if template is None:
         raise UnknownTemplateError(f"unknown template {use.template!r}")
@@ -284,136 +359,36 @@ def _instantiate(use: UseTemplate, templates: dict[str, CreateTemplate]) -> Stat
         else:
             substituted.append(tok)
     try:
-        query = parse_query_tokens(substituted)
+        return parse_query_tokens(substituted)
     except ParseError as exc:
         raise SubstitutionParseError(
             f"template {template.name!r} body does not parse after substitution: {exc}"
         ) from exc
-    cls = {"view": CreateView, "output": CreateOutput, "async_view": CreateAsyncView}[use.target]
-    stmt = cls(name=use.name, query=query)
-    stmt.span = use.span
-    return stmt
 
 
-# --- schema copy ---------------------------------------------------------------
-
-
-def resolve_schema_copy(
-    statements: list[Statement], base_schemas: dict[str, list[ColumnDef]] | None = None
-) -> list[Statement]:
-    known: dict[str, list[ColumnDef]] = {
-        name: list(cols) for name, cols in (base_schemas or {}).items()
-    }
-    out: list[Statement] = []
-    for stmt in statements:
-        if isinstance(stmt, (CreateEventTable, CreateTable)):
-            known[stmt.name] = stmt.columns
-            out.append(stmt)
-            continue
-        if isinstance(stmt, SchemaCopy):
-            source = known.get(stmt.source)
-            if source is None:
-                raise UnknownSourceRelationError(
-                    f"schema copy {stmt.name!r}: unknown source relation {stmt.source!r}"
-                )
-            # types only; CHECK constraints do not travel with a copy
-            columns = [ColumnDef(c.name, c.type) for c in source]
-            cls = CreateEventTable if stmt.event else CreateTable
-            copied = cls(name=stmt.name, columns=columns)
-            copied.span = stmt.span
-            known[stmt.name] = columns
-            out.append(copied)
-            continue
-        out.append(stmt)
-    return out
-
-
-# --- catalog construction -------------------------------------------------------
-
-
-def build_catalog(
-    statements: list[Statement],
-    base_schemas: dict[str, list[ColumnDef]] | None = None,
-    udfs: dict[str, UdfDef] | None = None,
-) -> Catalog:
-    catalog = Catalog(udfs=dict(BUILTIN_UDFS))
-    if udfs:
-        catalog.udfs.update(udfs)
-
-    for name, cols in (base_schemas or {}).items():
-        catalog.relations[name] = RelationDef(
-            name=name, kind=RelationKind.TABLE, columns=list(cols), is_base=True
-        )
-
-    def add(rel: RelationDef) -> None:
-        if rel.name in catalog.relations:
-            raise DuplicateRelationError(f"relation {rel.name!r} declared twice")
-        catalog.relations[rel.name] = rel
-
-    for stmt in statements:
-        if isinstance(stmt, CreateEventTable):
-            add(RelationDef(stmt.name, RelationKind.EVENT_TABLE, list(stmt.columns)))
-        elif isinstance(stmt, CreateTable):
-            add(RelationDef(stmt.name, RelationKind.TABLE, list(stmt.columns)))
-        elif isinstance(stmt, CreateView):
-            add(RelationDef(stmt.name, RelationKind.VIEW, query=stmt.query))
-        elif isinstance(stmt, CreateAsyncView):
-            add(RelationDef(stmt.name, RelationKind.ASYNC_VIEW, query=stmt.query))
-        elif isinstance(stmt, CreateOutput):
-            add(RelationDef(stmt.name, RelationKind.OUTPUT, query=stmt.query))
-        elif isinstance(stmt, CreateProgram):
-            catalog.programs[stmt.name] = ProgramDef(stmt.name, stmt.triggers, stmt.commands)
-        elif isinstance(stmt, NotEmptyConstraint):
-            catalog.constraints.append(ViewConstraint(view=stmt.name))
-        elif isinstance(stmt, InsertStatement):
-            raise CompileError("top-level INSERT is not part of the dialect")
-        else:
-            raise CompileError(f"unexpected statement {stmt.kind} after expansion")
-
-    for program in catalog.programs.values():
-        for target in program.insert_targets():
-            rel = catalog.relation(target)
-            if rel.kind is RelationKind.TABLE and not rel.is_base:
-                rel.kind = RelationKind.HISTORY_TABLE
-            elif rel.kind is not RelationKind.HISTORY_TABLE:
-                raise CompileError(
-                    f"program {program.name} inserts into {target!r}, "
-                    "which is not a history table"
-                )
-        for trigger in program.triggers:
-            rel = catalog.relation(trigger)
-            if rel.kind not in (RelationKind.EVENT_TABLE, RelationKind.ASYNC_VIEW):
-                raise CompileError(
-                    f"program {program.name} trigger {trigger!r} is not an event table"
-                )
-
-    return catalog
-
-
-def augment_system_columns(catalog: Catalog) -> Catalog:
-    by_kind = {
-        RelationKind.EVENT_TABLE: ("timestep", "timestamp"),
-        RelationKind.ASYNC_VIEW: ("timestep", "timestamp", "request_timestep"),
-        RelationKind.HISTORY_TABLE: ("timestep",),
-    }
-    for rel in catalog.relations.values():
-        system = by_kind.get(rel.kind, ())
-        if system:
-            for col in rel.columns:
-                if col.name in SYSTEM_COLUMNS:
-                    raise ReservedColumnNameError(
-                        f"{rel.name!r}: column {col.name!r} shadows a system column"
-                    )
-        if rel.kind in TABLE_KINDS and not rel.is_base:
-            # the shipping cursor and the strict policy's newest-row read use
-            # the rowid of these tables
-            for col in rel.columns:
-                if col.name.lower() in ROWID_NAMES:
-                    raise ReservedColumnNameError(
-                        f"{rel.name!r}: column {col.name!r} shadows the rowid"
-                    )
-        rel.system_columns = system
-    return catalog
+def _check_names(rel: RelationDef) -> None:
+    """A table's columns, or an async view's result columns, may not shadow
+    its system columns or, unless it is a base table, its rowid; and no two
+    of its columns may be one name to SQLite (`fold_case`)."""
+    for col in rel.columns:
+        if rel.system_columns and col.name in SYSTEM_COLUMNS:
+            raise ReservedColumnNameError(
+                f"{rel.name!r}: column {col.name!r} shadows a system column"
+            )
+        # the shipping cursor and the strict policy's newest-row read use the
+        # rowid of these tables
+        if not rel.is_base and col.name.lower() in ROWID_NAMES:
+            raise ReservedColumnNameError(
+                f"{rel.name!r}: column {col.name!r} shadows the rowid"
+            )
+    seen: dict[str, str] = {}
+    for col in rel.physical_columns:
+        key = fold_case(col.name)
+        if key in seen:
+            raise NameClashError(
+                f"{rel.name!r}: columns {seen[key]!r} and {col.name!r} are one name to SQLite"
+            )
+        seen[key] = col.name
 
 
 # --- column inference -----------------------------------------------------------
@@ -421,17 +396,18 @@ def augment_system_columns(catalog: Catalog) -> Catalog:
 
 def infer_output_columns(query: SelectQuery, catalog: Catalog, bindings: Bindings) -> list[ColumnDef]:
     """Names and (best-effort) types for a query's result columns, read from
-    what its names resolve to (`resolve_query`)."""
+    what its names resolve to (`resolve_query`); a name that repeats an
+    earlier one, up to letter case, gets a number."""
     columns: list[ColumnDef] = []
     taken: set[str] = set()
 
     def claim(name: str, type_: str | None) -> None:
         base = name
         n = 2
-        while name in taken:
+        while fold_case(name) in taken:
             name = f"{base}_{n}"
             n += 1
-        taken.add(name)
+        taken.add(fold_case(name))
         columns.append(ColumnDef(name, type_))
 
     for i, item in enumerate(query.items):
@@ -531,8 +507,10 @@ def resolve_query(query: SelectQuery, catalog: Catalog, bindings: Bindings | Non
                   parent: _Scope | None = None) -> Bindings:
     """Validate and normalize one query in place (recursing into subqueries),
     and record in `bindings` (a new record when None) what each ColumnRef and
-    Star, at any depth, resolves to, each in its own scope."""
+    Star, at any depth, resolves to, each in its own scope, with the query's
+    other facts (`Bindings`)."""
     bindings = Bindings() if bindings is None else bindings
+    bindings.table_refs.extend(query.table_refs())
     for ref in query.table_refs():
         available = {c.name for c in catalog.relation(ref.name).physical_columns}
         if ref.latest and "timestep" not in available:
@@ -553,10 +531,17 @@ def resolve_query(query: SelectQuery, catalog: Catalog, bindings: Bindings | Non
         elif isinstance(node, FuncCall):
             _expand_star_args(node, scope)  # before its arguments are visited
             _check_function(node, scope)
+            bindings.calls_random |= node.name.upper() == "RANDOM"
         elif isinstance(node, ScalarSubquery):
             resolve_query(node.query, catalog, bindings, parent=scope)
         for child in children(node):
             check(child, allow_alias)
+        if isinstance(node, BinaryOp) and node.op in RANGE_OPS:  # its operands are bound by now
+            bindings.ranged_tables.update(
+                binding.ref.name for operand in (node.left, node.right)
+                if isinstance(operand, ColumnRef) and operand.column == "timestep"
+                and (binding := bindings[operand]).kind in (RelationKind.EVENT_TABLE, RelationKind.HISTORY_TABLE)
+            )
 
     for item in query.items:
         check(item.expr, allow_alias=False)
@@ -676,7 +661,7 @@ def closure_relations(name: str, catalog: Catalog) -> list[RelationDef]:
 
 def closure_table_refs(name: str, catalog: Catalog) -> list[TableRef]:
     """Table references of `closure_relations`' queries, nested subqueries included."""
-    return [ref for rel in closure_relations(name, catalog) for ref in all_table_refs(rel.query)]
+    return [ref for rel in closure_relations(name, catalog) for ref in rel.bindings.table_refs]
 
 
 # --- dependency graph ----------------------------------------------------------
@@ -743,11 +728,8 @@ def compile_program(
     base_schemas: dict[str, list[ColumnDef]] | None = None,
     udfs: dict[str, UdfDef] | None = None,
 ) -> Catalog:
-    expanded = expand_templates(statements)
-    expanded = resolve_schema_copy(expanded, base_schemas)
-    catalog = build_catalog(expanded, base_schemas, udfs)
+    catalog = build_catalog(statements, base_schemas, udfs)
     catalog.graph = build_dependency_graph(catalog)
-    augment_system_columns(catalog)
 
     # dependencies first, so each query sees the columns of what it reads
     for name in catalog.graph.topological_order():
@@ -757,12 +739,7 @@ def compile_program(
         rel.bindings = resolve_query(rel.query, catalog)
         rel.columns = infer_output_columns(rel.query, catalog, rel.bindings)
         if rel.kind is RelationKind.ASYNC_VIEW:
-            for col in rel.columns:
-                if col.name in SYSTEM_COLUMNS or col.name.lower() in ROWID_NAMES:
-                    raise ReservedColumnNameError(
-                        f"async view {rel.name!r} result column {col.name!r} "
-                        "shadows the rowid or a system column"
-                    )
+            _check_names(rel)  # its result table's columns
     for program in catalog.programs.values():
         for command in program.commands:
             query = command.select if isinstance(command, InsertStatement) else command

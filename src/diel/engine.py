@@ -43,6 +43,10 @@ def quote_name(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+def _name_list(names: list[str]) -> str:
+    return ", ".join(quote_name(n) for n in names)
+
+
 class SqlEngine:
     def __init__(self, db_id: str, seed: int | None = None, udfs: dict[str, UdfDef] | None = None):
         self.db_id = db_id
@@ -140,14 +144,34 @@ class SqlEngine:
         self, path: str | Path, tables: dict[str, list[str]], context: str = "copy"
     ) -> None:
         """Copy `tables` (name -> columns) from the SQLite file at path into the
-        same-named tables here; the file is attached read-only for the copy."""
+        same-named tables here. A UTF-8 file is attached read-only for the
+        copy. SQLite attaches no file of another text encoding, so the rows of
+        one are read through a read-only connection, in the order the attached
+        copy reads them (a table scan: rowid order), and inserted."""
+        uri = _readonly_uri(path)
         try:
-            self.conn.execute("ATTACH DATABASE ? AS source", (_readonly_uri(path),))
+            source = sqlite3.connect(uri, uri=True)
+            try:
+                utf8 = source.execute("PRAGMA encoding").fetchone()[0] == "UTF-8"
+                read = {} if utf8 else {
+                    table: source.execute(f"SELECT {_name_list(columns)} FROM {quote_name(table)}").fetchall()
+                    for table, columns in tables.items()
+                }
+            finally:
+                source.close()
+        except sqlite3.Error as exc:
+            raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
+        if not utf8:
+            for table, rows in read.items():
+                self.insert_rows(table, rows, context=f"{context} from {path}")
+            return
+        try:
+            self.conn.execute("ATTACH DATABASE ? AS source", (uri,))
         except sqlite3.Error as exc:
             raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
         try:
             for table, columns in tables.items():
-                name, cols = quote_name(table), ", ".join(quote_name(c) for c in columns)
+                name, cols = quote_name(table), _name_list(columns)
                 self.conn.execute(f"INSERT INTO main.{name} ({cols}) SELECT {cols} FROM source.{name}")
         except sqlite3.Error as exc:
             raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc

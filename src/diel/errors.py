@@ -74,6 +74,11 @@ class LatestOnNonEventError(CompileError):
     """LATEST / LATEST_REQUEST applied to a relation lacking the needed column."""
 
 
+class NameClashError(CompileError):
+    """Two relations, or two columns of one relation, whose names SQLite
+    reads as one: equal up to ASCII letter case."""
+
+
 class ReservedColumnNameError(CompileError):
     """A user column would shadow timestep / timestamp / request_timestep, or
     a table's rowid (rowid / _rowid_ / oid)."""

@@ -49,7 +49,6 @@ from .compiler import (
     closure_relations,
     closure_table_refs,
     dependency_closure,
-    referenced_relations,
     resolve_query,
 )
 from .udfs import AGGREGATE_FUNCTIONS
@@ -80,7 +79,7 @@ def materialize_shared_views(
         for dep in set(reads):
             consumers[dep] = consumers.get(dep, 0) + 1
     for program in catalog.programs.values():
-        for dep in {name for query in program.queries() for name in referenced_relations(query)}:
+        for dep in {ref.name for ref in program.bindings.table_refs}:
             consumers[dep] = consumers.get(dep, 0) + 1
 
     materialized: dict[str, frozenset[str]] = {}
@@ -313,11 +312,7 @@ def calls_random(name: str, catalog: Catalog) -> bool:
     evaluation moves the engine's seeded generator: such a relation must be
     evaluated exactly as often as it is asked for, never served from an
     earlier evaluation or skipped."""
-    return any(
-        isinstance(node, FuncCall) and node.name.upper() == "RANDOM"
-        for rel in closure_relations(name, catalog)
-        for node in _nodes(all_queries(rel.query))
-    )
+    return any(rel.bindings.calls_random for rel in closure_relations(name, catalog))
 
 
 # --- empty-delta checks ---------------------------------------------------------

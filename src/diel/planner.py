@@ -57,6 +57,7 @@ from .compiler import (
     build_dependency_graph,
     closure_table_refs,
     dependency_closure,
+    fold_case,
     resolve_query,
 )
 from .engine import quote_name, sql_type
@@ -281,7 +282,8 @@ def rewrite_remote_output(
     base = f"{output.name}Event"
     async_name = base
     n = 2
-    while async_name in catalog.relations:
+    taken = {fold_case(name) for name in catalog.relations}
+    while fold_case(async_name) in taken:
         async_name = f"{base}{n}"
         n += 1
     async_view = RelationDef(
@@ -289,7 +291,6 @@ def rewrite_remote_output(
         kind=RelationKind.ASYNC_VIEW,
         columns=output.columns,
         query=output.query,
-        system_columns=("timestep", "timestamp", "request_timestep"),
         bindings=output.bindings,
     )
     for col in output.columns:
@@ -438,15 +439,15 @@ def planned_indexes(plan: FederationPlan, stored: dict[str, list[RelationDef]]) 
       and without the index SQLite builds an automatic one over the whole
       result history on every evaluation;
     - an event or history table is indexed on timestep on each instance that
-      evaluates a planned read comparing that column by a range (`ranged`;
+      evaluates a planned read comparing that column by a range (`Bindings.ranged_tables`;
       programs run on the coordinator): without it SQLite scans the growing
       table on every evaluation. A table read only through LATEST, and any
       base table, gets no index."""
     ranged: dict[tuple[str, str], set[str]] = {}
-    reads = [(rel.name, rel.ranged, evaluated_on(plan, rel.name))
-             for rel in plan.catalog.relations.values() if rel.ranged]
-    reads += [(program.name, program.ranged, [plan.coordinator])
-              for program in plan.catalog.programs.values() if program.ranged]
+    reads = [(rel.name, rel.bindings.ranged_tables, evaluated_on(plan, rel.name))
+             for rel in plan.catalog.relations.values() if rel.bindings.ranged_tables]
+    reads += [(program.name, program.bindings.ranged_tables, [plan.coordinator])
+              for program in plan.catalog.programs.values() if program.bindings.ranged_tables]
     for read, tables, instances in reads:
         for table in tables:
             for db_id in instances:

@@ -49,10 +49,32 @@ from .parser import KEYWORDS
 from .udfs import BUILTIN_UDFS, UdfDef, native_sql
 
 _BARE_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# SQLite's keywords (https://sqlite.org/lang_keywords.html). SQLite takes
+# many of them as bare names, but not all, and some bare ones mean something
+# else: `current_date` is today's date
+SQLITE_KEYWORDS = frozenset("""
+    ABORT ACTION ADD AFTER ALL ALTER ALWAYS ANALYZE AND AS ASC ATTACH
+    AUTOINCREMENT BEFORE BEGIN BETWEEN BY CASCADE CASE CAST CHECK COLLATE
+    COLUMN COMMIT CONFLICT CONSTRAINT CREATE CROSS CURRENT CURRENT_DATE
+    CURRENT_TIME CURRENT_TIMESTAMP DATABASE DEFAULT DEFERRABLE DEFERRED DELETE
+    DESC DETACH DISTINCT DO DROP EACH ELSE END ESCAPE EXCEPT EXCLUDE EXCLUSIVE
+    EXISTS EXPLAIN FAIL FILTER FIRST FOLLOWING FOR FOREIGN FROM FULL GENERATED
+    GLOB GROUP GROUPS HAVING IF IGNORE IMMEDIATE IN INDEX INDEXED INITIALLY
+    INNER INSERT INSTEAD INTERSECT INTO IS ISNULL JOIN KEY LAST LEFT LIKE LIMIT
+    MATCH MATERIALIZED NATURAL NO NOT NOTHING NOTNULL NULL NULLS OF OFFSET ON
+    OR ORDER OTHERS OUTER OVER PARTITION PLAN PRAGMA PRECEDING PRIMARY QUERY
+    RAISE RANGE RECURSIVE REFERENCES REGEXP REINDEX RELEASE RENAME REPLACE
+    RESTRICT RETURNING RIGHT ROLLBACK ROW ROWS SAVEPOINT SELECT SET TABLE TEMP
+    TEMPORARY THEN TIES TO TRANSACTION TRIGGER UNBOUNDED UNION UNIQUE UPDATE
+    USING VACUUM VALUES VIEW VIRTUAL WHEN WHERE WINDOW WITH WITHOUT
+""".split())
+_QUOTED_WORDS = KEYWORDS | SQLITE_KEYWORDS
 
 
 def quote_ident(name: str) -> str:
-    if _BARE_IDENT.match(name) and name.upper() not in KEYWORDS:
+    """A name as dialect and SQL text: bare unless it is not an identifier or
+    is a keyword of the dialect or of SQLite."""
+    if _BARE_IDENT.match(name) and name.upper() not in _QUOTED_WORDS:
         return name
     return '"' + name.replace('"', '""') + '"'
 

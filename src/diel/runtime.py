@@ -100,8 +100,6 @@ class Runtime:
         self.engine = engine
         self.federation = federation
         self.bindings: dict[str, list] = {}
-        for output, callback in (bindings or {}).items():
-            self.bind_output(output, callback)
 
         self.clock = 0
         self.events: list[EventRecord] = []
@@ -119,6 +117,8 @@ class Runtime:
 
         self._outputs = [r.name for r in self.catalog.by_kind(RelationKind.OUTPUT)]
         self._async_views = [r.name for r in self.catalog.by_kind(RelationKind.ASYNC_VIEW)]
+        for output, callback in (bindings or {}).items():
+            self.bind_output(output, callback)
 
         def watched(name: str) -> frozenset[str]:  # the relations whose change re-reads name
             return frozenset(dependency_closure(name, self.catalog) | {name})

@@ -4,19 +4,16 @@ import random
 
 import pytest
 
-from diel.ast_nodes import ColumnDef, ColumnRef, CreateOutput, Star, walk
+from diel.ast_nodes import ColumnDef, ColumnRef, Star, walk
 from diel.compiler import (
     Catalog,
     RelationKind,
     all_queries,
     all_table_refs,
-    augment_system_columns,
     check_constraints_wellformed,
     compile_program,
     dump_ir,
-    expand_templates,
     infer_output_columns,
-    resolve_schema_copy,
 )
 from diel.engine import SqlEngine
 from diel.errors import (
@@ -58,21 +55,16 @@ def schemas_for(name: str) -> dict:
 
 
 def test_template_expansion_produces_two_outputs():
-    statements = expand_templates(parse_diel(TEMPLATE_FILTER))
-    outputs = {s.name: s for s in statements if isinstance(s, CreateOutput)}
+    catalog = compile_listing(TEMPLATE_FILTER)
+    outputs = {r.name: r for r in catalog.by_kind(RelationKind.OUTPUT)}
     assert set(outputs) == {"distAll", "distFiltered"}
     assert outputs["distAll"].query.table.name == "flights"
     assert outputs["distFiltered"].query.table.name == "filteredFlights"
 
 
-def test_template_expansion_without_templates_is_identity():
-    statements = parse_diel(SLIDER)
-    assert expand_templates(statements) == statements
-
-
 def test_template_used_twice_differs_only_in_table_ref():
-    statements = expand_templates(parse_diel(TEMPLATE_FILTER))
-    a, b = (s.query for s in statements if isinstance(s, CreateOutput))
+    catalog = compile_listing(TEMPLATE_FILTER)
+    a, b = (r.query for r in catalog.by_kind(RelationKind.OUTPUT))
     a_norm = parse_query(query_sql(a).replace("flights", "XX", 1))
     b_norm = parse_query(query_sql(b).replace("filteredFlights", "XX", 1))
     assert a_norm == b_norm
@@ -80,36 +72,31 @@ def test_template_used_twice_differs_only_in_table_ref():
 
 def test_unknown_template_and_missing_binding():
     with pytest.raises(UnknownTemplateError):
-        expand_templates(parse_diel("CREATE OUTPUT o AS USE TEMPLATE nope(v='x');"))
+        compile_listing("CREATE OUTPUT o AS USE TEMPLATE nope(v='x');")
     with pytest.raises(MissingBindingError):
-        expand_templates(
-            parse_diel(
-                "CREATE TEMPLATE t(a, b) AS SELECT {a}, {b} FROM x;"
-                "CREATE OUTPUT o AS USE TEMPLATE t(a='1');"
-            )
+        compile_listing(
+            "CREATE TEMPLATE t(a, b) AS SELECT {a}, {b} FROM x;"
+            "CREATE OUTPUT o AS USE TEMPLATE t(a='1');"
         )
 
 
 def test_template_substitution_is_token_level():
     # the variable value lexes into tokens; identifiers around the slot are untouched
-    statements = expand_templates(
-        parse_diel(
-            "CREATE TEMPLATE t(tab) AS SELECT var_tab FROM {tab};"
-            "CREATE VIEW v AS USE TEMPLATE t(tab='rel');"
-        )
+    catalog = compile_listing(
+        "CREATE TABLE rel(var_tab INT);"
+        "CREATE TEMPLATE t(tab) AS SELECT var_tab FROM {tab};"
+        "CREATE VIEW v AS USE TEMPLATE t(tab='rel');"
     )
-    query = statements[0].query
+    query = catalog.relation("v").query
     assert query.table.name == "rel"
     assert query.items[0].expr.column == "var_tab"
 
 
 def test_a_binding_that_does_not_parse_after_substitution_is_a_typed_error():
     with pytest.raises(SubstitutionParseError, match="template 't' body does not parse"):
-        expand_templates(
-            parse_diel(
-                "CREATE TEMPLATE t(col) AS SELECT {col} FROM flights;"
-                "CREATE OUTPUT o AS USE TEMPLATE t(col='x FROM');"
-            )
+        compile_listing(
+            "CREATE TEMPLATE t(col) AS SELECT {col} FROM flights;"
+            "CREATE OUTPUT o AS USE TEMPLATE t(col='x FROM');"
         )
 
 
@@ -117,43 +104,48 @@ def test_a_binding_that_does_not_parse_after_substitution_is_a_typed_error():
 
 
 def test_schema_copy_from_declared_event_table():
-    statements = resolve_schema_copy(
-        parse_diel(
-            "CREATE EVENT TABLE brushItx(latMin REAL, lonMin REAL, latMax REAL, lonMax REAL);"
-            "CREATE EVENT TABLE mapItx AS brushItx;"
-        )
+    catalog = compile_listing(
+        "CREATE EVENT TABLE brushItx(latMin REAL, lonMin REAL, latMax REAL, lonMax REAL);"
+        "CREATE EVENT TABLE mapItx AS brushItx;"
     )
-    copied = statements[1]
+    copied = catalog.relation("mapItx")
+    assert copied.kind is RelationKind.EVENT_TABLE
     assert [(c.name, c.type) for c in copied.columns] == [
         ("latMin", "REAL"), ("lonMin", "REAL"), ("latMax", "REAL"), ("lonMax", "REAL"),
     ]
 
 
 def test_schema_copy_zero_columns():
-    statements = resolve_schema_copy(
-        parse_diel("CREATE EVENT TABLE resetItx(); CREATE EVENT TABLE againItx AS resetItx;")
-    )
-    assert statements[1].columns == []
+    catalog = compile_listing("CREATE EVENT TABLE resetItx(); CREATE EVENT TABLE againItx AS resetItx;")
+    assert catalog.relation("againItx").columns == []
 
 
 def test_schema_copy_chain_and_forward_reference():
-    chained = resolve_schema_copy(
-        parse_diel(
-            "CREATE TABLE a(x INT);"
-            "CREATE TABLE b AS a;"
-            "CREATE TABLE c AS b;"
-        )
+    chained = compile_listing(
+        "CREATE TABLE a(x INT);"
+        "CREATE TABLE b AS a;"
+        "CREATE TABLE c AS b;"
     )
-    assert [(c.name, c.type) for c in chained[2].columns] == [("x", "INT")]
+    assert [(c.name, c.type) for c in chained.relation("c").columns] == [("x", "INT")]
     with pytest.raises(UnknownSourceRelationError):
-        resolve_schema_copy(parse_diel("CREATE TABLE b AS a; CREATE TABLE a(x INT);"))
+        compile_listing("CREATE TABLE b AS a; CREATE TABLE a(x INT);")
+
+
+def test_schema_copy_of_a_base_table_and_not_of_a_view():
+    catalog = compile_listing("CREATE EVENT TABLE pickItx AS flights;")
+    assert catalog.relation("pickItx").columns == catalog.relation("flights").columns
+    with pytest.raises(UnknownSourceRelationError):
+        compile_listing("CREATE VIEW v AS SELECT origin FROM flights; CREATE TABLE t AS v;")
+
+
+def test_faults_are_reported_in_statement_order():
+    with pytest.raises(DuplicateRelationError):
+        compile_listing("CREATE TABLE a(x INT); CREATE TABLE a(y INT); CREATE TABLE b AS nowhere;")
 
 
 def test_schema_copy_drops_check_constraints():
-    statements = resolve_schema_copy(
-        parse_diel("CREATE EVENT TABLE s(size INT CHECK size > 0); CREATE TABLE t AS s;")
-    )
-    assert statements[1].columns[0].check is None
+    catalog = compile_listing("CREATE EVENT TABLE s(size INT CHECK size > 0); CREATE TABLE t AS s;")
+    assert catalog.relation("t").columns[0].check is None
 
 
 # --- system column augmentation ---------------------------------------------------
@@ -179,13 +171,6 @@ def test_history_table_gains_timestep_only():
     all_sels = catalog.relation("allSels")
     assert all_sels.kind is RelationKind.HISTORY_TABLE
     assert all_sels.system_columns == ("timestep",)
-
-
-def test_augmentation_is_idempotent():
-    catalog = compile_listing(SLIDER)
-    before = {n: r.system_columns for n, r in catalog.relations.items()}
-    augment_system_columns(catalog)
-    assert {n: r.system_columns for n, r in catalog.relations.items()} == before
 
 
 def test_reserved_column_name_rejected():

@@ -101,6 +101,54 @@ def test_setup_failure_names_instance():
     assert "r1" in str(exc_info.value)
 
 
+def test_callbacks_given_to_build_fire_as_bound_ones_do():
+    """`Session.build(config, bindings=...)`, the README's example: a callback
+    given to the build sees the frames one bound after it sees."""
+    def config():
+        return RunConfig([SLIDER], [DbConfig("main", "quick", tables={"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)})],
+                         seed=1)
+    given, bound = [], []
+    session = Session.build(config(), bindings={"distData": given.append})
+    session.run_replay(TRACE3)
+    other = Session.build(config())
+    other.runtime.bind_output("distData", bound.append)
+    other.run_replay(TRACE3)
+    assert given == bound == other.runtime.frames
+    assert len(given) == 3
+
+
+def test_a_callback_given_to_build_for_an_unknown_output_is_an_error():
+    with pytest.raises(UnknownOutputError, match="known outputs: distData"):
+        Session.build(
+            RunConfig([SLIDER], [DbConfig("main", "quick", tables={"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)})]),
+            bindings={"nope": print},
+        )
+
+
+def test_setup_needs_a_link_to_each_remote_instance():
+    session = remote_session(SLIDER)
+    from diel.runtime import setup
+
+    with pytest.raises(SetupError, match="r1.*no latency link configured"):
+        setup(session.plan, {}, links={})
+
+
+def test_the_coordinator_admits_result_rows_alone():
+    from diel.federation import Message
+
+    session = remote_session(SLIDER_LATEST_REQUEST)
+    with pytest.raises(EngineError, match="unexpected message kind ShipData"):
+        session.runtime.admit(Message("ShipData", "r1", "main", send_ms=0, relation="flights", rows=[]))
+
+
+def test_not_empty_on_an_event_table_is_a_diagnostic_and_no_probe():
+    session = local_session(SLIDER + "slideItx NOT EMPTY;", tables={"flights": (FLIGHT_COLUMNS, FLIGHT_ROWS)})
+    assert session.catalog.diagnostics == ["NOT EMPTY target 'slideItx' is a EventTable, not a view"]
+    assert session.runtime._probes == []
+    session.run_replay(TRACE3)
+    assert session.runtime.diagnostics == []
+
+
 def test_coordinator_led_async_view_leaves_every_view_name_free():
     # the view runs its planned query directly, under no name of its own
     program = """\

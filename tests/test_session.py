@@ -262,6 +262,16 @@ FILE_SHAPES = {
         columns=ITEM_COLUMNS + [ColumnDef("id", "INT")],
         rows=[row + (10 * k,) for k, row in enumerate(ITEM_ROWS, start=1)],
     ),
+    "utf16": FileShape(["PRAGMA encoding = 'UTF-16le'", DECLARED], "UTF-16le text"),
+    "generated-column": FileShape(
+        [DECLARED[:-1] + ", twice INT GENERATED ALWAYS AS (qty * 2) VIRTUAL)"], "hidden column items.twice"
+    ),
+    "oid-column": FileShape(
+        [DECLARED[:-1] + ", oid INT)"],
+        "column items.oid shadows the rowid",
+        columns=ITEM_COLUMNS + [ColumnDef("oid", "INT")],
+        rows=[row + (7 * k,) for k, row in enumerate(ITEM_ROWS, start=1)],
+    ),
     "rowid-gaps": FileShape(
         [DECLARED, "INSERT INTO items (code) VALUES ('gone')"],
         "rowids of items are not 1..3",
