@@ -31,6 +31,8 @@ from .errors import ConfigError, EngineError
 from .udfs import BUILTIN_UDFS, UdfDef
 
 _SQL_TYPES = {"INT": "INTEGER", "REAL": "REAL", "TEXT": "TEXT"}
+# what SQLite says when asked to ATTACH a file of another text encoding
+_OTHER_ENCODING = "attached databases must use the same text encoding as main database"
 
 
 def sql_type(type_: str | None) -> str:
@@ -144,37 +146,37 @@ class SqlEngine:
         self, path: str | Path, tables: dict[str, list[str]], context: str = "copy"
     ) -> None:
         """Copy `tables` (name -> columns) from the SQLite file at path into the
-        same-named tables here. A UTF-8 file is attached read-only for the
-        copy. SQLite attaches no file of another text encoding, so the rows of
-        one are read through a read-only connection, in the order the attached
-        copy reads them (a table scan: rowid order), and inserted."""
-        uri = _readonly_uri(path)
-        try:
-            source = sqlite3.connect(uri, uri=True)
-            try:
-                utf8 = source.execute("PRAGMA encoding").fetchone()[0] == "UTF-8"
-                read = {} if utf8 else {
-                    table: source.execute(f"SELECT {_name_list(columns)} FROM {quote_name(table)}").fetchall()
-                    for table, columns in tables.items()
-                }
-            finally:
-                source.close()
-        except sqlite3.Error as exc:
-            raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
-        if not utf8:
-            for table, rows in read.items():
-                self.insert_rows(table, rows, context=f"{context} from {path}")
-            return
+        same-named tables here, the file attached read-only for the copy.
+        SQLite attaches no file whose text encoding differs from this
+        engine's, so the rows of one are read through a read-only connection,
+        in the order the attached copy reads them (a table scan: rowid order),
+        and inserted."""
+        uri, where = _readonly_uri(path), f"{context} from {path}"
         try:
             self.conn.execute("ATTACH DATABASE ? AS source", (uri,))
         except sqlite3.Error as exc:
-            raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
+            if str(exc) != _OTHER_ENCODING:
+                raise EngineError(f"{where} on {self.db_id}", str(exc)) from exc
+            try:
+                source = sqlite3.connect(uri, uri=True)
+                try:
+                    read = {
+                        table: source.execute(f"SELECT {_name_list(columns)} FROM {quote_name(table)}").fetchall()
+                        for table, columns in tables.items()
+                    }
+                finally:
+                    source.close()
+            except sqlite3.Error as exc:
+                raise EngineError(f"{where} on {self.db_id}", str(exc)) from exc
+            for table, rows in read.items():
+                self.insert_rows(table, rows, context=where)
+            return
         try:
             for table, columns in tables.items():
                 name, cols = quote_name(table), _name_list(columns)
                 self.conn.execute(f"INSERT INTO main.{name} ({cols}) SELECT {cols} FROM source.{name}")
         except sqlite3.Error as exc:
-            raise EngineError(f"{context} from {path} on {self.db_id}", str(exc)) from exc
+            raise EngineError(f"{where} on {self.db_id}", str(exc)) from exc
         finally:
             self.conn.execute("DETACH DATABASE source")
 

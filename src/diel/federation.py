@@ -220,7 +220,6 @@ class SimInstance:
         self.db_id = db_id
         self.engine = engine
         self.relation_sql = relation_sql
-        self.evaluated: list[int] = []  # request_timestep of each answered request, in order
         self._channel_buffer: dict[int, Message] = {}  # link_seq -> early arrival
         self._next_link_seq = 1
 
@@ -255,7 +254,6 @@ class SimInstance:
                         request_timestep=t,
                     )
                 )
-                self.evaluated.append(t)
             else:
                 raise EngineError(f"instance {self.db_id}", f"unexpected message {item.kind}")
         return out

@@ -6,15 +6,14 @@ re-evaluation for refresh-on-change, a pre-aggregate is a count tile, a fixed
 table counted once per key, so that a grouped query sums the counts of its
 groups instead of counting rows (`COUNT(*)` alone: a sum of group sums adds
 its terms in another order; tiles enter the compiled catalog before the
-planner places them, as it places any view), the cache replays stored
-result rows as ordinary async result events, so concurrency policies apply to
-hits and misses alike, and an output whose delta is provably empty keeps its
-rows.
+planner places them, as it places any view), the cache replays the rows of
+an earlier answer, the very list its result event holds, as an ordinary async
+result event, so concurrency policies apply to hits and misses alike, and an
+output whose delta is provably empty keeps its rows.
 """
 
 from __future__ import annotations
 
-import marshal
 from collections.abc import Container
 from dataclasses import dataclass, replace
 
@@ -392,49 +391,35 @@ def _select_project_join(query: SelectQuery) -> bool:
 
 
 class RequestCache:
-    """Maps (async view, triggering parameters) to stored result row sets.
+    """Maps (async view, triggering parameters) to the rows of the first
+    answer for that key.
 
     The key is the tuple itself: params are validated payload values, and a
     REAL column stores 2000 and 2000.0 alike, so equal params give equal rows.
-    Identical row sets share one data id, so repeated results cost a pointer,
-    not a copy. Row sets are compared by their marshal encoding (version 2,
-    which writes no back-references), exact on type and value: it keeps 1 and
-    1.0, -0.0 and 0.0, and a TEXT and a BLOB apart, so a hit replays exactly
-    the values that were stored.
+    The cache keeps the very list the answer's event holds, neither copied nor
+    compared with other answers, so a hit replays the same objects, exact in
+    type and value: 1 and 1.0, -0.0 and 0.0, and a TEXT and a BLOB stay apart.
     """
 
     def __init__(self) -> None:
-        self.rows: dict[tuple, int] = {}  # (view, params) -> data id
-        self.data: dict[int, list[tuple]] = {}
-        self._by_encoding: dict[bytes, int] = {}
-        self._next_data_id = 1
+        self.rows: dict[tuple, list[tuple]] = {}  # (view, params) -> rows
         self.hits = 0
         self.misses = 0
 
     def lookup(self, view: str, params: tuple) -> list[tuple] | None:
-        data_id = self.rows.get((view, params))
-        if data_id is None:
+        rows = self.rows.get((view, params))
+        if rows is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        return self.data[data_id]
+        else:
+            self.hits += 1
+        return rows
 
-    def store(self, view: str, params: tuple, rows: list[tuple]) -> int:
-        rows = list(map(tuple, rows))
-        encoding = marshal.dumps(rows, 2)
-        data_id = self._by_encoding.get(encoding)
-        if data_id is None:
-            data_id = self._next_data_id
-            self._next_data_id += 1
-            self._by_encoding[encoding] = data_id
-            self.data[data_id] = rows
-        self.rows.setdefault((view, params), data_id)
-        return data_id
+    def store(self, view: str, params: tuple, rows: list[tuple]) -> None:
+        self.rows.setdefault((view, params), rows)
 
     def stats(self) -> dict[str, int]:
         return {
             "cache_hits": self.hits,
             "cache_misses": self.misses,
             "cache_entries": len(self.rows),
-            "cache_row_sets": len(self.data),
         }

@@ -15,7 +15,7 @@ with scalar subqueries, subqueries in predicates) plus the extensions:
     name NOT EMPTY;                     -- view debugging constraint
 
 Statements end with `;`, `--` starts a line comment, and double-quoted
-identifiers never collide with keywords.
+identifiers never collide with keywords; `""` inside one is a quote.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ _TOKEN = re.compile(
     | --[^\n]*                           # line comment
     | <=|>=|!=|<>|==|[(),;.*=<>+\-/%]     # operator
     | '(?:[^']|'')*'(?!')                # string; '' inside is an escaped quote
-    | "[^"]*"                            # quoted identifier
+    | "(?:[^"]|"")*"(?!")                # quoted identifier; "" inside is an escaped quote
     | \{\w+\}                            # template placeholder
     | \S
     """,
@@ -134,7 +134,7 @@ def tokenize(source: str) -> list[Token]:
             if first == "'":
                 append(Token("string", text[1:-1].replace("''", "'"), text, pos, line, col))
             else:
-                append(Token("ident", text[1:-1], text, pos, line, col))
+                append(Token("ident", text[1:-1].replace('""', '"'), text, pos, line, col))
             if "\n" in text:  # the only tokens that may span lines
                 line += text.count("\n")
                 line_start = pos + text.rindex("\n") + 1

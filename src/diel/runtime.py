@@ -203,17 +203,23 @@ class Runtime:
             ]
             if checks:
                 self._check_sql[rel.name] = checks
-        # every planned read is compiled once now: a read SQLite rejects fails
-        # the build, naming its relation, and never leaves a pass half done
-        reads = {sql: (f"program {p}", ()) for p, cmds in plan.program_sql.items() for c in cmds for sql in c}
-        reads.update({sql: (f"output {o}", (0,)) for o, (_, sql) in plan.delta_sql.items()})
-        reads.update({sql: (f"constraint {view}", ()) for view, sql, _ in self._probes})
-        reads.update({sql: (f"output {o}", ()) for o, sql in plan.output_sql.items()})
-        for view, leader in plan.leaders.items():
-            leader_engine = engine if leader == plan.coordinator else federation.instances[leader].engine
-            leader_engine.execute("EXPLAIN " + plan.relation_sql[view], context=f"async view {view}")
-        for sql, (context, params) in reads.items():
-            engine.execute("EXPLAIN " + sql, params, context=context)
+        # every planned read is compiled now, each distinct statement once per
+        # engine: a read SQLite rejects fails the build, naming its relation,
+        # and never leaves a pass half done
+        engines = {db_id: instance.engine for db_id, instance in federation.instances.items()}
+        engines[plan.coordinator] = engine
+        reads = {
+            (engines[leader], plan.relation_sql[view]): (f"async view {view}", ())
+            for view, leader in plan.leaders.items()
+        }
+        reads.update({
+            (engine, sql): (f"program {p}", ()) for p, cmds in plan.program_sql.items() for c in cmds for sql in c
+        })
+        reads.update({(engine, sql): (f"output {o}", (0,)) for o, (_, sql) in plan.delta_sql.items()})
+        reads.update({(engine, sql): (f"constraint {view}", ()) for view, sql, _ in self._probes})
+        reads.update({(engine, sql): (f"output {o}", ()) for o, sql in plan.output_sql.items()})
+        for (on, sql), (context, params) in reads.items():
+            on.execute("EXPLAIN " + sql, params, context=context)
 
     # -- API ------------------------------------------------------------------
 

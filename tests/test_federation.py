@@ -27,6 +27,11 @@ from diel.federation import (
 V_SQL = "SELECT x FROM ev WHERE timestep = (SELECT MAX(timestep) FROM ev)"
 
 
+def evaluation_order(federation):
+    """The request timestep of each evaluation, in the order the results were sent."""
+    return [m.request_timestep for m in federation.transport.log if m.kind == RESULT_ROWS]
+
+
 def make_instance(db_id="r1"):
     engine = SqlEngine(db_id)
     engine.execute_script("CREATE TABLE ev(x INTEGER, timestep INTEGER, timestamp INTEGER);")
@@ -133,7 +138,6 @@ def test_reordered_shipments_evaluate_in_ascending_order():
     assert out == []  # request 2 still blocks request 3
     out = instance.receive(ship(2, [(20, 2, 0)], 1), 0)
     assert [m.request_timestep for m in out] == [2, 3]
-    assert instance.evaluated == [2, 3]
     # request 2 evaluated against state as of 2, request 3 as of 3
     assert out[0].rows == [(20,)]
     assert out[1].rows == [(30,)]
@@ -170,8 +174,7 @@ def test_duplicate_channel_message_is_dropped(duplicate):
         messages["dup"] = messages[1] if duplicate == "ship" else messages[2]
         results = [r for key in order for r in instance.receive(messages[key], 0)]
         assert instance.queue_depth() == 0, order
-        assert instance.evaluated == [1]
-        assert [m.rows for m in results] == [[(10,)]]
+        assert [(m.request_timestep, m.rows) for m in results] == [(1, [(10,)])]
         assert instance.engine.run_query('SELECT * FROM "ev"')[1] == [(10, 1, 0)]
 
 
@@ -182,8 +185,7 @@ def test_queue_reordering_within_known_timesteps():
     results = []
     for msg in arrivals:
         results.extend(instance.receive(msg, 0))
-    assert instance.evaluated == [1, 3]
-    assert [m.rows for m in results] == [[(10,)], [(30,)]]
+    assert [(m.request_timestep, m.rows) for m in results] == [(1, [(10,)]), (3, [(30,)])]
 
 
 def test_adversarial_schedules_property():
@@ -203,7 +205,7 @@ def test_adversarial_schedules_property():
             federation.request_eval("r1", "v", t)
         results = []
         run_until_quiescent(federation, results.append, deadline_ms=10_000)
-        assert instance.evaluated == timesteps  # strictly increasing, no gaps
+        assert evaluation_order(federation) == timesteps  # strictly increasing, no gaps
         assert sorted(m.request_timestep for m in results) == timesteps
         # conservation: exactly one result per request, with that request's row
         for msg in results:
@@ -246,7 +248,7 @@ def test_stalled_queue_raises_dependency_timeout():
     federation.request_eval("r1", "v", 2)  # so the eval at seq 2 never releases
     with pytest.raises(DependencyTimeoutError):
         run_until_quiescent(federation, lambda m: None, deadline_ms=1000)
-    assert instance.queue_depth() == 1 and instance.evaluated == []
+    assert instance.queue_depth() == 1 and evaluation_order(federation) == []
 
 
 # --- wire format ------------------------------------------------------------------------

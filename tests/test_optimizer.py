@@ -161,16 +161,23 @@ def test_store_then_hit_returns_same_rows():
     assert cache.hits == 1
 
 
-def test_identical_rows_share_one_data_id():
+def test_each_key_keeps_the_rows_it_was_given():
     cache = RequestCache()
-    a = cache.store("v", (1998,), [("LAX", 1)])
-    b = cache.store("v", (1999,), [("LAX", 1)])
-    c = cache.store("v", (2000,), [("SFO", 2)])
-    assert a == b != c
-    assert len(cache.rows) == 3  # three hash rows ...
-    assert len(cache.data) == 2  # ... sharing two stored row sets
-    by_view = {view for view, _params in cache.rows}
-    assert by_view == {"v"}
+    rows = {params: [("LAX", 1)] for params in [(1998,), (1999,)]}
+    rows[(2000,)] = [("SFO", 2)]
+    for params, given in rows.items():
+        cache.store("v", params, given)
+    assert set(cache.rows) == {("v", params) for params in rows}
+    for params, given in rows.items():
+        assert cache.lookup("v", params) is given  # equal rows are not merged
+
+
+def test_the_first_answer_for_a_key_is_kept():
+    cache = RequestCache()
+    first, second = [("LAX", 1)], [("SFO", 2)]
+    cache.store("v", (1,), first)
+    cache.store("v", (1,), second)
+    assert cache.lookup("v", (1,)) is first
 
 
 def test_zero_row_result_is_cached_like_any_other():
@@ -189,10 +196,13 @@ def test_cache_key_distinguishes_views_and_params():
     assert cache.lookup("v", (2.0,)) == [("v", 2)]
 
 
-def test_row_set_digest_keeps_int_and_real_apart():
+def test_a_hit_keeps_int_and_real_apart():
     cache = RequestCache()
-    assert cache.store("v", (1,), [(1,)]) != cache.store("v", (2,), [(1.0,)])
-    assert [type(x) for (x,) in cache.lookup("v", (2,))] == [float]
+    ints, reals = [(1,)], [(1.0,)]
+    cache.store("v", (1,), ints)
+    cache.store("v", (2,), reals)
+    assert cache.lookup("v", (1,)) is ints and cache.lookup("v", (2,)) is reals
+    assert [type(x) for (x,) in reals] == [float]
 
 
 @pytest.mark.parametrize("first, second", [
@@ -203,18 +213,24 @@ def test_row_set_digest_keeps_int_and_real_apart():
 ], ids=["signed-zero", "blob-vs-its-str", "blob-vs-text", "null-vs-text"])
 def test_row_set_key_keeps_types_and_zero_signs_apart(first, second):
     cache = RequestCache()
-    assert cache.store("v", (1,), [(first,)]) != cache.store("v", (2,), [(second,)])
-    assert [repr(x) for (x,) in cache.lookup("v", (1,))] == [repr(first)]
-    assert [repr(x) for (x,) in cache.lookup("v", (2,))] == [repr(second)]
+    rows = {(1,): [(first,)], (2,): [(second,)]}
+    for params, given in rows.items():
+        cache.store("v", params, given)
+    for params, value in [((1,), first), ((2,), second)]:
+        hit = cache.lookup("v", params)
+        assert hit is rows[params] and repr(hit[0][0]) == repr(value)
 
 
-def test_row_sets_equal_in_type_and_value_share_one_data_id():
+def test_a_hit_returns_the_stored_rows_object_with_its_types():
     cache = RequestCache()
     rows = [("LAX", 1, 2.5, None, b"\x01"), ("", -0.0, 2**62, "x", b"")]
-    copied = [tuple(list(r)) for r in rows]
-    assert cache.store("v", (1,), rows) == cache.store("v", (2,), copied)
-    assert cache.store("v", (3,), [list(r) for r in rows]) == cache.store("v", (1,), rows)
-    assert len(cache.data) == 1
+    cache.store("v", (1,), rows)
+    hit = cache.lookup("v", (1,))
+    assert hit is rows
+    assert [[type(x) for x in row] for row in hit] == [
+        [str, int, float, type(None), bytes], [str, float, int, str, bytes]
+    ]
+    assert repr(hit[1][1]) == "-0.0"
 
 
 def test_cache_hit_count_equals_repeated_pairs():

@@ -17,7 +17,8 @@ from diel.ast_nodes import (
 )
 from diel.errors import ParseError, UnknownKeywordError
 from diel.parser import parse_diel, parse_query, tokenize
-from diel.printer import expr_sql, program_sql, query_sql
+from diel.corpus import load_examples
+from diel.printer import expr_sql, program_sql, query_sql, statement_sql
 
 from listing_texts import ALL_LISTINGS, MULTI_SELECT, UNDO
 
@@ -243,6 +244,26 @@ def test_query_round_trip_with_case_and_subquery():
     )
     query = parse_query(text)
     assert parse_query(query_sql(query)) == query
+
+
+def test_each_corpus_statement_prints_to_text_that_parses_back_to_it():
+    statements = [
+        stmt for example in load_examples().values() for text in example.diel_sources()
+        for stmt in parse_diel(text)
+    ]
+    assert len(statements) > 20
+    for stmt in statements:
+        assert parse_diel(statement_sql(stmt)) == [stmt]
+
+
+def test_a_quote_inside_a_quoted_identifier_is_written_doubled():
+    assert parse_diel('CREATE EVENT TABLE "a""b"(x INT);')[0].name == 'a"b'
+    table, view = parse_diel('CREATE TABLE "t""" ("my""col" INT); CREATE VIEW v AS SELECT "my""col" FROM "t""";')
+    assert (table.name, [c.name for c in table.columns]) == ('t"', ['my"col'])
+    for stmt in (table, view):
+        assert parse_diel(statement_sql(stmt)) == [stmt]
+    with pytest.raises(ParseError, match="unterminated quoted identifier at line 1, column 8"):
+        tokenize('SELECT "a"" FROM t')
 
 
 def test_walk_lists_parents_first_left_to_right_without_entering_subqueries():

@@ -532,6 +532,19 @@ CREATE OUTPUT sample AS SELECT * FROM LATEST_REQUEST sampleEvent;
     assert logs[0] == logs[1]
 
 
+def test_a_cache_hit_replays_the_first_answers_rows_object():
+    session = remote_session(SLIDER_LATEST_REQUEST, latency="fixed(5)")
+    years = [1998, 1999, 1998]
+    session.run_replay([TraceEntry(100 * i, "slideItx", {"flight_year": y}) for i, y in enumerate(years)])
+    assert session.summary()["cache_hits"] == 1
+    requests = [r.timestep for r in session.runtime.event_log() if r.relation == "slideItx"]
+    answers = {
+        r.request_timestep: r.payload["rows"]
+        for r in session.runtime.event_log() if r.relation == "distDataEvent"
+    }
+    assert answers[requests[2]] is answers[requests[0]] and answers[requests[0]]
+
+
 def test_strict_rewrite_over_two_latest_event_tables_renders_like_local():
     program = """\
 CREATE OUTPUT o AS SELECT t.v FROM t
